@@ -18,7 +18,7 @@ from .strategy import (BehaviorStrategy, MixtureOfProducts, PureProfile,
                        profile_support, pure_mixture, pure_strategy,
                        sequence_form, serialize_profile)
 from .metrics import (ConditionalReach, GapReport, OutcomeDistribution,
-                      conditional_node_utility, conditional_reach,
+                      ProfileReach, conditional_node_utility, conditional_reach,
                       counterfactual_utility, counterfactually_outcome_equivalent,
                       expected_utility, gap, outcome_distribution,
                       outcome_equivalent, pure_utility)

@@ -20,9 +20,10 @@ from fractions import Fraction
 from . import fixtures
 from .convert import efce_to_bce
 from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
-from .metrics import (NOTIONS, conditional_node_utility, conditional_reach,
-                      counterfactual_utility, counterfactually_outcome_equivalent,
-                      expected_utility, gap, outcome_equivalent)
+from .metrics import (NOTIONS, ProfileReach, conditional_node_utility,
+                      conditional_reach, counterfactual_utility,
+                      counterfactually_outcome_equivalent, expected_utility, gap,
+                      outcome_equivalent)
 from .oracles import brute_force_gap, enumerate_pure, oracle_player_gap
 from .randgen import (random_game, random_behavior_strategy, random_mixture,
                       random_objective, random_pure_profile_mixture)
@@ -343,10 +344,11 @@ def check_10_factorized_reach(count: int = 25) -> list[CheckResult]:
                            max_pure_product=64, max_pure_per_player=16)
         work.append((f"random-{k}", game, random_mixture(rng, game)))
     for tag, game, pi in work:
+        shared = ProfileReach(game, pi)
         for i in range(game.n):
             for seq in game.sequences(i):
                 total += 1
-                fast = conditional_reach(game, pi, i, seq)
+                fast = conditional_reach(game, pi, i, seq, shared)
                 mass, reach = expanded(game, pi, i, seq)
                 if fast.event_mass != mass or fast.reach != reach:
                     bad.append((tag, i, seq.label()))

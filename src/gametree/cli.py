@@ -15,12 +15,13 @@ import sys
 import time
 
 from . import __version__
-from .convert import build_cbr_table, counterfactual_best_response, efce_to_bce
+from .convert import counterfactual_best_response, efce_to_bce
 from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
 from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, parse_game
-from .metrics import NOTIONS, expected_utility, gap, outcome_distribution
+from .metrics import (NOTIONS, ProfileReach, expected_utility, gap,
+                      outcome_distribution)
 from .oracles import brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
 from .strategy import parse_profile, serialize_profile
@@ -200,8 +201,8 @@ def cmd_cbr(args) -> int:
     player = _player_arg(game, args.player)
     seq = _sequence_arg(game, player, args.sequence)
     strategy, value = counterfactual_best_response(game, pi, player, seq)
-    table = build_cbr_table(game, pi, player)
-    mass = table.entries[seq].reach.event_mass
+    # a zero-mass event falls back to the unconditional law, of mass 1
+    mass = ProfileReach(game, pi).event_mass(player, seq) or 1
     _emit({"player": game.players[player], "sequence": seq.label(),
            "strategy": strategy.assignment(game),
            "value": format_rational(value),
@@ -222,6 +223,9 @@ def cmd_solve(args) -> int:
         for zid in objective:
             game.terminal(zid)  # unknown terminals are semantic errors
     epsilon = parse_rational(args.epsilon)
+    if args.notion == "bce" and epsilon != 0:
+        raise ValueError("--epsilon applies to --notion efce only; "
+                         "the bce programs are exact")
     value = None
     if args.notion == "efce":
         if objective is None:
@@ -234,6 +238,7 @@ def cmd_solve(args) -> int:
         else:
             pi, value = optimal_bce(game, objective)
     measured = gap(game, pi, args.notion).overall
+    reach = ProfileReach(game, pi)
     _emit(json.loads(serialize_profile(game, pi)), args)
     report = {
         "command": "solve",
@@ -241,7 +246,7 @@ def cmd_solve(args) -> int:
         "outputs": {"notion": args.notion,
                     "gap": format_rational(measured),
                     "expected_utility": [
-                        format_rational(expected_utility(game, pi, i))
+                        format_rational(expected_utility(game, pi, i, reach))
                         for i in range(game.n)]},
         "wall_time_s": round(time.time() - started, 3),
         "version": __version__,

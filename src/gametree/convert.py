@@ -17,8 +17,10 @@ from fractions import Fraction
 from typing import Union
 
 from .bestresponse import best_response
+from .errors import InternalCheckError
 from .game import Game, Sequence
-from .metrics import ConditionalReach, conditional_reach, pure_utility
+from .metrics import (ConditionalReach, ProfileReach, _weights, conditional_reach,
+                      pure_utility)
 from .strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
                        PureStrategy, profile_support, pure_reaches_infoset)
 
@@ -56,18 +58,15 @@ def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
     sequences are never deviation points of support strategies, so the
     choice cannot affect :func:`efce_to_bce`).
     """
-    strategy, value, _reach = _cbr(game, pi, game.player_index(player), seq)
-    return strategy, value
+    return _cbr(game, pi, game.player_index(player), seq, ProfileReach(game, pi))[:2]
 
 
-def _cbr(game: Game, pi: MixtureOfProducts, i: int, seq: Sequence):
-    cr = conditional_reach(game, pi, i, seq)
+def _cbr(game: Game, pi: MixtureOfProducts, i: int, seq: Sequence, reach: ProfileReach):
+    cr = conditional_reach(game, pi, i, seq, reach)
     if cr.event_mass == 0 and not seq.is_empty:
-        cr = conditional_reach(game, pi, i, Sequence.empty(i))
-    weights = [z.payoffs[i] * z.chance_reach * cr.reach[z.index]
-               for z in game.terminals]
+        cr = conditional_reach(game, pi, i, Sequence.empty(i), reach)
     at = None if seq.is_empty else game.infoset(i, seq.infoset)
-    value, strategy = best_response(game, i, weights, at)
+    value, strategy = best_response(game, i, _weights(game, i, cr.reach), at)
     if cr.event_mass != 0:
         value = value / cr.event_mass
     return strategy, value, cr
@@ -78,9 +77,10 @@ def build_cbr_table(game: Game, pi: MixtureOfProducts,
     game.require_valid()
     pi.validate(game)
     i = game.player_index(player)
+    reach = ProfileReach(game, pi)
     entries = {}
     for seq in game.sequences(i):
-        strategy, value, cr = _cbr(game, pi, i, seq)
+        strategy, value, cr = _cbr(game, pi, i, seq, reach)
         entries[seq] = CbrEntry(strategy, value, cr)
     return CbrTable(i, entries)
 
@@ -110,31 +110,27 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts) -> MixtureOfProducts:
     """
     game.require_valid()
     pi.validate(game)
-    cbr_cache: list[dict[Sequence, PureStrategy]] = [{} for _ in range(game.n)]
-
-    def cbr_for(i: int, seq: Sequence) -> PureStrategy:
-        hit = cbr_cache[i].get(seq)
-        if hit is None:
-            hit = _cbr(game, pi, i, seq)[0]
-            cbr_cache[i][seq] = hit
-        return hit
-
+    reach = ProfileReach(game, pi)
+    cbr_cache: dict[Sequence, PureStrategy] = {}  # a sequence names its player
     new_components = []
     for comp in pi.components:
         per_player = []
         for i, mix in enumerate(comp.strategies):
             new_mix = []
             for beta, ps in mix:
+                weight = comp.alpha * beta
                 actions = list(ps.actions)
                 for iset in game.infosets[i]:
                     if pure_reaches_infoset(game, ps, iset.id):
                         continue
                     dev = deviation_point(game, ps, iset.id)
-                    if comp.alpha * beta > 0:
-                        # support strategies condition on positive-mass events
-                        mass = conditional_reach(game, pi, i, dev).event_mass
-                        assert mass >= comp.alpha * beta > 0
-                    actions[iset.index] = cbr_for(i, dev).action_at(iset.index)
+                    # support strategies condition on positive-mass events
+                    if weight > 0 and not reach.event_mass(i, dev) >= weight:
+                        raise InternalCheckError(f"deviation point {dev.label()} of a "
+                                                 f"support strategy has mass below {weight}")
+                    if dev not in cbr_cache:
+                        cbr_cache[dev] = _cbr(game, pi, i, dev, reach)[0]
+                    actions[iset.index] = cbr_cache[dev].action_at(iset.index)
                 new_mix.append((beta, PureStrategy(i, tuple(actions))))
             per_player.append(tuple(new_mix))
         new_components.append(MixtureComponent(comp.alpha, tuple(per_player)))

@@ -248,7 +248,8 @@ class _Tableau:
             c[j] = Fraction(-1)
         z = self._reduced_costs(c)
         status = self._simplex(z, lambda j: True)
-        assert status == "optimal"  # phase-1 objective is bounded above by 0
+        if status != "optimal":  # the phase-1 objective is bounded above by 0
+            raise InternalCheckError(f"phase 1 ended {status}, not optimal")
         if self._value(c) != 0:
             return False
         # drive remaining artificials out of the basis; drop redundant rows

@@ -27,12 +27,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .bestresponse import best_response
-from .errors import ResourceGuardError
+from .errors import InternalCheckError, ResourceGuardError
 from .game import Game, Infoset, Node, Sequence
 from .rational import format_rational
 from .strategy import (MixtureOfProducts, PureProfile, profile_support,
-                       pure_reaches_sequence, pure_terminal_reach,
-                       reach_vector)
+                       pure_terminal_reach, reach_vector)
 from .witnesses import (ConstantWitness, HistoryPolicyWitness,
                         TriggerCommitWitness, recommendation_history)
 
@@ -80,38 +79,73 @@ def counterfactual_utility(game: Game, profile: PureProfile,
 # -- mixture-level quantities -------------------------------------------------
 
 
-def _component_reaches(game: Game, comp) -> list[list[Fraction]]:
-    """Per player, the component's sequence-form reach of every terminal."""
-    out = []
-    for mix in comp.strategies:
-        row = [ZERO] * len(game.terminals)
-        for beta, ps in mix:
-            if beta == 0:
+class ProfileReach:
+    """The reach of a correlated profile, factorized per component and built
+    once per ``(game, pi)``; nothing here expands the product support.
+
+    Per component ``t`` with ``alpha != 0`` (``alphas[t]``) and player ``i``:
+    ``plans[i][t]`` holds the ``(beta, plan)`` pairs, ``masses[i][t]`` maps
+    each sequence to the beta of the plans reaching it, ``rows[i][t][z]`` is
+    ``x_ti(z) = sum_k beta_tik x_tik(z)`` and ``others[i][t][z]`` is
+    ``alpha_t * prod_{j != i} x_tj(z)``. ``joint[z]`` is the profile's reach
+    of each terminal, chance left out.
+    """
+
+    def __init__(self, game: Game, pi: MixtureOfProducts):
+        game.require_valid()  # the factorization rests on perfect recall
+        nz = len(game.terminals)
+        self.game = game
+        self.alphas: list[Fraction] = []
+        self.joint = [ZERO] * nz
+        self.plans, self.rows, self.masses, self.others = (
+            [[] for _ in range(game.n)] for _ in range(4))
+        for comp in pi.components:
+            if comp.alpha == 0:
                 continue
-            vec = reach_vector(game, ps)
-            for z in range(len(row)):
-                if vec[z]:
-                    row[z] += beta
-        out.append(row)
-    return out
+            self.alphas.append(comp.alpha)
+            rows = []
+            for i, mix in enumerate(comp.strategies):
+                masses = _sequence_masses(game, i, mix)
+                # a plan reaches z exactly when it reaches z's last own sequence
+                rows.append([masses.get(z.last_seq[i], ZERO) for z in game.terminals])
+                self.plans[i].append(mix)
+                self.rows[i].append(rows[i])
+                self.masses[i].append(masses)
+            for i in range(game.n):
+                other = [comp.alpha] * nz
+                for row in rows[:i] + rows[i + 1:]:
+                    other = [a * r if a and r else ZERO for a, r in zip(other, row)]
+                self.others[i].append(other)
+            for z, (o, r) in enumerate(zip(self.others[0][-1], rows[0])):
+                if o and r:
+                    self.joint[z] += o * r
+
+    def event_mass(self, i: int, seq: Sequence) -> Fraction:
+        """P[x_i(seq) = 1]: the mass of the recommendations playing to ``seq``."""
+        return sum((alpha * masses.get(seq, ZERO)
+                    for alpha, masses in zip(self.alphas, self.masses[i])), ZERO)
 
 
-def expected_utility(game: Game, pi: MixtureOfProducts,
-                     player: Union[int, str]) -> Fraction:
+def _sequence_masses(game: Game, i: int, mix) -> dict[Sequence, Fraction]:
+    masses: dict[Sequence, Fraction] = {}
+    for beta, ps in mix:
+        reached = {Sequence.empty(i)}
+        for iset in game.infosets[i]:  # discovery order: parents before children
+            if iset.parent_seq in reached:
+                reached.add(Sequence(i, iset.id, ps.actions[iset.index]))
+        for seq in reached:
+            masses[seq] = masses.get(seq, ZERO) + beta
+    return masses
+
+
+def expected_utility(game: Game, pi: MixtureOfProducts, player: Union[int, str],
+                     reach: Optional[ProfileReach] = None) -> Fraction:
     """E[u_i] under the correlated profile, computed factorized per component
     (never expanding the product support)."""
     i = game.player_index(player)
-    total = ZERO
-    for comp in pi.components:
-        if comp.alpha == 0:
-            continue
-        rows = _component_reaches(game, comp)
-        for z in game.terminals:
-            prob = z.chance_reach
-            for row in rows:
-                prob *= row[z.index]
-            total += comp.alpha * z.payoffs[i] * prob
-    return total
+    joint = (reach or ProfileReach(game, pi)).joint
+    return sum((z.payoffs[i] * z.chance_reach * joint[z.index]
+                for z in game.terminals if joint[z.index]), ZERO)
 
 
 @dataclass(frozen=True)
@@ -123,17 +157,11 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(game: Game, pi: MixtureOfProducts) -> OutcomeDistribution:
-    probs = {z.terminal_id: ZERO for z in game.terminals}
-    for comp in pi.components:
-        if comp.alpha == 0:
-            continue
-        rows = _component_reaches(game, comp)
-        for z in game.terminals:
-            prob = z.chance_reach
-            for row in rows:
-                prob *= row[z.index]
-            probs[z.terminal_id] += comp.alpha * prob
-    assert sum(probs.values(), ZERO) == 1, "outcome probabilities must sum to 1"
+    joint = ProfileReach(game, pi).joint
+    probs = {z.terminal_id: z.chance_reach * joint[z.index] for z in game.terminals}
+    total = sum(probs.values(), ZERO)
+    if total != 1:
+        raise InternalCheckError(f"outcome probabilities sum to {total}, not 1")
     return OutcomeDistribution(probs)
 
 
@@ -147,33 +175,31 @@ def counterfactually_outcome_equivalent(game: Game, a: MixtureOfProducts,
     """Equality of E[x_i(z|I) x_{-i}(z)] for every player, infoset and
     terminal below it - a strictly stronger notion than outcome equivalence
     (chance is a common factor and is left out)."""
-    for i in range(game.n):
-        for iset in game.infosets[i]:
-            if _cf_reach_profile(game, a, i, iset) != _cf_reach_profile(game, b, i, iset):
-                return False
-    return True
+    reach_a, reach_b = ProfileReach(game, a), ProfileReach(game, b)
+    return all(_cf_reach_profile(reach_a, i, iset) == _cf_reach_profile(reach_b, i, iset)
+               for i in range(game.n) for iset in game.infosets[i])
 
 
-def _cf_reach_profile(game: Game, pi: MixtureOfProducts, i: int,
-                      iset: Infoset) -> dict[int, Fraction]:
+def _cf_reach_profile(reach: ProfileReach, i: int, iset: Infoset) -> dict[int, Fraction]:
+    """Per terminal below ``iset``: E[x_i(z | I) x_{-i}(z)], the own factor
+    restarted at the infoset."""
+    game = reach.game
     out = {z_idx: ZERO for z_idx, _ in iset.terminals_below}
-    for comp in pi.components:
-        if comp.alpha == 0:
-            continue
-        rows = [_component_reaches(game, comp)[j] for j in range(game.n)]
-        # own factor restarted at the infoset: sum_k beta * x_k(z | I)
+    for plans, other in zip(reach.plans[i], reach.others[i]):
         for z_idx, offset in iset.terminals_below:
-            z = game.terminals[z_idx]
-            own = ZERO
-            for beta, ps in comp.strategies[i]:
-                if beta != 0 and pure_terminal_reach(game, ps, z, offset):
-                    own += beta
-            val = comp.alpha * own
-            for j in range(game.n):
-                if j != i:
-                    val *= rows[j][z_idx]
-            out[z_idx] += val
+            if other[z_idx]:
+                z = game.terminals[z_idx]
+                own = sum((beta for beta, ps in plans
+                           if pure_terminal_reach(game, ps, z, offset)), ZERO)
+                out[z_idx] += own * other[z_idx]
     return out
+
+
+def _cf_value(reach: ProfileReach, i: int, iset: Infoset) -> Fraction:
+    """The support sum of ``w * counterfactual_utility`` at ``iset``, factorized."""
+    terminals = reach.game.terminals
+    return sum((terminals[z].payoffs[i] * terminals[z].chance_reach * r
+                for z, r in _cf_reach_profile(reach, i, iset).items() if r), ZERO)
 
 
 @dataclass(frozen=True)
@@ -192,29 +218,24 @@ class ConditionalReach:
 
 
 def conditional_reach(game: Game, pi: MixtureOfProducts, player: Union[int, str],
-                      seq: Sequence) -> ConditionalReach:
-    """Factorized computation; the empty sequence gives the unconditional
-    opponent marginal (event mass 1)."""
+                      seq: Sequence, reach: Optional[ProfileReach] = None) -> ConditionalReach:
+    """Factorized computation from ``reach`` (built from ``pi`` when not
+    given); the empty sequence gives the unconditional opponent marginal
+    (event mass 1)."""
     i = game.player_index(player)
-    nz = len(game.terminals)
+    if not seq.is_empty:
+        game.infoset(i, seq.infoset)  # an unknown infoset raises KeyError
+    reach = reach or ProfileReach(game, pi)
+    out = [ZERO] * len(game.terminals)
     mass = ZERO
-    reach = [ZERO] * nz
-    for comp in pi.components:
-        if comp.alpha == 0:
-            continue
-        m = sum((beta for beta, ps in comp.strategies[i]
-                 if pure_reaches_sequence(game, ps, seq)), ZERO)
-        factor = comp.alpha * m
-        mass += factor
-        if factor == 0:
-            continue
-        rows = [row for j, row in enumerate(_component_reaches(game, comp)) if j != i]
-        for z in range(nz):
-            val = factor
-            for row in rows:
-                val *= row[z]
-            reach[z] += val
-    return ConditionalReach(i, seq, mass, tuple(reach))
+    for alpha, masses, other in zip(reach.alphas, reach.masses[i], reach.others[i]):
+        m = masses.get(seq)
+        if m:
+            mass += alpha * m
+            for z, o in enumerate(other):
+                if o:
+                    out[z] += m * o
+    return ConditionalReach(i, seq, mass, tuple(out))
 
 
 def conditional_node_utility(game: Game, pi: MixtureOfProducts,
@@ -300,12 +321,12 @@ def _weights(game: Game, i: int, reach) -> list[Fraction]:
 def _gap_nfcce(game: Game, pi: MixtureOfProducts) -> GapReport:
     # the constant class does not contain the identity, so the best constant
     # can lose to obedience; the gap is clamped at 0 (no deviation gains)
-    gaps = []
-    witnesses = []
+    reach = ProfileReach(game, pi)
+    gaps, witnesses = [], []
     for i in range(game.n):
-        cr = conditional_reach(game, pi, i, Sequence.empty(i))
+        cr = conditional_reach(game, pi, i, Sequence.empty(i), reach)
         value, strat = best_response(game, i, _weights(game, i, cr.reach))
-        gaps.append(max(ZERO, value - expected_utility(game, pi, i)))
+        gaps.append(max(ZERO, value - expected_utility(game, pi, i, reach)))
         witnesses.append(ConstantWitness(i, strat))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("nfcce", gaps[best], tuple(gaps), None, witnesses[best])
@@ -322,21 +343,16 @@ def _gap_efce(game: Game, pi: MixtureOfProducts) -> GapReport:
     obeying one more step; a commit before the first recommendation (the
     empty trigger) is included as the root option.
     """
-    gaps = []
-    witnesses = []
+    reach = ProfileReach(game, pi)
+    gaps, witnesses = [], []
     for i in range(game.n):
-        eu = expected_utility(game, pi, i)
-        cr0 = conditional_reach(game, pi, i, Sequence.empty(i))
-        w0 = _weights(game, i, cr0.reach)
-        t0, s0 = best_response(game, i, w0)
-
         def walk(seq: Sequence) -> tuple[Fraction, list]:
-            cr = conditional_reach(game, pi, i, seq)
+            cr = conditional_reach(game, pi, i, seq, reach)
             if cr.event_mass == 0:
                 return ZERO, []
             w = _weights(game, i, cr.reach)
-            iset = game.infoset(i, seq.infoset)
-            t_val, t_strat = best_response(game, i, w, iset)
+            at = None if seq.is_empty else game.infoset(i, seq.infoset)
+            t_val, t_strat = best_response(game, i, w, at)
             obey = sum((w[z] for z in game.terminals_by_last_sequence(seq)), ZERO)
             commits: list = []
             for child in game.children_infosets(seq):
@@ -348,19 +364,8 @@ def _gap_efce(game: Game, pi: MixtureOfProducts) -> GapReport:
                 return t_val, [(seq, t_strat)]
             return obey, commits
 
-        empty = Sequence.empty(i)
-        ob0 = sum((w0[z] for z in game.terminals_by_last_sequence(empty)), ZERO)
-        commits0: list = []
-        for top in game.top_infosets(i):
-            for b in top.actions:
-                v, c = walk(Sequence(i, top.id, b))
-                ob0 += v
-                commits0.extend(c)
-        if t0 > ob0:
-            value, commits = t0, [(empty, s0)]
-        else:
-            value, commits = ob0, commits0
-        gaps.append(value - eu)
+        value, commits = walk(Sequence.empty(i))
+        gaps.append(value - expected_utility(game, pi, i, reach))
         witnesses.append(TriggerCommitWitness(i, tuple(commits)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("efce", gaps[best], tuple(gaps), None, witnesses[best])
@@ -475,10 +480,10 @@ def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
     that see the full local-recommendation history, then subtract the
     profile's own counterfactual utility there."""
     support = list(profile_support(pi))
+    reach = ProfileReach(game, pi)
     budget = _StateBudget(state_cap)
     per_infoset: dict[tuple[int, str], Fraction] = {}
-    per_player = []
-    witnesses = []
+    per_player, witnesses = [], []
     for i in range(game.n):
         player_best = ZERO  # identity achieves 0 at every infoset
         player_witness = HistoryPolicyWitness(i, ())
@@ -493,9 +498,7 @@ def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
                             (h0, om, profile))
             policy: list = []
             value = _deviation_value(game, i, entries, budget, policy)
-            baseline = sum((w * counterfactual_utility(game, profile, i, iset.id)
-                            for w, profile in support), ZERO)
-            g = value - baseline
+            g = value - _cf_value(reach, i, iset)
             per_infoset[(i, iset.id)] = g
             if g > player_best:
                 player_best = g
@@ -511,9 +514,9 @@ def _gap_full_efce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapRepo
     """Ordinary regret against the history-seeing deviation class: one walk
     from the root instead of a per-infoset counterfactual."""
     support = list(profile_support(pi))
+    reach = ProfileReach(game, pi)
     budget = _StateBudget(state_cap)
-    gaps = []
-    witnesses = []
+    gaps, witnesses = [], []
     for i in range(game.n):
         consts: list[Fraction] = []
         entries: dict = {}
@@ -521,7 +524,7 @@ def _gap_full_efce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapRepo
             _descend(game, game.root, w, profile, i, entries, consts)
         policy: list = []
         value = sum(consts, ZERO) + _deviation_value(game, i, entries, budget, policy)
-        gaps.append(value - expected_utility(game, pi, i))
+        gaps.append(value - expected_utility(game, pi, i, reach))
         witnesses.append(HistoryPolicyWitness(i, tuple(policy)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("full-efce", gaps[best], tuple(gaps), None, witnesses[best])

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+from .errors import InternalCheckError
 from .game import Game, parse_game
 from .rational import format_rational
 from .strategy import (BehaviorStrategy, MixtureOfProducts, PureProfile,
@@ -31,7 +32,9 @@ def random_game(rng: random.Random, max_players: int = 3, max_nodes: int = 30,
     satisfied, so keep them loose."""
     while True:
         game = _attempt(rng, max_players, max_nodes, max_depth, merge_prob, chance_prob)
-        assert game.validate().ok
+        if not game.validate().ok:
+            raise InternalCheckError(
+                f"random_game built an invalid game: {game.validate().violations[0].message}")
         sizes = []
         for i in range(game.n):
             count = 1

@@ -4,6 +4,7 @@ import pytest
 
 from gametree import fixtures
 from gametree.cli import main
+from gametree.rational import format_rational
 
 
 @pytest.fixture()
@@ -160,6 +161,37 @@ def test_cbr_empty_sequence(paths, capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["value"] == "2"
+
+
+def test_cbr_event_mass_matches_the_cbr_table(paths, capsys):
+    # every sequence, zero-mass fallbacks included, reports the mass of the
+    # law its response was computed against
+    from gametree import build_cbr_table, parse_game, parse_profile
+    for name, profile in (("ebos", "ebos.profile"), ("lrr", "lrr.behavior")):
+        with open(paths[name], encoding="utf-8") as fh:
+            game = parse_game(fh.read())
+        with open(paths[profile], encoding="utf-8") as fh:
+            pi = parse_profile(game, fh.read())
+        for i in range(game.n):
+            table = build_cbr_table(game, pi, i)
+            for seq, entry in table.entries.items():
+                code, out, _ = run(capsys, "cbr", paths[name], paths[profile],
+                                   "--player", str(i), "--sequence", seq.label())
+                assert code == 0
+                assert json.loads(out)["event_mass"] == format_rational(
+                    entry.reach.event_mass)
+                assert json.loads(out)["value"] == format_rational(entry.value)
+
+
+def test_solve_bce_rejects_epsilon(paths, capsys):
+    code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "bce",
+                         "--epsilon", "1/4")
+    assert code == 1
+    assert out == ""
+    assert "--epsilon applies to --notion efce only" in err
+    code, _out, _err = run(capsys, "solve", paths["lrr"], "--notion", "bce",
+                           "--epsilon", "0")
+    assert code == 0
 
 
 def test_solve_bce_surj(paths, capsys):

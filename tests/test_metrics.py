@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from gametree import (ResourceGuardError, Sequence, conditional_reach,
+from gametree import (InternalCheckError, ProfileReach, ResourceGuardError,
+                      Sequence, conditional_reach,
                       counterfactual_utility, counterfactually_outcome_equivalent,
                       expected_utility, gap, outcome_distribution,
                       outcome_equivalent, profile_support, pure_mixture,
                       pure_strategy)
-from gametree.metrics import NOTIONS, conditional_node_utility, pure_utility
-from gametree.randgen import (random_game, random_mixture,
-                              random_pure_profile_mixture)
-from gametree.strategy import PureProfile
+from gametree.metrics import (NOTIONS, _cf_reach_profile, _cf_value,
+                              conditional_node_utility, pure_utility)
+from gametree.randgen import (random_behavior_strategy, random_game, random_mixture,
+                              random_pure_profile_mixture, random_pure_strategy)
+from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
+                               expand_behavior_products, pure_reaches_sequence,
+                               pure_terminal_reach, reach_vector)
 from gametree.convert import efce_to_bce
 
 F = Fraction
@@ -141,6 +145,11 @@ def test_conditional_reach_bounded_by_mass(surj, surj_pi):
             cr = conditional_reach(surj, surj_pi, i, seq)
             assert 0 <= cr.event_mass <= 1
             assert all(0 <= r <= cr.event_mass for r in cr.reach)
+
+
+def test_conditional_reach_unknown_infoset_raises(lrr, lrr_pi):
+    with pytest.raises(KeyError, match="nope"):
+        conditional_reach(lrr, lrr_pi, 0, Sequence(0, "nope", "x"))
 
 
 # -- gaps ----------------------------------------------------------------------
@@ -280,3 +289,108 @@ def test_gap_state_cap_env_override(surj, surj_pi, monkeypatch):
         gap(surj, surj_pi, "bce")
     monkeypatch.setenv("GT_STATE_CAP", "100000")
     assert gap(surj, surj_pi, "bce").overall == 0
+
+
+# -- the factorized profile reach against support expansion --------------------
+
+
+def _games_and_profiles(seed):
+    """Seeded 2- and 3-player games, each with decomposed behavior mixtures,
+    literal behavior products and pure-profile mixtures, plus one padded with
+    a zero-weight component and a zero-weight plan."""
+    rng = random.Random(seed)
+    out = []
+    for players in (2, 2, 2, 3, 3, 3):
+        game = random_game(rng, max_players=3, max_nodes=16, max_pure_product=64)
+        while game.n != players:
+            game = random_game(rng, max_players=3, max_nodes=16, max_pure_product=64)
+        behaviors = [(F(1), [random_behavior_strategy(rng, game, i)
+                             for i in range(game.n)])]
+        decomposed = random_mixture(rng, game)
+        first = decomposed.components[0]
+        padded_mix = first.strategies[0] + ((F(0), random_pure_strategy(rng, game, 0)),)
+        padded = MixtureOfProducts(decomposed.components + (
+            MixtureComponent(F(0), first.strategies),
+            MixtureComponent(F(0), (padded_mix,) + first.strategies[1:])))
+        for pi in (decomposed, expand_behavior_products(game, behaviors),
+                   random_pure_profile_mixture(rng, game), padded):
+            pi.validate(game)
+            out.append((game, pi))
+    return out
+
+
+def test_profile_reach_masses_and_rows_match_support_expansion():
+    for game, pi in _games_and_profiles(31):
+        reach = ProfileReach(game, pi)
+        live = [c for c in pi.components if c.alpha != 0]
+        assert reach.alphas == [c.alpha for c in live]
+        support = list(profile_support(pi))
+        for i in range(game.n):
+            assert len(reach.masses[i]) == len(live)
+            for row, comp in zip(reach.rows[i], live):
+                assert row == [sum((beta for beta, ps in comp.strategies[i]
+                                    if reach_vector(game, ps)[z.index]), F(0))
+                               for z in game.terminals]
+            for seq in game.sequences(i):
+                for masses, comp in zip(reach.masses[i], live):
+                    want = sum((beta for beta, ps in comp.strategies[i]
+                                if pure_reaches_sequence(game, ps, seq)), F(0))
+                    assert masses.get(seq, F(0)) == want
+                expanded = sum((w for w, p in support
+                                if pure_reaches_sequence(game, p.strategies[i], seq)), F(0))
+                assert reach.event_mass(i, seq) == expanded
+                assert conditional_reach(game, pi, i, seq, reach).event_mass == expanded
+
+
+def test_cf_reach_profile_matches_support_expansion():
+    for game, pi in _games_and_profiles(32):
+        reach = ProfileReach(game, pi)
+        support = list(profile_support(pi))
+        for i in range(game.n):
+            for iset in game.infosets[i]:
+                want = {z_idx: F(0) for z_idx, _ in iset.terminals_below}
+                for w, profile in support:
+                    for z_idx, offset in iset.terminals_below:
+                        z = game.terminals[z_idx]
+                        if (pure_terminal_reach(game, profile.strategies[i], z, offset)
+                                and all(pure_terminal_reach(game, profile.strategies[j], z)
+                                        for j in range(game.n) if j != i)):
+                            want[z_idx] += w
+                assert _cf_reach_profile(reach, i, iset) == want
+
+
+def test_bce_baseline_matches_support_expansion():
+    for game, pi in _games_and_profiles(33):
+        reach = ProfileReach(game, pi)
+        support = list(profile_support(pi))
+        for i in range(game.n):
+            for iset in game.infosets[i]:
+                want = sum((w * counterfactual_utility(game, profile, i, iset.id)
+                            for w, profile in support), F(0))
+                assert _cf_value(reach, i, iset) == want
+
+
+def test_profile_reach_expected_utility_and_outcomes_match_support_expansion():
+    for game, pi in _games_and_profiles(34):
+        support = list(profile_support(pi))
+        for i in range(game.n):
+            want = sum((w * pure_utility(game, p, i) for w, p in support), F(0))
+            assert expected_utility(game, pi, i) == want
+        probs = outcome_distribution(game, pi).probs
+        for z in game.terminals:
+            want = sum((w * z.chance_reach for w, p in support
+                        if all(pure_terminal_reach(game, ps, z) for ps in p.strategies)),
+                       F(0))
+            assert probs[z.terminal_id] == want
+
+
+def test_efce_to_bce_refuses_a_corrupted_mass_table(ebos, ebos_pi, monkeypatch):
+    from gametree import metrics
+
+    def root_only(game, i, mix):
+        empty = Sequence.empty(i)
+        return {empty: sum((beta for beta, _ in mix), F(0))}
+
+    monkeypatch.setattr(metrics, "_sequence_masses", root_only)
+    with pytest.raises(InternalCheckError, match="has mass below"):
+        efce_to_bce(ebos, ebos_pi)
