@@ -31,10 +31,10 @@ def best_response(game: Game, player: int, weights: Seq[Fraction],
     terminals below the infoset count and the plan is optimized at infosets
     weakly following it (everything else is set lexicographically first).
     """
-    infosets = game.infosets[player]
+    scope = game.infosets[player] if at_infoset is None else at_infoset.subtree
     f_value: dict[int, Fraction] = {}
     f_choice: dict[int, str] = {}
-    for iset in reversed(infosets):  # children precede parents in reverse discovery order
+    for iset in reversed(scope):  # children precede parents in reverse discovery order
         best_v = None
         best_a = None
         for a in iset.actions:
@@ -47,15 +47,11 @@ def best_response(game: Game, player: int, weights: Seq[Fraction],
             best_v, best_a = ZERO, ""
         f_value[iset.index] = best_v
         f_choice[iset.index] = best_a
-    if at_infoset is None:
-        empty = Sequence.empty(player)
-        value = sum((weights[z] for z in game.terminals_by_last_sequence(empty)), ZERO)
-        value += sum((f_value[j.index] for j in game.top_infosets(player)), ZERO)
-        actions = tuple(f_choice[iset.index] for iset in infosets)
-        return value, PureStrategy(player, actions)
-    value = f_value[at_infoset.index]
-    actions = tuple(
-        f_choice[iset.index]
-        if game.precedes(at_infoset, iset) else min(iset.actions)
-        for iset in infosets)
+    actions = tuple(f_choice[iset.index] if iset.index in f_choice else min(iset.actions)
+                    for iset in game.infosets[player])
+    if at_infoset is not None:
+        return f_value[at_infoset.index], PureStrategy(player, actions)
+    empty = Sequence.empty(player)
+    value = sum((weights[z] for z in game.terminals_by_last_sequence(empty)), ZERO)
+    value += sum((f_value[j.index] for j in game.top_infosets(player)), ZERO)
     return value, PureStrategy(player, actions)

@@ -30,7 +30,7 @@ from .randgen import (random_game, random_behavior_strategy, random_mixture,
 from .rational import format_rational
 from .strategy import (MixtureOfProducts, PureProfile, decompose,
                        profile_support, pure_mixture, pure_reaches_sequence,
-                       pure_strategy, reach_vector, sequence_form)
+                       pure_strategy, pure_terminal_reach, sequence_form)
 
 F = Fraction
 ZERO = F(0)
@@ -331,7 +331,7 @@ def check_10_factorized_reach(count: int = 25) -> list[CheckResult]:
                 continue
             mass += w
             for z in game.terminals:
-                if all(reach_vector(game, profile.strategies[j])[z.index]
+                if all(pure_terminal_reach(game, profile.strategies[j], z)
                        for j in range(game.n) if j != i):
                     reach[z.index] += w
         return mass, tuple(reach)

@@ -90,12 +90,9 @@ def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
     and Ja not leading to it - defined exactly when ``ps`` does not reach the
     infoset (perfect recall makes it unique)."""
     i = ps.player
-    iset = game.infoset(i, infoset_id)
-    for j_id, a in iset.own_history:
-        j = game.infoset(i, j_id)
-        played = ps.action_at(j.index)
-        if played != a:
-            return Sequence(i, j_id, played)
+    for j, a in game.infoset(i, infoset_id).chain:
+        if ps.actions[j] != a:
+            return Sequence(i, game.infosets[i][j].id, ps.actions[j])
     raise ValueError(f"strategy reaches infoset {infoset_id!r}; no deviation point")
 
 
@@ -149,14 +146,12 @@ def restricted_deviation_value(game: Game, pi: MixtureOfProducts,
     start = game.infoset(i, infoset_id)
     total = ZERO
     for w, profile in profile_support(pi):
-        ps = profile.strategies[i]
-        deviated = witness.apply(game, ps)
-        actions = tuple(
-            deviated.action_at(iset.index) if game.precedes(start, iset)
-            else ps.action_at(iset.index)
-            for iset in game.infosets[i])
+        deviated = witness.apply(game, profile.strategies[i])
+        actions = list(profile.strategies[i].actions)
+        for iset in start.subtree:
+            actions[iset.index] = deviated.actions[iset.index]
         strategies = list(profile.strategies)
-        strategies[i] = PureStrategy(i, actions)
+        strategies[i] = PureStrategy(i, tuple(actions))
         total += w * (pure_utility(game, PureProfile(tuple(strategies)), i)
                       - pure_utility(game, profile, i))
     return total

@@ -24,9 +24,9 @@ from typing import Optional
 
 from .convert import efce_to_bce
 from .errors import InternalCheckError, ResourceGuardError
-from .game import Game, Sequence
+from .game import Game, Infoset, Sequence
 from .lp import LE, LinearProgram, lp_solve
-from .metrics import gap, pure_utility
+from .metrics import _play_from, gap, pure_utility
 from .strategy import (MixtureOfProducts, PureProfile, PureStrategy,
                        profile_support, pure_mixture, pure_reaches_sequence)
 from .rational import format_rational
@@ -66,15 +66,17 @@ def enumerate_profiles(game: Game, cap: int = DEFAULT_PROFILE_CAP) -> list[PureP
 
 def _swap_from(game: Game, ps: PureStrategy, trigger: Sequence,
                continuation: dict[str, str]) -> PureStrategy:
-    if trigger.is_empty:
-        start = None
-    else:
-        start = game.infoset(ps.player, trigger.infoset)
     actions = list(ps.actions)
-    for iset in game.infosets[ps.player]:
-        if start is None or game.precedes(start, iset):
-            actions[iset.index] = continuation[iset.id]
+    for iset in _scope(game, ps.player, trigger):
+        actions[iset.index] = continuation[iset.id]
     return PureStrategy(ps.player, tuple(actions))
+
+
+def _scope(game: Game, i: int, trigger: Sequence) -> list[Infoset]:
+    """The infosets a trigger rewrites: all of them for the empty trigger."""
+    if trigger.is_empty:
+        return game.infosets[i]
+    return game.infoset(i, trigger.infoset).subtree
 
 
 def trigger_constraints(game: Game, profiles: list[PureProfile]) -> list[TriggerConstraint]:
@@ -84,12 +86,7 @@ def trigger_constraints(game: Game, profiles: list[PureProfile]) -> list[Trigger
             for i in range(game.n)]
     for i in range(game.n):
         for seq in game.sequences(i):
-            if seq.is_empty:
-                scope = game.infosets[i]
-            else:
-                start = game.infoset(i, seq.infoset)
-                scope = [iset for iset in game.infosets[i]
-                         if game.precedes(start, iset)]
+            scope = _scope(game, i, seq)
             for combo in itertools.product(*(iset.actions for iset in scope)):
                 continuation = {iset.id: a for iset, a in zip(scope, combo)}
                 coeffs = []
@@ -112,14 +109,7 @@ def trigger_constraints(game: Game, profiles: list[PureProfile]) -> list[Trigger
 
 def _objective_value(game: Game, objective: dict[str, Fraction],
                      profile: PureProfile) -> Fraction:
-    from .strategy import reach_vector
-    vectors = [reach_vector(game, ps) for ps in profile.strategies]
-    total = ZERO
-    for z in game.terminals:
-        c = objective.get(z.terminal_id)
-        if c and all(v[z.index] for v in vectors):
-            total += c * z.chance_reach
-    return total
+    return _play_from(game.root, profile, lambda z: objective.get(z.terminal_id, ZERO))
 
 
 def _solve_program(game: Game, epsilon: Fraction,

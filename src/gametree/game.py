@@ -85,7 +85,7 @@ class ValidationReport:
 
 
 class Node:
-    __slots__ = ("parent", "path", "depth")
+    __slots__ = ("parent", "path")
 
     kind = "node"
 
@@ -100,7 +100,7 @@ class ChanceNode(Node):
 
 
 class DecisionNode(Node):
-    __slots__ = ("player", "infoset_id", "moves", "own_seq")
+    __slots__ = ("player", "infoset_id", "moves", "infoset")
 
     kind = "decision"
 
@@ -124,13 +124,17 @@ class Infoset:
 
     ``own_history`` is the shared list of (infoset id, action) pairs of that
     player on the path from the root (excluding this infoset itself), and
-    ``parent_seq`` the corresponding :class:`Sequence`.
+    ``parent_seq`` the corresponding :class:`Sequence`. ``chain`` is the same
+    history as (infoset index, action) pairs, outermost first, and
+    ``subtree`` lists the player's infosets weakly after this one (itself
+    included) in discovery order; together they are the player's ancestry
+    index, built once by :class:`Game`.
     """
 
     __slots__ = ("player", "id", "index", "actions", "nodes", "own_history",
-                 "parent_seq", "terminals_below")
+                 "parent_seq", "chain", "subtree", "terminals_below")
 
-    def __init__(self, player, id_, index, actions, own_history, parent_seq):
+    def __init__(self, player, id_, index, actions, own_history, parent_seq, chain):
         self.player = player
         self.id = id_
         self.index = index
@@ -138,6 +142,8 @@ class Infoset:
         self.nodes = []
         self.own_history = own_history
         self.parent_seq = parent_seq
+        self.chain = chain
+        self.subtree = []
         self.terminals_below = []  # (terminal index, offset into own_pairs[player])
 
     def __repr__(self):  # pragma: no cover
@@ -170,16 +176,13 @@ class Game:
 
     def _build(self):
         n = self.n
-        # stack entries: (node, parent, path, chance, pairs, pair_ids)
-        #   pairs[i]   = tuple of (infoset index, action) for player i on the path
-        #   pair_ids[i]= tuple of (infoset id, action), used for recall checks
-        root_pairs = tuple(() for _ in range(n))
-        stack = [(self.root, None, (), ONE, root_pairs, root_pairs)]
+        # stack entries: (node, parent, path, chance, pairs) where
+        #   pairs[i] = tuple of (infoset index, action) for player i on the path
+        stack = [(self.root, None, (), ONE, tuple(() for _ in range(n)))]
         while stack:
-            node, parent, path, chance, pairs, pair_ids = stack.pop()
+            node, parent, path, chance, pairs = stack.pop()
             node.parent = parent
             node.path = path
-            node.depth = len(path)
             self.num_nodes += 1
             loc = "/".join(path) or "."
             if node.kind == "terminal":
@@ -187,10 +190,7 @@ class Game:
                 node.terminal_id = loc
                 node.chance_reach = chance
                 node.own_pairs = pairs
-                node.last_seq = tuple(
-                    Sequence(i, *pair_ids[i][-1]) if pair_ids[i] else Sequence.empty(i)
-                    for i in range(n)
-                )
+                node.last_seq = tuple(self._sequence_after(i, pairs[i]) for i in range(n))
                 self.terminals.append(node)
                 continue
             labels = [m[0] for m in node.moves]
@@ -211,17 +211,15 @@ class Game:
                     if prob < 0:
                         self._violations.append(Violation(
                             "chance-sum", loc, f"negative probability on action {label!r}"))
-                    stack.append((child, node, path + (label,), chance * prob,
-                                  pairs, pair_ids))
+                    stack.append((child, node, path + (label,), chance * prob, pairs))
                 continue
             # decision node
             i = node.player
             iset = self._infoset_by_key.get((i, node.infoset_id))
             if iset is None:
                 iset = Infoset(i, node.infoset_id, len(self.infosets[i]),
-                               tuple(labels), pair_ids[i],
-                               Sequence(i, *pair_ids[i][-1]) if pair_ids[i]
-                               else Sequence.empty(i))
+                               tuple(labels), self._ids(i, pairs[i]),
+                               self._sequence_after(i, pairs[i]), pairs[i])
                 self._infoset_by_key[(i, node.infoset_id)] = iset
                 self.infosets[i].append(iset)
             else:
@@ -230,20 +228,27 @@ class Game:
                         "infoset-action-mismatch", loc,
                         f"infoset {node.infoset_id!r} lists actions {labels}, "
                         f"first seen with {list(iset.actions)}"))
-                if iset.own_history != pair_ids[i]:
+                if iset.chain != pairs[i]:
                     self._violations.append(Violation(
                         "perfect-recall", loc,
                         f"infoset {node.infoset_id!r} mixes own histories "
-                        f"{list(iset.own_history)} and {list(pair_ids[i])}"))
+                        f"{list(iset.own_history)} and {list(self._ids(i, pairs[i]))}"))
             iset.nodes.append(node)
-            node.own_seq = iset.parent_seq
+            node.infoset = iset
             for label, child in reversed(node.moves):
                 new_pairs = list(pairs)
                 new_pairs[i] = pairs[i] + ((iset.index, label),)
-                new_ids = list(pair_ids)
-                new_ids[i] = pair_ids[i] + ((node.infoset_id, label),)
-                stack.append((child, node, path + (label,), chance,
-                              tuple(new_pairs), tuple(new_ids)))
+                stack.append((child, node, path + (label,), chance, tuple(new_pairs)))
+
+    def _ids(self, i: int, chain: tuple) -> tuple:
+        """An own chain of player ``i`` with infoset ids in place of indices."""
+        return tuple((self.infosets[i][j].id, a) for j, a in chain)
+
+    def _sequence_after(self, i: int, chain: tuple) -> Sequence:
+        if not chain:
+            return Sequence.empty(i)
+        j, a = chain[-1]
+        return Sequence(i, self.infosets[i][j].id, a)
 
     def _index_sequences(self):
         for i in range(self.n):
@@ -258,6 +263,9 @@ class Game:
             for iset in self.infosets[i]:
                 if iset.parent_seq in children:
                     children[iset.parent_seq].append(iset)
+                for j, _a in iset.chain:
+                    self.infosets[i][j].subtree.append(iset)
+                iset.subtree.append(iset)
             by_last: dict[Sequence, list[int]] = {}
             for z in self.terminals:
                 by_last.setdefault(z.last_seq[i], []).append(z.index)
@@ -357,74 +365,52 @@ class Game:
 
         Accepts :class:`Sequence`, :class:`Infoset` and :class:`Node`
         arguments in any combination (sequences and infosets must belong to
-        the same player). Answers in O(depth).
+        the same player). Order among a player's sequences and infosets is
+        read off the infosets' ``chain``.
         """
-        if isinstance(a, Node) and isinstance(b, Node):
-            while b is not None:
-                if b is a:
-                    return True
-                b = b.parent
-            return False
-        if isinstance(b, Node):
-            # infoset-or-sequence vs node: look at the own pairs above b
-            pairs, own_isets = self._own_path_of_node(b, a.player)
-            if isinstance(a, Sequence):
-                return a.is_empty or (a.infoset, a.action) in pairs
-            return a.id in own_isets
         if isinstance(a, Node):
+            if isinstance(b, Node):
+                while b is not None:
+                    if b is a:
+                        return True
+                    b = b.parent
+                return False
             # node vs infoset/sequence: a must be an ancestor of a witness node
-            player = b.player
             if isinstance(b, Sequence):
                 if b.is_empty:
                     return a is self.root
-                targets = self.infoset(player, b.infoset).nodes
-            else:
-                targets = b.nodes
-            return any(self.precedes(a, h) for h in targets)
-        if a.player != b.player:
+                b = self.infoset(b.player, b.infoset)
+            return any(self.precedes(a, h) for h in b.nodes)
+        if not isinstance(b, Node) and a.player != b.player:
             raise ValueError("sequences/infosets of different players are unordered")
-        hist_b = self._history_of(b)
-        iset_b = self._infoset_of(b)
+        chain, at = self._own_chain(b, a.player)
         if isinstance(a, Sequence):
-            if a.is_empty:
-                return True
-            if isinstance(b, Sequence) and not b.is_empty \
-                    and (a.infoset, a.action) == (b.infoset, b.action):
-                return True
-            return (a.infoset, a.action) in hist_b
-        # a is an Infoset
-        a_id = a.id
-        if iset_b is not None and a_id == iset_b:
-            return not (isinstance(b, Sequence) and b.is_empty)
-        return any(j == a_id for j, _ in hist_b)
+            return a.is_empty or \
+                (self.infoset(a.player, a.infoset).index, a.action) in chain
+        return a is at or any(j == a.index for j, _ in chain)
 
-    def _infoset_of(self, x) -> Optional[str]:
-        if isinstance(x, Sequence):
-            return x.infoset
-        return x.id
-
-    def _history_of(self, x) -> tuple:
+    def _own_chain(self, x, player: int):
+        """The own (infoset index, action) pairs of ``player`` up to ``x``,
+        its own pair included for a sequence, and the infoset ``x`` is or
+        sits at (None if neither)."""
         if isinstance(x, Sequence):
             if x.is_empty:
-                return ()
-            return self.infoset(x.player, x.infoset).own_history
-        return x.own_history
-
-    def _own_path_of_node(self, node: Node, player: int):
-        pairs = set()
-        isets = set()
-        child = node
-        cur = node.parent
-        if node.kind == "decision" and node.player == player:
-            isets.add(node.infoset_id)
-        while cur is not None:
-            if cur.kind == "decision" and cur.player == player:
-                label = child.path[len(cur.path)]
-                pairs.add((cur.infoset_id, label))
-                isets.add(cur.infoset_id)
-            child = cur
-            cur = cur.parent
-        return pairs, isets
+                return (), None
+            iset = self.infoset(player, x.infoset)
+            return iset.chain + ((iset.index, x.action),), None
+        if isinstance(x, Infoset):
+            return x.chain, x
+        if x.kind == "terminal":
+            return x.own_pairs[player], None
+        # climb to the nearest own decision node at or above x
+        child, h = None, x
+        while h is not None and (h.kind != "decision" or h.player != player):
+            child, h = h, h.parent
+        if h is None:
+            return (), None
+        if child is None:
+            return h.infoset.chain, h.infoset
+        return h.infoset.chain + ((h.infoset.index, child.path[-1]),), None
 
     # -- chance ----------------------------------------------------------
 

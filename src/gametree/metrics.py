@@ -31,7 +31,7 @@ from .errors import InternalCheckError, ResourceGuardError
 from .game import Game, Infoset, Node, Sequence
 from .rational import format_rational
 from .strategy import (MixtureOfProducts, PureProfile, profile_support,
-                       pure_terminal_reach, reach_vector)
+                       pure_terminal_reach)
 from .witnesses import (ConstantWitness, HistoryPolicyWitness,
                         TriggerCommitWitness, recommendation_history)
 
@@ -50,12 +50,7 @@ STATE_CAP_ENV = "GT_STATE_CAP"
 def pure_utility(game: Game, profile: PureProfile, player: Union[int, str]) -> Fraction:
     """Expected utility of a pure profile (expectation over chance only)."""
     i = game.player_index(player)
-    vectors = [reach_vector(game, ps) for ps in profile.strategies]
-    total = ZERO
-    for z in game.terminals:
-        if all(v[z.index] for v in vectors):
-            total += z.payoffs[i] * z.chance_reach
-    return total
+    return _play_from(game.root, profile, lambda z: z.payoffs[i])
 
 
 def counterfactual_utility(game: Game, profile: PureProfile,
@@ -247,22 +242,22 @@ def conditional_node_utility(game: Game, pi: MixtureOfProducts,
     node = game.node_at(tuple(path))
     total = ZERO
     for w, profile in profile_support(pi):
-        total += w * _play_from(game, node, profile, i)
+        total += w * _play_from(node, profile, lambda z: z.payoffs[i])
     return total
 
 
-def _play_from(game: Game, node: Node, profile: PureProfile, i: int) -> Fraction:
+def _play_from(node: Node, profile: PureProfile, value) -> Fraction:
+    """E[value(z)] over chance when ``profile`` plays on from ``node``."""
     if node.kind == "terminal":
-        return node.payoffs[i]
+        return value(node)
     if node.kind == "chance":
-        return sum((p * _play_from(game, child, profile, i)
+        return sum((p * _play_from(child, profile, value)
                     for _label, p, child in node.moves), ZERO)
-    iset = game.infoset(node.player, node.infoset_id)
-    want = profile.strategies[node.player].action_at(iset.index)
+    want = profile.strategies[node.player].actions[node.infoset.index]
     for label, child in node.moves:
         if label == want:
-            return _play_from(game, child, profile, i)
-    raise AssertionError("strategy names an action missing from the node")
+            return _play_from(child, profile, value)
+    raise InternalCheckError("strategy names an action missing from the node")
 
 
 # -- gap reports ---------------------------------------------------------------
@@ -398,15 +393,14 @@ def _descend(game: Game, node: Node, om: Fraction, profile: PureProfile, i: int,
             if p != 0:
                 _descend(game, child, om * p, profile, i, sink, consts)
         return
+    iset = node.infoset
     if node.player != i:
-        iset = game.infoset(node.player, node.infoset_id)
-        want = profile.strategies[node.player].action_at(iset.index)
+        want = profile.strategies[node.player].actions[iset.index]
         for label, child in node.moves:
             if label == want:
                 _descend(game, child, om, profile, i, sink, consts)
                 return
-        raise AssertionError("opponent strategy names a missing action")
-    iset = game.infoset(i, node.infoset_id)
+        raise InternalCheckError("opponent strategy names a missing action")
     hist = recommendation_history(game, profile.strategies[i], iset.id)
     sink.setdefault((iset.index, hist), []).append((node, om, profile))
 
@@ -453,7 +447,7 @@ def _dp_state(game: Game, i: int, iset: Infoset, hist, bundle, budget: _StateBud
     return best_val
 
 
-def _arrival(game: Game, h0: Node, profile: PureProfile, i: int) -> Fraction:
+def _arrival(h0: Node, profile: PureProfile, i: int) -> Fraction:
     """Chance times opponents' reach of a node; the player's own actions
     above it are not required (counterfactual arrival)."""
     om = ONE
@@ -467,8 +461,7 @@ def _arrival(game: Game, h0: Node, profile: PureProfile, i: int) -> Fraction:
                     om *= p
                     break
         elif cur.player != i:
-            iset = game.infoset(cur.player, cur.infoset_id)
-            if profile.strategies[cur.player].action_at(iset.index) != label:
+            if profile.strategies[cur.player].actions[cur.infoset.index] != label:
                 return ZERO
         child = cur
         cur = cur.parent
@@ -492,7 +485,7 @@ def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
             for w, profile in support:
                 hist = recommendation_history(game, profile.strategies[i], iset.id)
                 for h0 in iset.nodes:
-                    om = w * _arrival(game, h0, profile, i)
+                    om = w * _arrival(h0, profile, i)
                     if om != 0:
                         entries.setdefault((iset.index, hist), []).append(
                             (h0, om, profile))

@@ -58,9 +58,7 @@ def enumerate_pure(game: Game, player: Union[int, str],
 
 def _chain(game: Game, iset: Infoset) -> list[Infoset]:
     """Infosets weakly preceding ``iset`` on its own history, outermost first."""
-    out = [game.infoset(iset.player, j_id) for j_id, _ in iset.own_history]
-    out.append(iset)
-    return out
+    return [game.infosets[iset.player][j] for j, _ in iset.chain] + [iset]
 
 
 def _causal_signature(game: Game, x: PureStrategy, iset: Infoset) -> tuple:

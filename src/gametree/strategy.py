@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence as Seq, Union
 
-from .errors import ProfileError, ProfileParseError
+from .errors import InternalCheckError, ProfileError, ProfileParseError
 from .game import Game, Sequence, TerminalNode
 from .rational import format_rational, parse_rational
 
@@ -172,20 +172,16 @@ def pure_reaches_sequence(game: Game, ps: PureStrategy, seq: Sequence) -> bool:
     if seq.is_empty:
         return True
     iset = game.infoset(seq.player, seq.infoset)
-    if ps.action_at(iset.index) != seq.action:
-        return False
-    for j_id, a in iset.own_history:
-        j = game.infoset(seq.player, j_id)
-        if ps.action_at(j.index) != a:
-            return False
-    return True
+    return ps.actions[iset.index] == seq.action and _plays_chain(ps, iset.chain)
 
 
 def pure_reaches_infoset(game: Game, ps: PureStrategy, infoset_id: str) -> bool:
-    iset = game.infoset(ps.player, infoset_id)
-    for j_id, a in iset.own_history:
-        j = game.infoset(ps.player, j_id)
-        if ps.action_at(j.index) != a:
+    return _plays_chain(ps, game.infoset(ps.player, infoset_id).chain)
+
+
+def _plays_chain(ps: PureStrategy, chain) -> bool:
+    for j, a in chain:
+        if ps.actions[j] != a:
             return False
     return True
 
@@ -195,19 +191,6 @@ def pure_terminal_reach(game: Game, ps: PureStrategy, z: TerminalNode,
     """x_i(z) for offset 0, or x_i(z | I) when ``offset`` marks where the
     infoset's own pair sits on z's path."""
     return all(ps.actions[idx] == a for idx, a in z.own_pairs[ps.player][offset:])
-
-
-def reach_vector(game: Game, ps: PureStrategy) -> tuple[bool, ...]:
-    """Terminal-indexed x_i(z) indicators, cached per game."""
-    cache = getattr(game, "_reach_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(game, "_reach_cache", cache)
-    hit = cache.get(ps)
-    if hit is None:
-        hit = tuple(pure_terminal_reach(game, ps, z) for z in game.terminals)
-        cache[ps] = hit
-    return hit
 
 
 # -- sequence form and decomposition ----------------------------------------
@@ -253,7 +236,7 @@ def decompose(game: Game, v: SequenceFormVector,
     while residual[empty] > 0:
         rounds += 1
         if rounds > len(residual) + 1:
-            raise AssertionError("greedy decomposition failed to terminate")
+            raise InternalCheckError("greedy decomposition failed to terminate")
         chosen = {empty}
         actions: list[str] = []
         for iset in game.infosets[i]:
@@ -271,7 +254,7 @@ def decompose(game: Game, v: SequenceFormVector,
         if _trace is not None:
             _trace.append(sum(1 for q in residual.values() if q != 0))
     if any(q != 0 for q in residual.values()):
-        raise AssertionError("greedy decomposition left residual mass off the root")
+        raise InternalCheckError("greedy decomposition left residual mass off the root")
     return out
 
 

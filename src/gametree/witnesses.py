@@ -32,11 +32,9 @@ def recommendation_history(game: Game, ps: PureStrategy, infoset_id: str) -> His
     """The local recommendations of ``ps`` at every own infoset weakly
     preceding ``infoset_id``, in chain order."""
     iset = game.infoset(ps.player, infoset_id)
-    out = []
-    for j_id, _a in iset.own_history:
-        j = game.infoset(ps.player, j_id)
-        out.append((j_id, ps.action_at(j.index)))
-    out.append((infoset_id, ps.action_at(iset.index)))
+    isets = game.infosets[ps.player]
+    out = [(isets[j].id, ps.actions[j]) for j, _a in iset.chain]
+    out.append((infoset_id, ps.actions[iset.index]))
     return tuple(out)
 
 
@@ -71,10 +69,8 @@ class TriggerCommitWitness:
                 continue
             if seq.is_empty:
                 return continuation
-            start = game.infoset(self.player, seq.infoset)
-            for iset in game.infosets[self.player]:
-                if game.precedes(start, iset):
-                    actions[iset.index] = continuation.action_at(iset.index)
+            for iset in game.infoset(self.player, seq.infoset).subtree:
+                actions[iset.index] = continuation.action_at(iset.index)
         return PureStrategy(self.player, tuple(actions))
 
     def to_json_dict(self, game: Game) -> dict:

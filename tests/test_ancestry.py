@@ -1,0 +1,204 @@
+"""The ancestry index built by ``Game``: chains, subtrees and node links.
+
+Every check compares the index with a reference built only from the
+infosets' ``own_history`` ids and from walking a node's parent chain, on
+seeded random 2- and 3-player games with chance nodes.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gametree import Sequence, fixtures
+from gametree.bestresponse import best_response
+from gametree.convert import efce_to_bce
+from gametree.equilibrium import compute_efce
+from gametree.game import Infoset
+from gametree.metrics import NOTIONS, gap, pure_utility
+from gametree.oracles import enumerate_pure
+from gametree.randgen import random_game, random_pure_strategy
+from gametree.strategy import PureProfile, pure_terminal_reach
+
+F = Fraction
+
+
+def _games(seed, players, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        game = random_game(rng, max_players=3, max_nodes=30, max_depth=5,
+                           chance_prob=0.3, max_pure_per_player=64)
+        if game.n == players and game.num_chance_nodes:
+            out.append(game)
+    return out
+
+
+GAMES = _games(4401, 2, 20) + _games(4402, 3, 20)
+
+
+def _points(game, i):
+    """Every sequence and infoset of player ``i``."""
+    return game.sequences(i) + list(game.infosets[i])
+
+
+def _ref_history(game, x):
+    """Own (infoset id, action) pairs weakly above ``x``, a sequence's own
+    pair included, from ``own_history`` alone."""
+    if isinstance(x, Infoset):
+        return x.own_history
+    if x.is_empty:
+        return ()
+    return game.infoset(x.player, x.infoset).own_history + ((x.infoset, x.action),)
+
+
+def _ref_node_path(node, player):
+    """Own (infoset id, action) pairs strictly above ``node`` and the own
+    infoset id it sits at, from the parent chain."""
+    pairs, child, cur = [], node, node.parent
+    while cur is not None:
+        if cur.kind == "decision" and cur.player == player:
+            pairs.append((cur.infoset_id, child.path[len(cur.path)]))
+        child, cur = cur, cur.parent
+    at = node.infoset_id if node.kind == "decision" and node.player == player else None
+    return set(pairs), at
+
+
+def _ref_precedes(game, a, b):
+    if isinstance(a, Sequence):
+        return a.is_empty or (a.infoset, a.action) in _ref_history(game, b)
+    if isinstance(b, Infoset) and b is a:
+        return True
+    return any(j == a.id for j, _ in _ref_history(game, b))
+
+
+def _ref_precedes_node(a, node):
+    pairs, at = _ref_node_path(node, a.player)
+    if isinstance(a, Sequence):
+        return a.is_empty or (a.infoset, a.action) in pairs
+    return a.id == at or any(j == a.id for j, _ in pairs)
+
+
+def _nodes(game):
+    stack, out = [game.root], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.kind != "terminal":
+            stack.extend(m[-1] for m in node.moves)
+    return out
+
+
+def test_random_games_cover_two_and_three_players_with_chance():
+    assert {g.n for g in GAMES} == {2, 3}
+    assert all(g.num_chance_nodes for g in GAMES)
+    isets = [iset for g in GAMES for per_player in g.infosets for iset in per_player]
+    assert max(len(iset.chain) for iset in isets) >= 2  # chains below chains
+    assert any(len(iset.nodes) > 1 for iset in isets)   # merged infosets
+
+
+def test_chains_and_node_links_match_the_id_histories():
+    for game in GAMES:
+        for i in range(game.n):
+            for iset in game.infosets[i]:
+                assert tuple((game.infosets[i][j].id, a) for j, a in iset.chain) \
+                    == iset.own_history
+                assert all(h.infoset is iset for h in iset.nodes)
+        for node in _nodes(game):
+            if node.kind == "decision":
+                assert node.infoset is game.infoset(node.player, node.infoset_id)
+
+
+def test_subtrees_are_the_weak_successors_in_discovery_order():
+    for game in GAMES:
+        for i in range(game.n):
+            for start in game.infosets[i]:
+                want = [iset for iset in game.infosets[i]
+                        if _ref_precedes(game, start, iset)]
+                assert start.subtree == want
+                assert start.subtree[0] is start
+
+
+def test_precedes_between_same_player_points_matches_the_reference():
+    for game in GAMES:
+        for i in range(game.n):
+            points = _points(game, i)
+            for a in points:
+                for b in points:
+                    assert game.precedes(a, b) == _ref_precedes(game, a, b), (a, b)
+
+
+def test_precedes_from_points_to_nodes_matches_the_parent_chain():
+    # terminals read their own pairs; other nodes climb to an own node
+    for game in GAMES:
+        nodes = _nodes(game)
+        for i in range(game.n):
+            for a in _points(game, i):
+                for node in nodes:
+                    assert game.precedes(a, node) == _ref_precedes_node(a, node), \
+                        (a, node.path)
+
+
+def test_precedes_rejects_points_of_different_players():
+    game = GAMES[0]
+    with pytest.raises(ValueError):
+        game.precedes(Sequence.empty(0), Sequence.empty(1))
+
+
+def test_best_response_reaches_the_brute_force_maximum():
+    rng = random.Random(4403)
+    for game in GAMES:
+        for i in range(game.n):
+            plans = enumerate_pure(game, i)
+            for at in [None] + list(game.infosets[i]):
+                weights = [F(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in game.terminals]
+                if at is None:
+                    below = [(z, 0) for z in game.terminals]
+                else:
+                    below = [(game.terminals[z], offset)
+                             for z, offset in at.terminals_below]
+
+                def value(ps):
+                    return sum((weights[z.index] for z, offset in below
+                                if pure_terminal_reach(game, ps, z, offset)), F(0))
+
+                got, plan = best_response(game, i, weights, at)
+                assert got == max(value(ps) for ps in plans)
+                assert value(plan) == got
+                if at is not None:
+                    inside = {iset.index for iset in at.subtree}
+                    for iset in game.infosets[i]:
+                        if iset.index not in inside:
+                            assert plan.action_at(iset.index) == min(iset.actions)
+
+
+def test_pure_utility_matches_the_terminal_sum():
+    rng = random.Random(4404)
+    for game in GAMES:
+        for _ in range(3):
+            profile = PureProfile(tuple(random_pure_strategy(rng, game, i)
+                                        for i in range(game.n)))
+            for i in range(game.n):
+                want = sum((z.payoffs[i] * z.chance_reach for z in game.terminals
+                            if all(pure_terminal_reach(game, ps, z)
+                                   for ps in profile.strategies)), F(0))
+                assert pure_utility(game, profile, i) == want
+
+
+@pytest.mark.parametrize("name", fixtures.GAMES)
+def test_game_holds_no_hidden_state(name):
+    # fresh objects: the session fixtures have already served other tests
+    game = fixtures.load_game(name)
+    pi = fixtures.load_profile(game, name)
+    before = dict(vars(game))
+    profile = PureProfile(tuple(mix[0][1] for mix in pi.components[0].strategies))
+    for i in range(game.n):
+        pure_utility(game, profile, i)
+    for notion in NOTIONS:
+        gap(game, pi, notion)
+    efce_to_bce(game, pi)
+    compute_efce(game)
+    after = vars(game)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())

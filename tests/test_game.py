@@ -6,7 +6,7 @@ import pytest
 
 from gametree import (GameParseError, Sequence, parse_game, serialize_game)
 from gametree.randgen import random_game, random_pure_strategy
-from gametree.strategy import reach_vector
+from gametree.strategy import pure_terminal_reach
 
 
 def game_of(doc) -> "Game":
@@ -197,10 +197,10 @@ def test_every_pure_profile_reaches_probability_one():
     for _ in range(25):
         g = random_game(rng, max_nodes=20)
         for _ in range(4):
-            vectors = [reach_vector(g, random_pure_strategy(rng, g, i))
-                       for i in range(g.n)]
+            plans = [random_pure_strategy(rng, g, i) for i in range(g.n)]
             total = sum((z.chance_reach for z in g.terminals
-                         if all(v[z.index] for v in vectors)), Fraction(0))
+                         if all(pure_terminal_reach(g, ps, z) for ps in plans)),
+                        Fraction(0))
             assert total == 1
 
 

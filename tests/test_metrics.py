@@ -15,7 +15,7 @@ from gametree.randgen import (random_behavior_strategy, random_game, random_mixt
                               random_pure_profile_mixture, random_pure_strategy)
 from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
                                expand_behavior_products, pure_reaches_sequence,
-                               pure_terminal_reach, reach_vector)
+                               pure_terminal_reach)
 from gametree.convert import efce_to_bce
 
 F = Fraction
@@ -329,7 +329,7 @@ def test_profile_reach_masses_and_rows_match_support_expansion():
             assert len(reach.masses[i]) == len(live)
             for row, comp in zip(reach.rows[i], live):
                 assert row == [sum((beta for beta, ps in comp.strategies[i]
-                                    if reach_vector(game, ps)[z.index]), F(0))
+                                    if pure_terminal_reach(game, ps, z)), F(0))
                                for z in game.terminals]
             for seq in game.sequences(i):
                 for masses, comp in zip(reach.masses[i], live):
