@@ -9,6 +9,7 @@ summaries, timings and decimal approximations go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -48,6 +49,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gt", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"gt {__version__}")

@@ -36,7 +36,6 @@ from .witnesses import (ConstantWitness, HistoryPolicyWitness,
                         TriggerCommitWitness, recommendation_history)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 NOTIONS = ("efce", "bce", "full-efce", "nfcce")
 
@@ -289,10 +288,11 @@ def gap(game: Game, pi: MixtureOfProducts, notion: str,
     """Exact worst-case regret of ``pi`` under the given notion.
 
     bce and full-efce enumerate recommendation histories, which is
-    exponential in the tree depth in the worst case; they refuse (raising
-    :class:`ResourceGuardError`) beyond ``state_cap`` states rather than
-    truncate. The cap defaults to the GT_STATE_CAP environment variable or
-    1e6.
+    exponential in the tree depth in the worst case. Both value each
+    (infoset, recommendation history) state once, so ``state_cap`` bounds
+    distinct states, the same count for either notion; beyond it they refuse
+    (raising :class:`ResourceGuardError`) rather than truncate. The cap
+    defaults to the GT_STATE_CAP environment variable or 1e6.
     """
     game.require_valid()
     pi.validate(game)
@@ -379,9 +379,10 @@ class _StateBudget:
                 f"raise it via the {STATE_CAP_ENV} environment variable or state_cap=")
 
 
-def _descend(game: Game, node: Node, om: Fraction, profile: PureProfile, i: int,
-             sink: dict, consts: list):
-    """Route one support element downward until the deviator must act.
+def _descend(game: Game, node: Node, om: Fraction, k: int, profile: PureProfile,
+             i: int, sink: dict, consts: list):
+    """Route support element ``k`` (``profile``) downward until the deviator
+    must act.
 
     Terminal mass lands in ``consts``; own decision nodes are grouped in
     ``sink`` by (infoset index, recommendation history)."""
@@ -391,111 +392,101 @@ def _descend(game: Game, node: Node, om: Fraction, profile: PureProfile, i: int,
     if node.kind == "chance":
         for _label, p, child in node.moves:
             if p != 0:
-                _descend(game, child, om * p, profile, i, sink, consts)
+                _descend(game, child, om * p, k, profile, i, sink, consts)
         return
     iset = node.infoset
     if node.player != i:
         want = profile.strategies[node.player].actions[iset.index]
         for label, child in node.moves:
             if label == want:
-                _descend(game, child, om, profile, i, sink, consts)
+                _descend(game, child, om, k, profile, i, sink, consts)
                 return
         raise InternalCheckError("opponent strategy names a missing action")
-    hist = recommendation_history(game, profile.strategies[i], iset.id)
-    sink.setdefault((iset.index, hist), []).append((node, om, profile))
+    hist = recommendation_history(game, profile.strategies[i], iset)
+    sink.setdefault((iset.index, hist), []).append((node, om, k))
 
 
-def _deviation_value(game: Game, i: int, entries, budget: _StateBudget,
-                     policy_out: list) -> Fraction:
-    """Optimal value for a deviator who distinguishes elements only through
-    the recommendation history at each of its infosets.
+def _history_table(game: Game, i: int, support: list, budget: _StateBudget):
+    """Player ``i``'s (infoset index, recommendation history) states, each
+    valued once for a deviator who tells support elements apart only by
+    those histories.
 
-    ``entries`` maps (infoset index, history) to arrival bundles. States form
-    a forest: each is reachable by a unique own-action chain, so a single
-    top-down pass maximizes exactly.
+    A state's bundle holds the support elements with its history at its
+    infoset's nodes, in support order, weighted by chance times the
+    opponents' reach. Under perfect recall every node of an infoset lies
+    below every infoset on its own chain, so the bundle does not depend on
+    where a walk starts, and one descent from the root serves every history
+    notion. States form a forest (each is reached by a unique own-action
+    chain), so a single top-down pass maximizes exactly.
+
+    Returns the value from the root, the root states, and per state
+    ``(first, value, action, children)``: the support position of its
+    bundle's first entry, its best value, the winning action (the smallest
+    on ties) and that action's child states.
     """
-    total = ZERO
-    for (iset_index, hist), bundle in entries.items():
-        total += _dp_state(game, i, game.infosets[i][iset_index], hist, bundle,
-                           budget, policy_out)
-    return total
+    table: dict = {}
+
+    def solve(key, bundle) -> Fraction:
+        budget.spend()
+        best = None
+        for a in game.infosets[i][key[0]].actions:
+            consts: list[Fraction] = []
+            sink: dict = {}
+            for node, om, k in bundle:
+                for label, child in node.moves:
+                    if label == a:
+                        _descend(game, child, om, k, support[k][1], i, sink, consts)
+                        break
+            val = sum(consts, ZERO) + sum((solve(*s) for s in sink.items()), ZERO)
+            if best is None or val > best[0] or (val == best[0] and a < best[1]):
+                best = (val, a, tuple(sink))
+        table[key] = (bundle[0][2],) + best
+        return best[0]
+
+    consts: list[Fraction] = []
+    sink: dict = {}
+    for k, (w, profile) in enumerate(support):
+        _descend(game, game.root, w, k, profile, i, sink, consts)
+    value = sum(consts, ZERO) + sum((solve(*s) for s in sink.items()), ZERO)
+    return value, tuple(sink), table
 
 
-def _dp_state(game: Game, i: int, iset: Infoset, hist, bundle, budget: _StateBudget,
-              policy_out: list) -> Fraction:
-    budget.spend()
-    best_val = None
-    best_a = None
-    best_entries = None
-    for a in iset.actions:
-        consts: list[Fraction] = []
-        sink: dict = {}
-        for node, om, profile in bundle:
-            for label, child in node.moves:
-                if label == a:
-                    _descend(game, child, om, profile, i, sink, consts)
-                    break
-        val = sum(consts, ZERO)
-        sub_policy: list = []
-        for (idx2, hist2), bundle2 in sink.items():
-            val += _dp_state(game, i, game.infosets[i][idx2], hist2, bundle2,
-                             budget, sub_policy)
-        if best_val is None or val > best_val or (val == best_val and a < best_a):
-            best_val, best_a, best_entries = val, a, sub_policy
-    policy_out.extend(best_entries)
-    policy_out.append((iset.id, hist, best_a))
-    return best_val
-
-
-def _arrival(h0: Node, profile: PureProfile, i: int) -> Fraction:
-    """Chance times opponents' reach of a node; the player's own actions
-    above it are not required (counterfactual arrival)."""
-    om = ONE
-    child = h0
-    cur = h0.parent
-    while cur is not None:
-        label = child.path[len(cur.path)]
-        if cur.kind == "chance":
-            for lab, p, _c in cur.moves:
-                if lab == label:
-                    om *= p
-                    break
-        elif cur.player != i:
-            if profile.strategies[cur.player].actions[cur.infoset.index] != label:
-                return ZERO
-        child = cur
-        cur = cur.parent
-    return om
+def _policy(game: Game, i: int, table: dict, keys) -> list:
+    """The winning actions of the states ``keys``, each after those of the
+    child states it leads to."""
+    out = []
+    for key in keys:
+        _first, _value, action, children = table[key]
+        out.extend(_policy(game, i, table, children))
+        out.append((game.infosets[i][key[0]].id, key[1], action))
+    return out
 
 
 def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
     """Per (player, infoset): maximize counterfactual utility over deviations
     that see the full local-recommendation history, then subtract the
-    profile's own counterfactual utility there."""
+    profile's own counterfactual utility there. The deviation value at an
+    infoset is the sum of its states' values in the player's table."""
     support = list(profile_support(pi))
     reach = ProfileReach(game, pi)
     budget = _StateBudget(state_cap)
     per_infoset: dict[tuple[int, str], Fraction] = {}
     per_player, witnesses = [], []
     for i in range(game.n):
+        _value, _roots, table = _history_table(game, i, support, budget)
+        states: dict[int, list] = {}  # infoset index -> its states, in support order
+        for key in sorted(table, key=lambda s: table[s][0]):
+            states.setdefault(key[0], []).append(key)
         player_best = ZERO  # identity achieves 0 at every infoset
         player_witness = HistoryPolicyWitness(i, ())
         for iset in game.infosets[i]:
-            entries: dict = {}
-            for w, profile in support:
-                hist = recommendation_history(game, profile.strategies[i], iset.id)
-                for h0 in iset.nodes:
-                    om = w * _arrival(h0, profile, i)
-                    if om != 0:
-                        entries.setdefault((iset.index, hist), []).append(
-                            (h0, om, profile))
-            policy: list = []
-            value = _deviation_value(game, i, entries, budget, policy)
-            g = value - _cf_value(reach, i, iset)
+            keys = states.get(iset.index, ())
+            g = sum((table[s][1] for s in keys), ZERO) - _cf_value(reach, i, iset)
             per_infoset[(i, iset.id)] = g
             if g > player_best:
                 player_best = g
-                player_witness = HistoryPolicyWitness(i, tuple(policy), iset.id)
+                player_witness = HistoryPolicyWitness(
+                    i, tuple(_policy(game, i, table, keys)), iset.id)
         per_player.append(player_best)
         witnesses.append(player_witness)
     best = max(range(game.n), key=lambda i: (per_player[i], -i))
@@ -504,20 +495,15 @@ def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
 
 
 def _gap_full_efce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
-    """Ordinary regret against the history-seeing deviation class: one walk
-    from the root instead of a per-infoset counterfactual."""
+    """Ordinary regret against the history-seeing deviation class: the
+    player's table read from the root instead of per infoset."""
     support = list(profile_support(pi))
     reach = ProfileReach(game, pi)
     budget = _StateBudget(state_cap)
     gaps, witnesses = [], []
     for i in range(game.n):
-        consts: list[Fraction] = []
-        entries: dict = {}
-        for w, profile in support:
-            _descend(game, game.root, w, profile, i, entries, consts)
-        policy: list = []
-        value = sum(consts, ZERO) + _deviation_value(game, i, entries, budget, policy)
+        value, roots, table = _history_table(game, i, support, budget)
         gaps.append(value - expected_utility(game, pi, i, reach))
-        witnesses.append(HistoryPolicyWitness(i, tuple(policy)))
+        witnesses.append(HistoryPolicyWitness(i, tuple(_policy(game, i, table, roots))))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("full-efce", gaps[best], tuple(gaps), None, witnesses[best])

@@ -73,7 +73,7 @@ def _causal_signature(game: Game, x: PureStrategy, iset: Infoset) -> tuple:
 
 def _behavioral_signature(game: Game, x: PureStrategy, iset: Infoset) -> tuple:
     """The local recommendations x(.|J) at the same infosets."""
-    return recommendation_history(game, x, iset.id)
+    return recommendation_history(game, x, iset)
 
 
 def _measurable(game: Game, i: int, mapping, signature) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .game import Game, Sequence
+from .game import Game, Infoset, Sequence
 from .strategy import PureStrategy, pure_reaches_sequence
 
 # a recommendation history: ((infoset id, recommended action), ...) along the
@@ -28,13 +28,12 @@ from .strategy import PureStrategy, pure_reaches_sequence
 History = tuple[tuple[str, str], ...]
 
 
-def recommendation_history(game: Game, ps: PureStrategy, infoset_id: str) -> History:
+def recommendation_history(game: Game, ps: PureStrategy, iset: Infoset) -> History:
     """The local recommendations of ``ps`` at every own infoset weakly
-    preceding ``infoset_id``, in chain order."""
-    iset = game.infoset(ps.player, infoset_id)
+    preceding ``iset``, in chain order."""
     isets = game.infosets[ps.player]
     out = [(isets[j].id, ps.actions[j]) for j, _a in iset.chain]
-    out.append((infoset_id, ps.actions[iset.index]))
+    out.append((iset.id, ps.actions[iset.index]))
     return tuple(out)
 
 
@@ -90,7 +89,7 @@ class HistoryPolicyWitness:
         table = {(iset_id, hist): action for iset_id, hist, action in self.policy}
         actions = list(ps.actions)
         for iset in game.infosets[self.player]:
-            key = (iset.id, recommendation_history(game, ps, iset.id))
+            key = (iset.id, recommendation_history(game, ps, iset))
             if key in table:
                 actions[iset.index] = table[key]
         return PureStrategy(self.player, tuple(actions))

@@ -250,3 +250,17 @@ def test_paper_check_wiring(capsys, monkeypatch):
     monkeypatch.setattr(checks, "CRITERIA", (("x1", "stub", fake_pass),))
     code, out, _ = run(capsys, "paper-check")
     assert code == 0
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # repeated in-process calls share one argparse tree and behave the same
+    from gametree import __version__, cli
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(["--version"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out == f"gt {__version__}\n"
+        with pytest.raises(SystemExit) as e:
+            main(["gap"])
+        assert e.value.code == 2

@@ -17,6 +17,7 @@ from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
                                expand_behavior_products, pure_reaches_sequence,
                                pure_terminal_reach)
 from gametree.convert import efce_to_bce
+from gametree.witnesses import recommendation_history
 
 F = Fraction
 
@@ -182,31 +183,84 @@ def test_gap_witness_lrr_efce(lrr, lrr_pi):
                                "continuation": {"R0": "L", "B": "L'"}}]
 
 
+def _deep_history_cases(notion):
+    """Seeded games with own chains of depth >= 3, where one state's value
+    feeds the gap of every infoset on its chain, and a positive gap."""
+    rng = random.Random(15)
+    cases = []
+    for _ in range(40):
+        game = random_game(rng, max_players=2, max_nodes=24, max_depth=6,
+                           max_pure_product=256)
+        pi = random_mixture(rng, game)
+        if any(len(iset.chain) >= 2 for isets in game.infosets for iset in isets):
+            report = gap(game, pi, notion)
+            if report.overall > 0:
+                cases.append((game, pi, report))
+    assert len(cases) >= 10
+    return cases
+
+
+def _acts_deep(report) -> bool:
+    return any(len(hist) >= 3 for _, hist, _ in report.witness.policy)
+
+
+def _replayed_regret(game, pi, witness, utility):
+    i = witness.player
+    regret = F(0)
+    for w, profile in profile_support(pi):
+        strategies = list(profile.strategies)
+        strategies[i] = witness.apply(game, profile.strategies[i])
+        regret += w * (utility(game, PureProfile(tuple(strategies)), i)
+                       - utility(game, profile, i))
+    return regret
+
+
 def test_gap_witness_replays_to_the_reported_gap(lrr, lrr_pi, ebos, ebos_pi):
     # applying the serialized deviation recovers the gap independently
-    for game, pi, notion in ((lrr, lrr_pi, "efce"), (lrr, lrr_pi, "nfcce"),
-                             (ebos, ebos_pi, "full-efce")):
-        report = gap(game, pi, notion)
-        i = report.witness.player
-        regret = F(0)
-        for w, profile in profile_support(pi):
-            strategies = list(profile.strategies)
-            strategies[i] = report.witness.apply(game, profile.strategies[i])
-            regret += w * (pure_utility(game, PureProfile(tuple(strategies)), i)
-                           - pure_utility(game, profile, i))
-        assert regret == report.per_player[i]
+    cases = [(game, pi, gap(game, pi, notion))
+             for game, pi, notion in ((lrr, lrr_pi, "efce"), (lrr, lrr_pi, "nfcce"),
+                                      (ebos, ebos_pi, "full-efce"))]
+    deep = _deep_history_cases("full-efce")
+    for game, pi, report in cases + deep:
+        regret = _replayed_regret(game, pi, report.witness, pure_utility)
+        assert regret == report.per_player[report.witness.player]
+    assert sum(_acts_deep(report) for _, _, report in deep) >= 5
 
 
 def test_gap_bce_witness_replays_counterfactually(lrr, lrr_pi):
     report = gap(lrr, lrr_pi, "bce")
-    w = report.witness
-    assert w.at_infoset == "B"
-    regret = F(0)
-    for wt, profile in profile_support(lrr_pi):
-        deviated = PureProfile((w.apply(lrr, profile.strategies[0]),))
-        regret += wt * (counterfactual_utility(lrr, deviated, 0, "B")
-                        - counterfactual_utility(lrr, profile, 0, "B"))
-    assert regret == report.overall == 1
+    assert report.witness.at_infoset == "B"
+    assert report.overall == 1
+    deep = _deep_history_cases("bce")
+    for game, pi, report in [(lrr, lrr_pi, report)] + deep:
+        w = report.witness
+        regret = _replayed_regret(
+            game, pi, w, lambda g, p, i: counterfactual_utility(g, p, i, w.at_infoset))
+        assert regret == report.per_infoset[(w.player, w.at_infoset)]
+        assert regret == report.per_player[w.player] == report.overall
+    assert sum(_acts_deep(report) for _, _, report in deep) >= 5
+
+
+def test_gap_bce_witness_lists_states_in_support_order():
+    # the witness infoset's states appear in the order their histories first
+    # arrive there along the support
+    def arrives(game, profile, iset):
+        mine = profile.strategies[iset.player]
+        others = [ps for ps in profile.strategies if ps.player != iset.player]
+        return any(game.terminals[z].chance_reach
+                   and pure_terminal_reach(game, mine, game.terminals[z], offset)
+                   and all(pure_terminal_reach(game, ps, game.terminals[z]) for ps in others)
+                   for z, offset in iset.terminals_below)
+
+    for game, pi, report in _deep_history_cases("bce"):
+        w = report.witness
+        iset = game.infoset(w.player, w.at_infoset)
+        first = []
+        for _, profile in profile_support(pi):
+            hist = recommendation_history(game, profile.strategies[w.player], iset)
+            if hist not in first and arrives(game, profile, iset):
+                first.append(hist)
+        assert [hist for j, hist, _ in w.policy if j == iset.id] == first
 
 
 def test_gap_nonnegative_all_notions(ebos, ebos_pi, lrr, lrr_pi, surj, surj_pi):
@@ -238,9 +292,14 @@ def test_gap_unknown_notion(lrr, lrr_pi):
         gap(lrr, lrr_pi, "nash")
 
 
-def test_gap_state_cap_refuses(surj, surj_pi):
-    with pytest.raises(ResourceGuardError, match="GT_STATE_CAP"):
-        gap(surj, surj_pi, "bce", state_cap=2)
+def test_gap_state_cap_refuses(ebos, ebos_pi, lrr, lrr_pi, surj, surj_pi):
+    # the cap counts distinct (infoset, history) states, the same for both
+    # history notions: each state is valued once
+    for game, pi, states in ((ebos, ebos_pi, 7), (lrr, lrr_pi, 4), (surj, surj_pi, 7)):
+        for notion in ("bce", "full-efce"):
+            gap(game, pi, notion, state_cap=states)
+            with pytest.raises(ResourceGuardError, match="GT_STATE_CAP"):
+                gap(game, pi, notion, state_cap=states - 1)
 
 
 def test_bce_zero_implies_efce_zero(ebos, lrr, surj):
