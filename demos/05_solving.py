@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Solving for exact and optimal equilibria with the rational simplex.
 
-The solver puts one LP variable on every pure profile and one incentive row
-on every (player, trigger, continuation); solutions are re-verified against
-the independent gap programs before being returned, so a returned profile is
-an exact equilibrium by measurement, not by trust.
+The solver puts one LP variable on every pure profile and generates its
+incentive rows with the causal gap program: it solves over the rows found so
+far, measures the solution's gap, and adds the gap's witness deviation as a
+row until the gap is within epsilon. So a returned profile is an exact
+equilibrium by measurement, not by trust.
 
 Run:  python demos/05_solving.py
 """

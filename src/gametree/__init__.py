@@ -29,7 +29,6 @@ from .convert import (CbrEntry, CbrTable, build_cbr_table,
                       counterfactual_best_response, deviation_point,
                       efce_to_bce, restricted_deviation_value)
 from .lp import Constraint, LinearProgram, LPResult, lp_solve
-from .equilibrium import (TriggerConstraint, compute_bce, compute_efce,
-                          optimal_bce, optimal_efce, trigger_constraints)
+from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """The ``gt`` command line.
 
 Exit codes: 0 success, 1 semantic/validation failure, 2 resource refusal or
-infeasibility, 3 parse error. Machine-readable JSON goes to stdout (or the
--o file) and is byte-identical across runs on identical inputs; run
-summaries, timings and decimal approximations go to stderr.
+infeasibility, 3 parse error, 4 failed internal self-check (a bug).
+Machine-readable JSON goes to stdout (or the -o file) and is byte-identical
+across runs on identical inputs; run summaries, timings and decimal
+approximations go to stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .oracles import brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
 from .strategy import parse_profile, serialize_profile
 
-EXIT_OK, EXIT_SEMANTIC, EXIT_RESOURCE, EXIT_PARSE = 0, 1, 2, 3
+EXIT_OK, EXIT_SEMANTIC, EXIT_RESOURCE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def main(argv=None) -> int:
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except InternalCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_INTERNAL
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--notion", choices=("efce", "bce"), required=True)
     c.add_argument("--objective", help="path to {\"c\": {terminal: \"p/q\"}}")
     c.add_argument("--epsilon", default="0",
-                   help="slack for --notion efce trigger rows (rational)")
+                   help="slack on the causal gap, --notion efce only (rational, >= 0)")
     c = sub.add_parser("paper-check",
                        help="run the bundled end-to-end verification suite")
     c.set_defaults(func=cmd_paper_check)

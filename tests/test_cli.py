@@ -194,6 +194,29 @@ def test_solve_bce_rejects_epsilon(paths, capsys):
     assert code == 0
 
 
+def test_solve_rejects_negative_epsilon(paths, capsys):
+    code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "efce",
+                         "--epsilon=-1/4")
+    assert code == 1
+    assert out == ""
+    assert "epsilon must be >= 0" in err
+
+
+def test_internal_check_failure_exit_code(paths, capsys, monkeypatch):
+    # a failed self-check is a bug, told apart from refusals (exit 2)
+    from gametree import cli
+    from gametree.errors import InternalCheckError
+
+    def broken(*_args, **_kwargs):
+        raise InternalCheckError("stub self-check failed")
+
+    monkeypatch.setattr(cli, "compute_efce", broken)
+    code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "efce")
+    assert code == 4
+    assert out == ""
+    assert "internal error: stub self-check failed" in err
+
+
 def test_solve_bce_surj(paths, capsys):
     code, out, err = run(capsys, "solve", paths["surj"], "--notion", "bce")
     assert code == 0

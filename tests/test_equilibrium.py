@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gametree import (ResourceGuardError, compute_bce, compute_efce, gap,
+from gametree import (LinearProgram, ResourceGuardError, compute_bce,
+                      compute_efce, deviation_tables, gap, is_causal, lp_solve,
                       optimal_bce, optimal_efce, outcome_equivalent,
-                      profile_support)
-from gametree.equilibrium import enumerate_profiles, trigger_constraints
+                      profile_support, pure_utility)
+from gametree.equilibrium import enumerate_profiles
 from gametree.metrics import expected_utility
 from gametree.randgen import random_game, random_mixture, random_objective
+from gametree.strategy import PureProfile, pure_terminal_reach
 
 F = Fraction
 
@@ -19,17 +21,58 @@ def u_objective(game, player=None):
     return {z.terminal_id: z.payoffs[player] for z in game.terminals}
 
 
-def test_trigger_rows_vanish_on_reference_profile(ebos, ebos_pi):
-    # the bundled profile is an exact equilibrium: every row is <= 0 on it
-    profiles = enumerate_profiles(ebos)
-    index = {tuple(ps.actions for ps in p.strategies): k
-             for k, p in enumerate(profiles)}
-    weights = [F(0)] * len(profiles)
-    for w, p in profile_support(ebos_pi):
-        weights[index[tuple(ps.actions for ps in p.strategies)]] += w
-    for tc in trigger_constraints(ebos, profiles):
-        value = sum((w * c for w, c in zip(weights, tc.row)), F(0))
-        assert value <= 0
+def _oracle_program_value(game, objective):
+    """The optimum of sum_z c(z) P(z) over the pure-profile simplex with one
+    row <= 0 per causal deviation table of the brute-force oracle."""
+    profiles = enumerate_profiles(game)
+    lp = LinearProgram(num_vars=len(profiles))
+    lp.add({k: F(1) for k in range(len(profiles))}, "==", F(1))
+    for k, p in enumerate(profiles):
+        lp.objective[k] = sum(
+            (objective.get(z.terminal_id, F(0)) * z.chance_reach for z in game.terminals
+             if all(pure_terminal_reach(game, ps, z) for ps in p.strategies)), F(0))
+    for i in range(game.n):
+        for phi in deviation_tables(game, i):
+            if not is_causal(game, i, phi):
+                continue
+            outs = phi.as_dict()
+            row = {}
+            for k, p in enumerate(profiles):
+                strategies = list(p.strategies)
+                strategies[i] = outs[p.strategies[i]]
+                swing = pure_utility(game, PureProfile(tuple(strategies)), i) \
+                    - pure_utility(game, p, i)
+                if swing != 0:
+                    row[k] = swing
+            if row:
+                lp.add(row, "<=", F(0))
+    result = lp_solve(lp)
+    assert result.status == "optimal"
+    return result.value
+
+
+def test_optimal_value_equals_the_oracle_program(lrr):
+    # the definitional program: every causal table as its own row
+    assert optimal_efce(lrr, u_objective(lrr, 0))[1] == \
+        _oracle_program_value(lrr, u_objective(lrr, 0)) == 2
+    rng = random.Random(97)
+    for _ in range(30):
+        game = random_game(rng, max_players=2, max_nodes=10, max_depth=3,
+                           max_pure_product=16, max_pure_per_player=4)
+        c = random_objective(rng, game)
+        assert optimal_efce(game, c)[1] == _oracle_program_value(game, c)
+
+
+def test_positive_epsilon_solves_verify():
+    # a causal deviation may fire several incomparable triggers at once, and
+    # their swings add up; rows that bound each trigger's swing alone by
+    # epsilon admit profiles above it here (draw 79 at 1/4, 266 at both)
+    rng = random.Random(3)
+    for _ in range(300):
+        game = random_game(rng, max_players=2, max_nodes=20, max_pure_product=64,
+                           max_pure_per_player=16)
+        for eps in (F(1, 4), F(1, 2)):
+            assert gap(game, compute_efce(game, eps), "efce").overall <= eps
 
 
 def test_compute_efce_fixtures(ebos, lrr, surj):

@@ -21,7 +21,7 @@ def test_no_assert_statements_in_the_package():
 
 def test_no_raise_assertion_error_in_the_package():
     # a failed self-check raises InternalCheckError, which the command line
-    # reports with exit code 2 instead of a traceback
+    # reports with exit code 4 instead of a traceback
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
