@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .convert import counterfactual_best_response, efce_to_bce
-from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
+from .equilibrium import ZERO, _solve_bce, _solve_program
 from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, parse_game
@@ -180,10 +180,13 @@ def cmd_gap(args) -> int:
 def cmd_convert(args) -> int:
     game = _load_game(args.game)
     pi = _load_profile(game, args.profile, behavior_mode="decompose")
-    gap_in = gap(game, pi, "efce").overall
-    out = efce_to_bce(game, pi)
-    gap_out = gap(game, out, "bce").overall
-    same = outcome_distribution(game, pi).probs == outcome_distribution(game, out).probs
+    reach_in = ProfileReach(game, pi)
+    gap_in = gap(game, pi, "efce", reach=reach_in).overall
+    out = efce_to_bce(game, pi, reach_in)
+    reach_out = ProfileReach(game, out)
+    gap_out = gap(game, out, "bce", reach=reach_out).overall
+    same = (outcome_distribution(game, pi, reach_in).probs
+            == outcome_distribution(game, out, reach_out).probs)
     _emit(json.loads(serialize_profile(game, out)), args)
     print(f"efce gap in:  {format_rational(gap_in)}\n"
           f"bce gap out:  {format_rational(gap_out)}\n"
@@ -229,18 +232,12 @@ def cmd_solve(args) -> int:
     if args.notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
                          "the bce programs are exact")
-    value = None
-    if args.notion == "efce":
-        if objective is None:
-            pi = compute_efce(game, epsilon)
-        else:
-            pi, value = optimal_efce(game, objective)
-    else:
-        if objective is None:
-            pi = compute_bce(game)
-        else:
-            pi, value = optimal_bce(game, objective)
-    measured = gap(game, pi, args.notion).overall
+    # the solvers return the gap their own exit test measured on pi
+    if args.notion == "bce":
+        pi, value, measured = _solve_bce(game, objective)
+    else:  # an objective is optimized over the exact (gap-0) program
+        pi, value, measured = _solve_program(
+            game, epsilon if objective is None else ZERO, objective)
     reach = ProfileReach(game, pi)
     _emit(json.loads(serialize_profile(game, pi)), args)
     report = {
@@ -257,7 +254,7 @@ def cmd_solve(args) -> int:
     if args.objective:
         report["inputs"]["objective"] = {"path": args.objective,
                                          "sha256": _sha256(args.objective)}
-    if value is not None:
+    if objective is not None:
         report["outputs"]["objective_value"] = format_rational(value)
     print(json.dumps(report, indent=2), file=sys.stderr)
     return EXIT_OK

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .bestresponse import best_response
 from .errors import InternalCheckError
-from .game import Game, Sequence
-from .metrics import (ConditionalReach, ProfileReach, _weights, conditional_reach,
-                      pure_utility)
+from .game import Game, Infoset, Sequence
+from .metrics import (ConditionalReach, ProfileReach, _payoff_units, _trigger_weights,
+                      conditional_reach, pure_utility)
 from .strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
-                       PureStrategy, profile_support, pure_reaches_infoset)
+                       PureStrategy, profile_support)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,18 +58,26 @@ def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
     sequences are never deviation points of support strategies, so the
     choice cannot affect :func:`efce_to_bce`).
     """
-    return _cbr(game, pi, game.player_index(player), seq, ProfileReach(game, pi))[:2]
-
-
-def _cbr(game: Game, pi: MixtureOfProducts, i: int, seq: Sequence, reach: ProfileReach):
-    cr = conditional_reach(game, pi, i, seq, reach)
-    if cr.event_mass == 0 and not seq.is_empty:
-        cr = conditional_reach(game, pi, i, Sequence.empty(i), reach)
+    i = game.player_index(player)
+    reach = ProfileReach(game, pi)
     at = None if seq.is_empty else game.infoset(i, seq.infoset)
-    value, strategy = best_response(game, i, _weights(game, i, cr.reach), at)
-    if cr.event_mass != 0:
-        value = value / cr.event_mass
-    return strategy, value, cr
+    if seq.player != i:
+        raise ValueError(f"sequence {seq.label()} is not player {game.players[i]}'s")
+    return _cbr(reach, _payoff_units(reach, i), seq, at)[:2]
+
+
+def _cbr(reach: ProfileReach, units: list[list[Fraction]], seq: Sequence,
+         at: Optional[Infoset]) -> tuple[PureStrategy, Fraction, Fraction]:
+    """The response at ``seq`` (infoset ``at``) against ``units``, the
+    player's :func:`gametree.metrics._payoff_units`, its conditional value
+    and the event's mass."""
+    i = seq.player
+    w = _trigger_weights(reach, units, seq, at)
+    if w is None:  # a zero-mass event: the unconditional law, of mass 1
+        w = _trigger_weights(reach, units, Sequence.empty(i), at)
+    value, strategy = best_response(reach.game, i, w, at)
+    mass = reach.event_mass(i, seq)
+    return strategy, value / mass if mass != 0 else value, mass
 
 
 def build_cbr_table(game: Game, pi: MixtureOfProducts,
@@ -78,9 +86,15 @@ def build_cbr_table(game: Game, pi: MixtureOfProducts,
     pi.validate(game)
     i = game.player_index(player)
     reach = ProfileReach(game, pi)
+    units = _payoff_units(reach, i)
+    empty = Sequence.empty(i)
     entries = {}
     for seq in game.sequences(i):
-        strategy, value, cr = _cbr(game, pi, i, seq, reach)
+        at = None if seq.is_empty else game.infoset(i, seq.infoset)
+        strategy, value, _mass = _cbr(reach, units, seq, at)
+        cr = conditional_reach(game, pi, i, seq, reach)
+        if cr.event_mass == 0:  # the law the response was computed against
+            cr = conditional_reach(game, pi, i, empty, reach)
         entries[seq] = CbrEntry(strategy, value, cr)
     return CbrTable(i, entries)
 
@@ -89,14 +103,23 @@ def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
     """The unique own sequence Ja with x(Ja) = 1, J preceding the infoset,
     and Ja not leading to it - defined exactly when ``ps`` does not reach the
     infoset (perfect recall makes it unique)."""
-    i = ps.player
-    for j, a in game.infoset(i, infoset_id).chain:
+    dev = _deviation_infoset(game, ps, game.infoset(ps.player, infoset_id))
+    if dev is None:
+        raise ValueError(f"strategy reaches infoset {infoset_id!r}; no deviation point")
+    return Sequence(ps.player, dev.id, ps.actions[dev.index])
+
+
+def _deviation_infoset(game: Game, ps: PureStrategy, iset: Infoset) -> Optional[Infoset]:
+    """The infoset J of :func:`deviation_point`, or None when ``ps`` reaches
+    ``iset``."""
+    for j, a in iset.chain:
         if ps.actions[j] != a:
-            return Sequence(i, game.infosets[i][j].id, ps.actions[j])
-    raise ValueError(f"strategy reaches infoset {infoset_id!r}; no deviation point")
+            return game.infosets[ps.player][j]
+    return None
 
 
-def efce_to_bce(game: Game, pi: MixtureOfProducts) -> MixtureOfProducts:
+def efce_to_bce(game: Game, pi: MixtureOfProducts,
+                reach: Optional[ProfileReach] = None) -> MixtureOfProducts:
     """Rewrite off-path recommendations with counterfactual best responses.
 
     Preserves T, every K_i(t), and all weights; only local actions at
@@ -104,11 +127,17 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts) -> MixtureOfProducts:
     outcome-equivalent to the input, and its worst-case counterfactual
     (history-seeing) gap is at most the input's causal gap - both facts are
     verified by the callers and the test suite rather than assumed.
+
+    ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
+    pi)``; one built from another game or profile raises
+    :class:`ValueError`. Each deviation point's response is weighted over
+    the terminals below its infoset only.
     """
     game.require_valid()
     pi.validate(game)
-    reach = ProfileReach(game, pi)
-    cbr_cache: dict[Sequence, PureStrategy] = {}  # a sequence names its player
+    reach = ProfileReach.of(game, pi, reach)
+    units: dict[int, list] = {}  # player -> its payoff rows, built on first use
+    cbr_cache: dict[Sequence, tuple] = {}  # a sequence names its player
     new_components = []
     for comp in pi.components:
         per_player = []
@@ -118,16 +147,20 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts) -> MixtureOfProducts:
                 weight = comp.alpha * beta
                 actions = list(ps.actions)
                 for iset in game.infosets[i]:
-                    if pure_reaches_infoset(game, ps, iset.id):
+                    at = _deviation_infoset(game, ps, iset)
+                    if at is None:
                         continue
-                    dev = deviation_point(game, ps, iset.id)
+                    dev = Sequence(i, at.id, ps.actions[at.index])
+                    if dev not in cbr_cache:
+                        if i not in units:
+                            units[i] = _payoff_units(reach, i)
+                        cbr_cache[dev] = _cbr(reach, units[i], dev, at)
+                    response, _value, mass = cbr_cache[dev]
                     # support strategies condition on positive-mass events
-                    if weight > 0 and not reach.event_mass(i, dev) >= weight:
+                    if weight > 0 and not mass >= weight:
                         raise InternalCheckError(f"deviation point {dev.label()} of a "
                                                  f"support strategy has mass below {weight}")
-                    if dev not in cbr_cache:
-                        cbr_cache[dev] = _cbr(game, pi, i, dev, reach)[0]
-                    actions[iset.index] = cbr_cache[dev].action_at(iset.index)
+                    actions[iset.index] = response.action_at(iset.index)
                 new_mix.append((beta, PureStrategy(i, tuple(actions))))
             per_player.append(tuple(new_mix))
         new_components.append(MixtureComponent(comp.alpha, tuple(per_player)))

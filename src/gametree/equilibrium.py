@@ -63,9 +63,13 @@ def _objective_value(game: Game, objective: dict[str, Fraction],
 
 def _solve_program(game: Game, epsilon: Fraction,
                    objective: Optional[dict[str, Fraction]],
-                   profile_cap: int) -> tuple[MixtureOfProducts, Fraction]:
-    """Row generation against the efce gap program; the returned profile's
-    causal gap is measured at most ``epsilon``."""
+                   profile_cap: int = DEFAULT_PROFILE_CAP
+                   ) -> tuple[MixtureOfProducts, Fraction, Fraction]:
+    """Row generation against the efce gap program. Returns the profile, the
+    program's optimal value and the profile's causal gap, which the loop's
+    exit test measured at most ``epsilon``."""
+    if epsilon < 0:
+        raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     game.require_valid()
     profiles = enumerate_profiles(game, profile_cap)
     index = {profile: j for j, profile in enumerate(profiles)}
@@ -87,7 +91,7 @@ def _solve_program(game: Game, epsilon: Fraction,
         mixture = pure_mixture(game, entries)
         report = gap(game, mixture, "efce")
         if report.overall <= epsilon:
-            return mixture, result.value
+            return mixture, result.value, report.overall
         row = _witness_row(game, report.witness, profiles, index, utility)
         swing = sum((result.x[j] * c for j, c in row.items()), ZERO)
         if swing <= epsilon:
@@ -128,8 +132,6 @@ def compute_efce(game: Game, epsilon: Fraction = ZERO,
     returned profile is verified by measurement; a negative ``epsilon``
     raises :class:`ValueError`, since no profile has a negative causal gap.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     return _solve_program(game, epsilon, None, profile_cap)[0]
 
 
@@ -142,19 +144,36 @@ def optimal_efce(game: Game, objective: dict[str, Fraction],
     at least the true one, and its solution satisfies them all, so the two
     are equal.
     """
-    return _solve_program(game, ZERO, objective, profile_cap)
+    return _solve_program(game, ZERO, objective, profile_cap)[:2]
 
 
-def compute_bce(game: Game, profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:
-    """An exact (gap-0) history-seeing equilibrium: solve for the causal one
-    and rewrite its off-path recommendations. Verified at gap 0 exactly."""
-    pi = compute_efce(game, ZERO, profile_cap)
+def _solve_bce(game: Game, objective: Optional[dict[str, Fraction]],
+               profile_cap: int = DEFAULT_PROFILE_CAP
+               ) -> tuple[MixtureOfProducts, Fraction, Fraction]:
+    """The exact causal solve with its off-path recommendations rewritten:
+    the profile, the program's optimal value and the profile's measured bce
+    gap, which must be 0. The rewrite preserves the outcome distribution,
+    so the value equals the causal optimum; both facts are re-checked."""
+    pi, value, _ = _solve_program(game, ZERO, objective, profile_cap)
     out = efce_to_bce(game, pi)
     measured = gap(game, out, "bce").overall
     if measured != 0:
         raise InternalCheckError(
             f"converted profile has bce gap {format_rational(measured)}, expected 0")
-    return out
+    if objective is not None:
+        out_value = sum((w * _objective_value(game, objective, profile)
+                         for w, profile in profile_support(out)), ZERO)
+        if out_value != value:
+            raise InternalCheckError(
+                f"conversion changed the objective value from {format_rational(value)} "
+                f"to {format_rational(out_value)}")
+    return out, value, measured
+
+
+def compute_bce(game: Game, profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:
+    """An exact (gap-0) history-seeing equilibrium: solve for the causal one
+    and rewrite its off-path recommendations. Verified at gap 0 exactly."""
+    return _solve_bce(game, None, profile_cap)[0]
 
 
 def optimal_bce(game: Game, objective: dict[str, Fraction],
@@ -164,18 +183,4 @@ def optimal_bce(game: Game, objective: dict[str, Fraction],
     The rewrite preserves the outcome distribution, so the value equals the
     optimal causal value exactly; both facts are re-checked here.
     """
-    pi, value = optimal_efce(game, objective, profile_cap)
-    out = efce_to_bce(game, pi)
-    measured = gap(game, out, "bce").overall
-    if measured != 0:
-        raise InternalCheckError(
-            f"converted optimal profile has bce gap {format_rational(measured)}")
-    out_value = sum((w * _objective_value(game, objective, profile)
-                     for w, profile in profile_support(out)), ZERO)
-    if out_value != value:
-        raise InternalCheckError(
-            f"conversion changed the objective value from {format_rational(value)} "
-            f"to {format_rational(out_value)}")
-    return out, value
-
-
+    return _solve_bce(game, objective, profile_cap)[:2]

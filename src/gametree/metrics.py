@@ -89,6 +89,7 @@ class ProfileReach:
         game.require_valid()  # the factorization rests on perfect recall
         nz = len(game.terminals)
         self.game = game
+        self.pi = pi
         self.alphas: list[Fraction] = []
         self.joint = [ZERO] * nz
         self.plans, self.rows, self.masses, self.others = (
@@ -114,6 +115,18 @@ class ProfileReach:
                 if o and r:
                     self.joint[z] += o * r
 
+    @classmethod
+    def of(cls, game: Game, pi: MixtureOfProducts,
+           reach: Optional["ProfileReach"] = None) -> "ProfileReach":
+        """The reach of ``(game, pi)``: a new one when ``reach`` is None, else
+        ``reach`` itself, which must be built from ``game`` and ``pi`` (or a
+        profile equal to it); anything else raises :class:`ValueError`."""
+        if reach is None:
+            return cls(game, pi)
+        if reach.game is not game or (reach.pi is not pi and reach.pi != pi):
+            raise ValueError("reach= was built for another game or profile")
+        return reach
+
     def event_mass(self, i: int, seq: Sequence) -> Fraction:
         """P[x_i(seq) = 1]: the mass of the recommendations playing to ``seq``."""
         return sum((alpha * masses.get(seq, ZERO)
@@ -137,7 +150,7 @@ def expected_utility(game: Game, pi: MixtureOfProducts, player: Union[int, str],
     """E[u_i] under the correlated profile, computed factorized per component
     (never expanding the product support)."""
     i = game.player_index(player)
-    joint = (reach or ProfileReach(game, pi)).joint
+    joint = ProfileReach.of(game, pi, reach).joint
     return sum((z.payoffs[i] * z.chance_reach * joint[z.index]
                 for z in game.terminals if joint[z.index]), ZERO)
 
@@ -150,8 +163,11 @@ class OutcomeDistribution:
         return {zid: format_rational(p) for zid, p in self.probs.items()}
 
 
-def outcome_distribution(game: Game, pi: MixtureOfProducts) -> OutcomeDistribution:
-    joint = ProfileReach(game, pi).joint
+def outcome_distribution(game: Game, pi: MixtureOfProducts,
+                         reach: Optional[ProfileReach] = None) -> OutcomeDistribution:
+    """The probability of each terminal under ``pi``; ``reach``, when given,
+    must be built from ``(game, pi)``."""
+    joint = ProfileReach.of(game, pi, reach).joint
     probs = {z.terminal_id: z.chance_reach * joint[z.index] for z in game.terminals}
     total = sum(probs.values(), ZERO)
     if total != 1:
@@ -170,30 +186,46 @@ def counterfactually_outcome_equivalent(game: Game, a: MixtureOfProducts,
     terminal below it - a strictly stronger notion than outcome equivalence
     (chance is a common factor and is left out)."""
     reach_a, reach_b = ProfileReach(game, a), ProfileReach(game, b)
-    return all(_cf_reach_profile(reach_a, i, iset) == _cf_reach_profile(reach_b, i, iset)
-               for i in range(game.n) for iset in game.infosets[i])
+    return all(_cf_reach_profiles(reach_a, i) == _cf_reach_profiles(reach_b, i)
+               for i in range(game.n))
 
 
-def _cf_reach_profile(reach: ProfileReach, i: int, iset: Infoset) -> dict[int, Fraction]:
-    """Per terminal below ``iset``: E[x_i(z | I) x_{-i}(z)], the own factor
-    restarted at the infoset."""
+def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, Fraction]]:
+    """Per infoset of player ``i`` (by index) and terminal below it:
+    E[x_i(z | I) x_{-i}(z)], the own factor restarted at the infoset.
+
+    A plan reaches z from the infoset at ``offset`` on z's own pairs exactly
+    when the deepest pair it leaves lies above ``offset``, so one backward
+    scan per (plan, terminal) serves every infoset on z's path: the own
+    factor there is a prefix sum of the betas binned by that depth."""
     game = reach.game
-    out = {z_idx: ZERO for z_idx, _ in iset.terminals_below}
+    out = [{z_idx: ZERO for z_idx, _ in iset.terminals_below} for iset in game.infosets[i]]
     for plans, other in zip(reach.plans[i], reach.others[i]):
-        for z_idx, offset in iset.terminals_below:
-            if other[z_idx]:
-                z = game.terminals[z_idx]
-                own = sum((beta for beta, ps in plans
-                           if pure_terminal_reach(game, ps, z, offset)), ZERO)
-                out[z_idx] += own * other[z_idx]
+        for z in game.terminals:
+            o, pairs = other[z.index], z.own_pairs[i]
+            if not o or not pairs:
+                continue
+            by_depth = [ZERO] * (len(pairs) + 1)  # [k]: plans leaving pair k-1 last
+            for beta, ps in plans:
+                k = len(pairs)
+                while k and ps.actions[pairs[k - 1][0]] == pairs[k - 1][1]:
+                    k -= 1
+                by_depth[k] += beta
+            own = ZERO
+            for offset, (idx, _a) in enumerate(pairs):
+                own += by_depth[offset]
+                if own:
+                    out[idx][z.index] += own * o
     return out
 
 
-def _cf_value(reach: ProfileReach, i: int, iset: Infoset) -> Fraction:
-    """The support sum of ``w * counterfactual_utility`` at ``iset``, factorized."""
+def _cf_values(reach: ProfileReach, i: int) -> list[Fraction]:
+    """Per infoset of player ``i``: the support sum of ``w *
+    counterfactual_utility`` there, factorized."""
     terminals = reach.game.terminals
-    return sum((terminals[z].payoffs[i] * terminals[z].chance_reach * r
-                for z, r in _cf_reach_profile(reach, i, iset).items() if r), ZERO)
+    return [sum((terminals[z].payoffs[i] * terminals[z].chance_reach * r
+                 for z, r in cf.items() if r), ZERO)
+            for cf in _cf_reach_profiles(reach, i)]
 
 
 @dataclass(frozen=True)
@@ -219,7 +251,7 @@ def conditional_reach(game: Game, pi: MixtureOfProducts, player: Union[int, str]
     i = game.player_index(player)
     if not seq.is_empty:
         game.infoset(i, seq.infoset)  # an unknown infoset raises KeyError
-    reach = reach or ProfileReach(game, pi)
+    reach = ProfileReach.of(game, pi, reach)
     out = [ZERO] * len(game.terminals)
     mass = ZERO
     for alpha, masses, other in zip(reach.alphas, reach.masses[i], reach.others[i]):
@@ -284,8 +316,16 @@ class GapReport:
 
 
 def gap(game: Game, pi: MixtureOfProducts, notion: str,
-        state_cap: Optional[int] = None) -> GapReport:
+        state_cap: Optional[int] = None,
+        reach: Optional[ProfileReach] = None) -> GapReport:
     """Exact worst-case regret of ``pi`` under the given notion.
+
+    ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
+    pi)``; one built from another game or profile raises
+    :class:`ValueError`.
+
+    efce and nfcce weight each trigger over the terminals below its infoset
+    only (see :func:`_trigger_weights`).
 
     bce and full-efce enumerate recommendation histories, which is
     exponential in the tree depth in the worst case. Both value each
@@ -300,34 +340,61 @@ def gap(game: Game, pi: MixtureOfProducts, notion: str,
         raise ValueError(f"unknown notion {notion!r}; choose from {NOTIONS}")
     if state_cap is None:
         state_cap = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
+    reach = ProfileReach.of(game, pi, reach)
     if notion == "efce":
-        return _gap_efce(game, pi)
+        return _gap_efce(reach)
     if notion == "nfcce":
-        return _gap_nfcce(game, pi)
+        return _gap_nfcce(reach)
     if notion == "bce":
-        return _gap_bce(game, pi, state_cap)
-    return _gap_full_efce(game, pi, state_cap)
+        return _gap_bce(reach, state_cap)
+    return _gap_full_efce(reach, state_cap)
 
 
-def _weights(game: Game, i: int, reach) -> list[Fraction]:
-    return [z.payoffs[i] * z.chance_reach * reach[z.index] for z in game.terminals]
+def _payoff_units(reach: ProfileReach, i: int) -> list[list[Fraction]]:
+    """Per component ``t``: ``payoff_i(z) * chance(z) * others[i][t][z]``,
+    the terminal weights of a trigger that holds all of ``t``'s own mass."""
+    pc = [z.payoffs[i] * z.chance_reach for z in reach.game.terminals]
+    return [[p * o if p and o else ZERO for p, o in zip(pc, other)]
+            for other in reach.others[i]]
 
 
-def _gap_nfcce(game: Game, pi: MixtureOfProducts) -> GapReport:
+def _trigger_weights(reach: ProfileReach, units: list[list[Fraction]], seq: Sequence,
+                     at: Optional[Infoset]) -> Optional[list[Fraction]]:
+    """``payoff * chance * E[x_{-i}(z) 1[x_i(seq) = 1]]`` per terminal, for
+    the trigger ``seq`` at infoset ``at`` (None for the empty sequence).
+
+    Filled in only below ``at`` (everywhere for the empty trigger): those
+    are the terminals ``best_response(at=at)`` and the obey sum read. None
+    when no component puts mass on ``seq``."""
+    w = None
+    for masses, unit in zip(reach.masses[seq.player], units):
+        m = masses.get(seq)
+        if not m:
+            continue
+        if w is None:
+            w = [ZERO] * len(unit)
+            below = range(len(unit)) if at is None else [z for z, _ in at.terminals_below]
+        for z in below:
+            if unit[z]:
+                w[z] += m * unit[z]
+    return w
+
+
+def _gap_nfcce(reach: ProfileReach) -> GapReport:
     # the constant class does not contain the identity, so the best constant
     # can lose to obedience; the gap is clamped at 0 (no deviation gains)
-    reach = ProfileReach(game, pi)
+    game = reach.game
     gaps, witnesses = [], []
     for i in range(game.n):
-        cr = conditional_reach(game, pi, i, Sequence.empty(i), reach)
-        value, strat = best_response(game, i, _weights(game, i, cr.reach))
-        gaps.append(max(ZERO, value - expected_utility(game, pi, i, reach)))
+        w = _trigger_weights(reach, _payoff_units(reach, i), Sequence.empty(i), None)
+        value, strat = best_response(game, i, w)
+        gaps.append(max(ZERO, value - expected_utility(game, reach.pi, i, reach)))
         witnesses.append(ConstantWitness(i, strat))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("nfcce", gaps[best], tuple(gaps), None, witnesses[best])
 
 
-def _gap_efce(game: Game, pi: MixtureOfProducts) -> GapReport:
+def _gap_efce(reach: ProfileReach) -> GapReport:
     """Obedient-walk dynamic program.
 
     A deviation in this class learns nothing new after its first disobedient
@@ -338,29 +405,29 @@ def _gap_efce(game: Game, pi: MixtureOfProducts) -> GapReport:
     obeying one more step; a commit before the first recommendation (the
     empty trigger) is included as the root option.
     """
-    reach = ProfileReach(game, pi)
+    game = reach.game
     gaps, witnesses = [], []
     for i in range(game.n):
-        def walk(seq: Sequence) -> tuple[Fraction, list]:
-            cr = conditional_reach(game, pi, i, seq, reach)
-            if cr.event_mass == 0:
+        units = _payoff_units(reach, i)
+
+        def walk(seq: Sequence, at: Optional[Infoset]) -> tuple[Fraction, list]:
+            w = _trigger_weights(reach, units, seq, at)
+            if w is None:
                 return ZERO, []
-            w = _weights(game, i, cr.reach)
-            at = None if seq.is_empty else game.infoset(i, seq.infoset)
             t_val, t_strat = best_response(game, i, w, at)
             obey = sum((w[z] for z in game.terminals_by_last_sequence(seq)), ZERO)
             commits: list = []
             for child in game.children_infosets(seq):
                 for b in child.actions:
-                    v, c = walk(Sequence(i, child.id, b))
+                    v, c = walk(Sequence(i, child.id, b), child)
                     obey += v
                     commits.extend(c)
             if t_val > obey:
                 return t_val, [(seq, t_strat)]
             return obey, commits
 
-        value, commits = walk(Sequence.empty(i))
-        gaps.append(value - expected_utility(game, pi, i, reach))
+        value, commits = walk(Sequence.empty(i), None)
+        gaps.append(value - expected_utility(game, reach.pi, i, reach))
         witnesses.append(TriggerCommitWitness(i, tuple(commits)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("efce", gaps[best], tuple(gaps), None, witnesses[best])
@@ -462,18 +529,19 @@ def _policy(game: Game, i: int, table: dict, keys) -> list:
     return out
 
 
-def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
+def _gap_bce(reach: ProfileReach, state_cap: int) -> GapReport:
     """Per (player, infoset): maximize counterfactual utility over deviations
     that see the full local-recommendation history, then subtract the
     profile's own counterfactual utility there. The deviation value at an
     infoset is the sum of its states' values in the player's table."""
-    support = list(profile_support(pi))
-    reach = ProfileReach(game, pi)
+    game = reach.game
+    support = list(profile_support(reach.pi))
     budget = _StateBudget(state_cap)
     per_infoset: dict[tuple[int, str], Fraction] = {}
     per_player, witnesses = [], []
     for i in range(game.n):
         _value, _roots, table = _history_table(game, i, support, budget)
+        baseline = _cf_values(reach, i)
         states: dict[int, list] = {}  # infoset index -> its states, in support order
         for key in sorted(table, key=lambda s: table[s][0]):
             states.setdefault(key[0], []).append(key)
@@ -481,7 +549,7 @@ def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
         player_witness = HistoryPolicyWitness(i, ())
         for iset in game.infosets[i]:
             keys = states.get(iset.index, ())
-            g = sum((table[s][1] for s in keys), ZERO) - _cf_value(reach, i, iset)
+            g = sum((table[s][1] for s in keys), ZERO) - baseline[iset.index]
             per_infoset[(i, iset.id)] = g
             if g > player_best:
                 player_best = g
@@ -494,16 +562,16 @@ def _gap_bce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
                      witnesses[best])
 
 
-def _gap_full_efce(game: Game, pi: MixtureOfProducts, state_cap: int) -> GapReport:
+def _gap_full_efce(reach: ProfileReach, state_cap: int) -> GapReport:
     """Ordinary regret against the history-seeing deviation class: the
     player's table read from the root instead of per infoset."""
-    support = list(profile_support(pi))
-    reach = ProfileReach(game, pi)
+    game = reach.game
+    support = list(profile_support(reach.pi))
     budget = _StateBudget(state_cap)
     gaps, witnesses = [], []
     for i in range(game.n):
         value, roots, table = _history_table(game, i, support, budget)
-        gaps.append(value - expected_utility(game, pi, i, reach))
+        gaps.append(value - expected_utility(game, reach.pi, i, reach))
         witnesses.append(HistoryPolicyWitness(i, tuple(_policy(game, i, table, roots))))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("full-efce", gaps[best], tuple(gaps), None, witnesses[best])

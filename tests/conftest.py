@@ -1,6 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gametree import fixtures
+from gametree.randgen import (random_behavior_strategy, random_game, random_mixture,
+                              random_pure_profile_mixture, random_pure_strategy)
+from gametree.strategy import (MixtureComponent, MixtureOfProducts,
+                               expand_behavior_products)
+
+F = Fraction
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +47,34 @@ def lrr_small(lrr):
 @pytest.fixture(scope="session")
 def surj_pi(surj):
     return fixtures.load_profile(surj, "surj")
+
+
+@pytest.fixture(scope="session")
+def games_and_profiles():
+    """``games_and_profiles(seed)``: seeded (game, profile) pairs."""
+    return _games_and_profiles
+
+
+def _games_and_profiles(seed):
+    """Seeded 2- and 3-player games, each with decomposed behavior mixtures,
+    literal behavior products and pure-profile mixtures, plus one padded with
+    a zero-weight component and a zero-weight plan."""
+    rng = random.Random(seed)
+    out = []
+    for players in (2, 2, 2, 3, 3, 3):
+        game = random_game(rng, max_players=3, max_nodes=16, max_pure_product=64)
+        while game.n != players:
+            game = random_game(rng, max_players=3, max_nodes=16, max_pure_product=64)
+        behaviors = [(F(1), [random_behavior_strategy(rng, game, i)
+                             for i in range(game.n)])]
+        decomposed = random_mixture(rng, game)
+        first = decomposed.components[0]
+        padded_mix = first.strategies[0] + ((F(0), random_pure_strategy(rng, game, 0)),)
+        padded = MixtureOfProducts(decomposed.components + (
+            MixtureComponent(F(0), first.strategies),
+            MixtureComponent(F(0), (padded_mix,) + first.strategies[1:])))
+        for pi in (decomposed, expand_behavior_products(game, behaviors),
+                   random_pure_profile_mixture(rng, game), padded):
+            pi.validate(game)
+            out.append((game, pi))
+    return out

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
-from gametree import fixtures
+from gametree import fixtures, gap, parse_profile, serialize_game, serialize_profile
 from gametree.cli import main
+from gametree.randgen import random_game, random_objective
 from gametree.rational import format_rational
 
 
@@ -210,7 +212,7 @@ def test_internal_check_failure_exit_code(paths, capsys, monkeypatch):
     def broken(*_args, **_kwargs):
         raise InternalCheckError("stub self-check failed")
 
-    monkeypatch.setattr(cli, "compute_efce", broken)
+    monkeypatch.setattr(cli, "_solve_program", broken)
     code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "efce")
     assert code == 4
     assert out == ""
@@ -287,3 +289,51 @@ def test_parser_is_built_once_and_reused(capsys):
         with pytest.raises(SystemExit) as e:
             main(["gap"])
         assert e.value.code == 2
+
+
+def test_convert_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch,
+                                              games_and_profiles):
+    # the input's reach serves its efce gap, the rewrite and its outcomes;
+    # the output's serves its bce gap and outcomes
+    from gametree import metrics
+    built = []
+    init = metrics.ProfileReach.__init__
+
+    def counting(self, game, pi):
+        built.append(pi)
+        init(self, game, pi)
+
+    monkeypatch.setattr(metrics.ProfileReach, "__init__", counting)
+    for k, (game, pi) in enumerate(games_and_profiles(38)):
+        game_path, profile_path = tmp_path / f"g{k}.json", tmp_path / f"p{k}.json"
+        game_path.write_text(serialize_game(game))
+        profile_path.write_text(serialize_profile(game, pi))
+        built.clear()
+        code, out, _ = run(capsys, "convert", str(game_path), str(profile_path))
+        assert code == 0
+        assert built == [pi, parse_profile(game, out)]
+
+
+def test_solve_reports_the_gap_of_its_profile(tmp_path, capsys):
+    # gt solve prints the gap the solver measured on the profile it returns
+    rng = random.Random(3)
+    games = [fixtures.load_game(name) for name in fixtures.GAMES]
+    games += [random_game(rng, max_players=2, max_nodes=20, max_pure_product=64,
+                          max_pure_per_player=16) for _ in range(12)]
+    positive = 0
+    for k, game in enumerate(games):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(serialize_game(game))
+        objective = tmp_path / f"c{k}.json"
+        objective.write_text(json.dumps({"c": {
+            zid: format_rational(c) for zid, c in random_objective(rng, game).items()}}))
+        for notion, extra in (("efce", ()), ("efce", ("--epsilon", "1/4")), ("bce", ()),
+                              ("efce", ("--objective", str(objective))),
+                              ("bce", ("--objective", str(objective)))):
+            code, out, err = run(capsys, "solve", str(path), "--notion", notion, *extra)
+            assert code == 0
+            reported = json.loads(err)["outputs"]["gap"]
+            assert reported == format_rational(
+                gap(game, parse_profile(game, out), notion).overall)
+            positive += reported != "0"
+    assert positive > 0

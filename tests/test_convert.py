@@ -29,6 +29,11 @@ def test_cbr_lrr_after_l(lrr, lrr_small):
     assert value == 2
 
 
+def test_cbr_rejects_another_players_sequence(ebos, ebos_pi):
+    with pytest.raises(ValueError, match="is not player"):
+        counterfactual_best_response(ebos, ebos_pi, 1, Sequence.empty(0))
+
+
 def test_cbr_all_zero_subtree_ties_lexicographically():
     import json
     from gametree import parse_game

@@ -1,20 +1,19 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from gametree import (InternalCheckError, ProfileReach, ResourceGuardError,
-                      Sequence, conditional_reach,
+                      Sequence, conditional_reach, parse_game, serialize_game,
                       counterfactual_utility, counterfactually_outcome_equivalent,
                       expected_utility, gap, outcome_distribution,
                       outcome_equivalent, profile_support, pure_mixture,
                       pure_strategy)
-from gametree.metrics import (NOTIONS, _cf_reach_profile, _cf_value,
-                              conditional_node_utility, pure_utility)
-from gametree.randgen import (random_behavior_strategy, random_game, random_mixture,
-                              random_pure_profile_mixture, random_pure_strategy)
-from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
-                               expand_behavior_products, pure_reaches_sequence,
+from gametree.metrics import (NOTIONS, _cf_reach_profiles, _cf_values, _payoff_units,
+                              _trigger_weights, conditional_node_utility, pure_utility)
+from gametree.randgen import random_game, random_mixture, random_pure_profile_mixture
+from gametree.strategy import (MixtureOfProducts, PureProfile, pure_reaches_sequence,
                                pure_terminal_reach)
 from gametree.convert import efce_to_bce
 from gametree.witnesses import recommendation_history
@@ -41,8 +40,6 @@ def test_expected_utility_lrr(lrr, lrr_pi):
 
 
 def test_expected_utility_constant_game():
-    import json
-    from gametree import parse_game
     g = parse_game(json.dumps({"players": ["A"], "root": {
         "kind": "decision", "player": 0, "infoset": "i", "actions": [
             {"label": "a", "child": {"kind": "terminal", "payoffs": ["5/3"]}},
@@ -83,8 +80,6 @@ def test_counterfactual_utility_lrr_examples(lrr):
 
 
 def test_counterfactual_utility_zero_subtree():
-    import json
-    from gametree import parse_game
     g = parse_game(json.dumps({"players": ["A"], "root": {
         "kind": "decision", "player": 0, "infoset": "top", "actions": [
             {"label": "in", "child": {
@@ -353,33 +348,8 @@ def test_gap_state_cap_env_override(surj, surj_pi, monkeypatch):
 # -- the factorized profile reach against support expansion --------------------
 
 
-def _games_and_profiles(seed):
-    """Seeded 2- and 3-player games, each with decomposed behavior mixtures,
-    literal behavior products and pure-profile mixtures, plus one padded with
-    a zero-weight component and a zero-weight plan."""
-    rng = random.Random(seed)
-    out = []
-    for players in (2, 2, 2, 3, 3, 3):
-        game = random_game(rng, max_players=3, max_nodes=16, max_pure_product=64)
-        while game.n != players:
-            game = random_game(rng, max_players=3, max_nodes=16, max_pure_product=64)
-        behaviors = [(F(1), [random_behavior_strategy(rng, game, i)
-                             for i in range(game.n)])]
-        decomposed = random_mixture(rng, game)
-        first = decomposed.components[0]
-        padded_mix = first.strategies[0] + ((F(0), random_pure_strategy(rng, game, 0)),)
-        padded = MixtureOfProducts(decomposed.components + (
-            MixtureComponent(F(0), first.strategies),
-            MixtureComponent(F(0), (padded_mix,) + first.strategies[1:])))
-        for pi in (decomposed, expand_behavior_products(game, behaviors),
-                   random_pure_profile_mixture(rng, game), padded):
-            pi.validate(game)
-            out.append((game, pi))
-    return out
-
-
-def test_profile_reach_masses_and_rows_match_support_expansion():
-    for game, pi in _games_and_profiles(31):
+def test_profile_reach_masses_and_rows_match_support_expansion(games_and_profiles):
+    for game, pi in games_and_profiles(31):
         reach = ProfileReach(game, pi)
         live = [c for c in pi.components if c.alpha != 0]
         assert reach.alphas == [c.alpha for c in live]
@@ -401,11 +371,12 @@ def test_profile_reach_masses_and_rows_match_support_expansion():
                 assert conditional_reach(game, pi, i, seq, reach).event_mass == expanded
 
 
-def test_cf_reach_profile_matches_support_expansion():
-    for game, pi in _games_and_profiles(32):
+def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
+    for game, pi in games_and_profiles(32):
         reach = ProfileReach(game, pi)
         support = list(profile_support(pi))
         for i in range(game.n):
+            got = _cf_reach_profiles(reach, i)
             for iset in game.infosets[i]:
                 want = {z_idx: F(0) for z_idx, _ in iset.terminals_below}
                 for w, profile in support:
@@ -415,22 +386,23 @@ def test_cf_reach_profile_matches_support_expansion():
                                 and all(pure_terminal_reach(game, profile.strategies[j], z)
                                         for j in range(game.n) if j != i)):
                             want[z_idx] += w
-                assert _cf_reach_profile(reach, i, iset) == want
+                assert got[iset.index] == want
 
 
-def test_bce_baseline_matches_support_expansion():
-    for game, pi in _games_and_profiles(33):
+def test_bce_baseline_matches_support_expansion(games_and_profiles):
+    for game, pi in games_and_profiles(33):
         reach = ProfileReach(game, pi)
         support = list(profile_support(pi))
         for i in range(game.n):
+            got = _cf_values(reach, i)
             for iset in game.infosets[i]:
                 want = sum((w * counterfactual_utility(game, profile, i, iset.id)
                             for w, profile in support), F(0))
-                assert _cf_value(reach, i, iset) == want
+                assert got[iset.index] == want
 
 
-def test_profile_reach_expected_utility_and_outcomes_match_support_expansion():
-    for game, pi in _games_and_profiles(34):
+def test_profile_reach_expected_utility_and_outcomes_match_support_expansion(games_and_profiles):
+    for game, pi in games_and_profiles(34):
         support = list(profile_support(pi))
         for i in range(game.n):
             want = sum((w * pure_utility(game, p, i) for w, p in support), F(0))
@@ -453,3 +425,66 @@ def test_efce_to_bce_refuses_a_corrupted_mass_table(ebos, ebos_pi, monkeypatch):
     monkeypatch.setattr(metrics, "_sequence_masses", root_only)
     with pytest.raises(InternalCheckError, match="has mass below"):
         efce_to_bce(ebos, ebos_pi)
+
+
+# -- trigger weights and a shared reach ----------------------------------------
+
+
+def test_trigger_weights_match_conditional_reach_below_each_trigger(games_and_profiles):
+    # a trigger's weights are payoff * chance * conditional reach on every
+    # terminal below its infoset (all terminals for the empty trigger), and
+    # None exactly when the trigger has no mass
+    zero_mass = 0
+    for game, pi in games_and_profiles(35):
+        reach = ProfileReach(game, pi)
+        for i in range(game.n):
+            units = _payoff_units(reach, i)
+            for seq in game.sequences(i):
+                at = None if seq.is_empty else game.infoset(i, seq.infoset)
+                below = (range(len(game.terminals)) if at is None
+                         else [z for z, _ in at.terminals_below])
+                w = _trigger_weights(reach, units, seq, at)
+                cr = conditional_reach(game, pi, i, seq, reach)
+                if cr.event_mass == 0:
+                    assert w is None
+                    zero_mass += 1
+                    continue
+                for z in below:
+                    t = game.terminals[z]
+                    assert w[z] == t.payoffs[i] * t.chance_reach * cr.reach[z]
+    assert zero_mass > 0
+
+
+def test_gap_with_a_built_reach_reports_the_same(games_and_profiles):
+    for game, pi in games_and_profiles(36):
+        reach = ProfileReach(game, pi)
+        for notion in NOTIONS:
+            assert json.dumps(gap(game, pi, notion, reach=reach).to_json_dict(game)) == \
+                json.dumps(gap(game, pi, notion).to_json_dict(game))
+        assert outcome_distribution(game, pi, reach) == outcome_distribution(game, pi)
+        assert efce_to_bce(game, pi, reach) == efce_to_bce(game, pi)
+        # a reach built from an equal copy of the profile serves it too
+        twin = ProfileReach(game, MixtureOfProducts(pi.components))
+        assert gap(game, pi, "efce", reach=twin) == gap(game, pi, "efce")
+
+
+def test_reach_built_for_another_profile_or_game_raises(games_and_profiles):
+    cases = games_and_profiles(37)
+    checked = 0
+    for k in range(0, len(cases), 4):  # four profiles per game
+        game, pi = cases[k]
+        twin_game = parse_game(serialize_game(game))
+        wrong = [ProfileReach(twin_game, pi)]
+        wrong += [ProfileReach(game, other) for _, other in cases[k + 1:k + 4] if other != pi]
+        for reach in wrong:
+            for notion in NOTIONS:
+                with pytest.raises(ValueError, match="another game or profile"):
+                    gap(game, pi, notion, reach=reach)
+            for call in (lambda: outcome_distribution(game, pi, reach),
+                         lambda: efce_to_bce(game, pi, reach),
+                         lambda: expected_utility(game, pi, 0, reach),
+                         lambda: conditional_reach(game, pi, 0, Sequence.empty(0), reach)):
+                with pytest.raises(ValueError, match="another game or profile"):
+                    call()
+            checked += 1
+    assert checked >= 12
