@@ -4,8 +4,9 @@ Parse perfect-recall game trees with rational data, measure worst-case
 deviation gaps under four equilibrium notions, decompose behavior strategies
 into small mixtures of pure plans, rewrite off-path recommendations with
 counterfactual best responses, and solve for (optimal) equilibria with an
-exact rational simplex. Every quantity is a ``fractions.Fraction``; equality
-assertions in the test suite are exact.
+exact rational simplex. Every quantity read or reported is a
+``fractions.Fraction`` (the gap programs compute on ints over a common
+denominator); equality assertions in the test suite are exact.
 """
 
 from .errors import (GameParseError, InternalCheckError, InvalidGameError,

@@ -14,17 +14,21 @@ of the objective also get the lexicographically first action.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence as Seq
+from typing import Optional, Sequence as Seq, Union
 
 from .game import Game, Infoset, Sequence
 from .strategy import PureStrategy
 
-ZERO = Fraction(0)
+Weight = Union[int, Fraction]
 
 
-def best_response(game: Game, player: int, weights: Seq[Fraction],
-                  at_infoset: Optional[Infoset] = None) -> tuple[Fraction, PureStrategy]:
+def best_response(game: Game, player: int, weights: Seq[Weight],
+                  at_infoset: Optional[Infoset] = None) -> tuple[Weight, PureStrategy]:
     """Maximize sum_z weights[z] * x(z | at_infoset) over pure plans.
+
+    Sums start at the int 0, so int weights (the gap DPs pass ints over one
+    scale) give an int value and ``Fraction`` weights a ``Fraction`` one; an
+    empty sum is the int 0, equal to ``Fraction(0)``.
 
     With ``at_infoset`` None the indicator is x(z) from the root and the
     value includes terminals the player never acts on. Otherwise only
@@ -32,19 +36,19 @@ def best_response(game: Game, player: int, weights: Seq[Fraction],
     weakly following it (everything else is set lexicographically first).
     """
     scope = game.infosets[player] if at_infoset is None else at_infoset.subtree
-    f_value: dict[int, Fraction] = {}
+    f_value: dict[int, Weight] = {}
     f_choice: dict[int, str] = {}
     for iset in reversed(scope):  # children precede parents in reverse discovery order
         best_v = None
         best_a = None
         for a in iset.actions:
             seq = Sequence(player, iset.id, a)
-            v = sum((weights[z] for z in game.terminals_by_last_sequence(seq)), ZERO)
-            v += sum((f_value[j.index] for j in game.children_infosets(seq)), ZERO)
+            v = sum(weights[z] for z in game.terminals_by_last_sequence(seq))
+            v += sum(f_value[j.index] for j in game.children_infosets(seq))
             if best_v is None or v > best_v or (v == best_v and a < best_a):
                 best_v, best_a = v, a
         if best_v is None:  # zero-action infosets are rejected by validation
-            best_v, best_a = ZERO, ""
+            best_v, best_a = 0, ""
         f_value[iset.index] = best_v
         f_choice[iset.index] = best_a
     actions = tuple(f_choice[iset.index] if iset.index in f_choice else min(iset.actions)
@@ -52,6 +56,6 @@ def best_response(game: Game, player: int, weights: Seq[Fraction],
     if at_infoset is not None:
         return f_value[at_infoset.index], PureStrategy(player, actions)
     empty = Sequence.empty(player)
-    value = sum((weights[z] for z in game.terminals_by_last_sequence(empty)), ZERO)
-    value += sum((f_value[j.index] for j in game.top_infosets(player)), ZERO)
+    value = sum(weights[z] for z in game.terminals_by_last_sequence(empty))
+    value += sum(f_value[j.index] for j in game.top_infosets(player))
     return value, PureStrategy(player, actions)

@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .convert import counterfactual_best_response, efce_to_bce
-from .equilibrium import ZERO, _solve_bce, _solve_program
+from .equilibrium import _solve_bce, _solve_program
 from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, parse_game
@@ -91,7 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--notion", choices=("efce", "bce"), required=True)
     c.add_argument("--objective", help="path to {\"c\": {terminal: \"p/q\"}}")
     c.add_argument("--epsilon", default="0",
-                   help="slack on the causal gap, --notion efce only (rational, >= 0)")
+                   help="slack on the causal gap, --notion efce only (rational, "
+                        ">= 0); with --objective, the objective is optimized over "
+                        "the profiles within it")
     c = sub.add_parser("paper-check",
                        help="run the bundled end-to-end verification suite")
     c.set_defaults(func=cmd_paper_check)
@@ -206,9 +208,10 @@ def cmd_cbr(args) -> int:
     pi = _load_profile(game, args.profile)
     player = _player_arg(game, args.player)
     seq = _sequence_arg(game, player, args.sequence)
-    strategy, value = counterfactual_best_response(game, pi, player, seq)
+    reach = ProfileReach(game, pi)
+    strategy, value = counterfactual_best_response(game, pi, player, seq, reach)
     # a zero-mass event falls back to the unconditional law, of mass 1
-    mass = ProfileReach(game, pi).event_mass(player, seq) or 1
+    mass = reach.event_mass(player, seq) or 1
     _emit({"player": game.players[player], "sequence": seq.label(),
            "strategy": strategy.assignment(game),
            "value": format_rational(value),
@@ -235,9 +238,8 @@ def cmd_solve(args) -> int:
     # the solvers return the gap their own exit test measured on pi
     if args.notion == "bce":
         pi, value, measured = _solve_bce(game, objective)
-    else:  # an objective is optimized over the exact (gap-0) program
-        pi, value, measured = _solve_program(
-            game, epsilon if objective is None else ZERO, objective)
+    else:
+        pi, value, measured = _solve_program(game, epsilon, objective)
     reach = ProfileReach(game, pi)
     _emit(json.loads(serialize_profile(game, pi)), args)
     report = {

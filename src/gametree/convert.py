@@ -46,8 +46,9 @@ class CbrTable:
 
 
 def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
-                                 player: Union[int, str],
-                                 seq: Sequence) -> tuple[PureStrategy, Fraction]:
+                                 player: Union[int, str], seq: Sequence,
+                                 reach: Optional[ProfileReach] = None
+                                 ) -> tuple[PureStrategy, Fraction]:
     """The pure plan maximizing conditional utility at ``seq``'s infoset,
     given that the recommendation plays to ``seq``.
 
@@ -57,25 +58,31 @@ def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
     Zero-mass conditioning falls back to the unconditional law (such
     sequences are never deviation points of support strategies, so the
     choice cannot affect :func:`efce_to_bce`).
+
+    ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
+    pi)``; one built from another game or profile raises
+    :class:`ValueError`.
     """
     i = game.player_index(player)
-    reach = ProfileReach(game, pi)
+    reach = ProfileReach.of(game, pi, reach)
     at = None if seq.is_empty else game.infoset(i, seq.infoset)
     if seq.player != i:
         raise ValueError(f"sequence {seq.label()} is not player {game.players[i]}'s")
     return _cbr(reach, _payoff_units(reach, i), seq, at)[:2]
 
 
-def _cbr(reach: ProfileReach, units: list[list[Fraction]], seq: Sequence,
+def _cbr(reach: ProfileReach, units: list[list[int]], seq: Sequence,
          at: Optional[Infoset]) -> tuple[PureStrategy, Fraction, Fraction]:
     """The response at ``seq`` (infoset ``at``) against ``units``, the
     player's :func:`gametree.metrics._payoff_units`, its conditional value
-    and the event's mass."""
+    and the event's mass. The response is found over ints; the value is
+    divided out once, here."""
     i = seq.player
     w = _trigger_weights(reach, units, seq, at)
     if w is None:  # a zero-mass event: the unconditional law, of mass 1
         w = _trigger_weights(reach, units, Sequence.empty(i), at)
     value, strategy = best_response(reach.game, i, w, at)
+    value = Fraction(value, reach.value_scale(i))
     mass = reach.event_mass(i, seq)
     return strategy, value / mass if mass != 0 else value, mass
 

@@ -100,7 +100,7 @@ class ChanceNode(Node):
 
 
 class DecisionNode(Node):
-    __slots__ = ("player", "infoset_id", "moves", "infoset")
+    __slots__ = ("player", "infoset_id", "moves", "infoset", "order")
 
     kind = "decision"
 
@@ -214,6 +214,7 @@ class Game:
                     stack.append((child, node, path + (label,), chance * prob, pairs))
                 continue
             # decision node
+            node.order = self.num_nodes  # preorder rank: stack pops in preorder
             i = node.player
             iset = self._infoset_by_key.get((i, node.infoset_id))
             if iset is None:

@@ -24,13 +24,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional, Union
 
 from .bestresponse import best_response
 from .errors import InternalCheckError, ResourceGuardError
 from .game import Game, Infoset, Node, Sequence
-from .rational import format_rational
-from .strategy import (MixtureOfProducts, PureProfile, profile_support,
+from .rational import format_rational, over_common_denominator
+from .strategy import (MixtureOfProducts, PureProfile, PureStrategy, profile_support,
                        pure_terminal_reach)
 from .witnesses import (ConstantWitness, HistoryPolicyWitness,
                         TriggerCommitWitness, recommendation_history)
@@ -77,43 +78,60 @@ class ProfileReach:
     """The reach of a correlated profile, factorized per component and built
     once per ``(game, pi)``; nothing here expands the product support.
 
-    Per component ``t`` with ``alpha != 0`` (``alphas[t]``) and player ``i``:
-    ``plans[i][t]`` holds the ``(beta, plan)`` pairs, ``masses[i][t]`` maps
-    each sequence to the beta of the plans reaching it, ``rows[i][t][z]`` is
-    ``x_ti(z) = sum_k beta_tik x_tik(z)`` and ``others[i][t][z]`` is
-    ``alpha_t * prod_{j != i} x_tj(z)``. ``joint[z]`` is the profile's reach
-    of each terminal, chance left out.
+    Every table holds ints over a stated positive scale, so the DPs reading
+    it add, multiply and compare ints only and build each reported value
+    once, as ``Fraction(value, scale)``. ``den[i]`` is the lcm of player
+    ``i``'s live beta denominators, ``alpha_den`` that of the live alphas,
+    and ``scale`` is ``alpha_den * prod_i den[i]``. ``payoffs[i] = (den,
+    ints)`` holds ``payoff_i(z) * chance(z) == ints[z] / den``, where ``den``
+    is the lcm of the player's payoff denominators times that of the chance
+    reaches.
+
+    Per component ``t`` with ``alpha != 0`` (``alphas[t]``, over
+    ``alpha_den``) and player ``i``: ``plans[i][t]`` holds the ``(beta,
+    plan)`` pairs, ``masses[i][t]`` maps each sequence to the beta of the
+    plans reaching it and ``rows[i][t][z]`` is ``x_ti(z) = sum_k beta_tik
+    x_tik(z)``, all over ``den[i]``; ``others[i][t][z]`` is ``alpha_t *
+    prod_{j != i} x_tj(z)``, over ``scale // den[i]``. ``joint[z]`` is the
+    profile's reach of each terminal, chance left out, over ``scale``.
     """
 
     def __init__(self, game: Game, pi: MixtureOfProducts):
         game.require_valid()  # the factorization rests on perfect recall
-        nz = len(game.terminals)
         self.game = game
         self.pi = pi
-        self.alphas: list[Fraction] = []
-        self.joint = [ZERO] * nz
+        live = [comp for comp in pi.components if comp.alpha != 0]
+        self.alpha_den, self.alphas = over_common_denominator([comp.alpha for comp in live])
+        self.den = [lcm(*(beta.denominator for comp in live for beta, _ in comp.strategies[i]))
+                    for i in range(game.n)]
+        self.scale = self.alpha_den * prod(self.den)
+        chance_den, chances = over_common_denominator([z.chance_reach for z in game.terminals])
+        self.payoffs = []
+        for i in range(game.n):
+            den, payoffs = over_common_denominator([z.payoffs[i] for z in game.terminals])
+            self.payoffs.append((den * chance_den, [u * c for u, c in zip(payoffs, chances)]))
+        self.joint = [0] * len(game.terminals)
         self.plans, self.rows, self.masses, self.others = (
             [[] for _ in range(game.n)] for _ in range(4))
-        for comp in pi.components:
-            if comp.alpha == 0:
-                continue
-            self.alphas.append(comp.alpha)
+        for comp, alpha in zip(live, self.alphas):
             rows = []
             for i, mix in enumerate(comp.strategies):
-                masses = _sequence_masses(game, i, mix)
+                d = self.den[i]
+                plans = tuple((beta.numerator * (d // beta.denominator), ps)
+                              for beta, ps in mix)
+                masses = _sequence_masses(game, i, plans)
                 # a plan reaches z exactly when it reaches z's last own sequence
-                rows.append([masses.get(z.last_seq[i], ZERO) for z in game.terminals])
-                self.plans[i].append(mix)
+                rows.append([masses.get(z.last_seq[i], 0) for z in game.terminals])
+                self.plans[i].append(plans)
                 self.rows[i].append(rows[i])
                 self.masses[i].append(masses)
             for i in range(game.n):
-                other = [comp.alpha] * nz
+                other = [alpha] * len(game.terminals)
                 for row in rows[:i] + rows[i + 1:]:
-                    other = [a * r if a and r else ZERO for a, r in zip(other, row)]
+                    other = [a * r for a, r in zip(other, row)]
                 self.others[i].append(other)
             for z, (o, r) in enumerate(zip(self.others[0][-1], rows[0])):
-                if o and r:
-                    self.joint[z] += o * r
+                self.joint[z] += o * r
 
     @classmethod
     def of(cls, game: Game, pi: MixtureOfProducts,
@@ -129,20 +147,38 @@ class ProfileReach:
 
     def event_mass(self, i: int, seq: Sequence) -> Fraction:
         """P[x_i(seq) = 1]: the mass of the recommendations playing to ``seq``."""
-        return sum((alpha * masses.get(seq, ZERO)
-                    for alpha, masses in zip(self.alphas, self.masses[i])), ZERO)
+        return Fraction(sum(alpha * masses.get(seq, 0)
+                            for alpha, masses in zip(self.alphas, self.masses[i])),
+                        self.alpha_den * self.den[i])
+
+    def value_scale(self, i: int) -> int:
+        """The scale of player ``i``'s payoff-weighted sums: the row
+        ``payoffs[i]`` times ``joint``, or times a sequence mass and an
+        opponent row."""
+        return self.payoffs[i][0] * self.scale
 
 
-def _sequence_masses(game: Game, i: int, mix) -> dict[Sequence, Fraction]:
-    masses: dict[Sequence, Fraction] = {}
+def _sequence_masses(game: Game, i: int, mix) -> dict[Sequence, int]:
+    masses: dict[Sequence, int] = {}
     for beta, ps in mix:
-        reached = {Sequence.empty(i)}
-        for iset in game.infosets[i]:  # discovery order: parents before children
-            if iset.parent_seq in reached:
-                reached.add(Sequence(i, iset.id, ps.actions[iset.index]))
-        for seq in reached:
-            masses[seq] = masses.get(seq, ZERO) + beta
+        if beta:
+            for seq in _plan_sequences(game, i, ps):
+                masses[seq] = masses.get(seq, 0) + beta
     return masses
+
+
+def _plan_sequences(game: Game, i: int, ps: PureStrategy) -> set[Sequence]:
+    """The sequences of player ``i`` that the plan ``ps`` plays to."""
+    reached = {Sequence.empty(i)}
+    for iset in game.infosets[i]:  # discovery order: parents before children
+        if iset.parent_seq in reached:
+            reached.add(Sequence(i, iset.id, ps.actions[iset.index]))
+    return reached
+
+
+def _expected(reach: ProfileReach, i: int) -> int:
+    """E[u_i] over ``reach.value_scale(i)``."""
+    return sum(p * r for p, r in zip(reach.payoffs[i][1], reach.joint))
 
 
 def expected_utility(game: Game, pi: MixtureOfProducts, player: Union[int, str],
@@ -150,9 +186,8 @@ def expected_utility(game: Game, pi: MixtureOfProducts, player: Union[int, str],
     """E[u_i] under the correlated profile, computed factorized per component
     (never expanding the product support)."""
     i = game.player_index(player)
-    joint = ProfileReach.of(game, pi, reach).joint
-    return sum((z.payoffs[i] * z.chance_reach * joint[z.index]
-                for z in game.terminals if joint[z.index]), ZERO)
+    reach = ProfileReach.of(game, pi, reach)
+    return Fraction(_expected(reach, i), reach.value_scale(i))
 
 
 @dataclass(frozen=True)
@@ -167,8 +202,9 @@ def outcome_distribution(game: Game, pi: MixtureOfProducts,
                          reach: Optional[ProfileReach] = None) -> OutcomeDistribution:
     """The probability of each terminal under ``pi``; ``reach``, when given,
     must be built from ``(game, pi)``."""
-    joint = ProfileReach.of(game, pi, reach).joint
-    probs = {z.terminal_id: z.chance_reach * joint[z.index] for z in game.terminals}
+    reach = ProfileReach.of(game, pi, reach)
+    probs = {z.terminal_id: z.chance_reach * Fraction(reach.joint[z.index], reach.scale)
+             for z in game.terminals}
     total = sum(probs.values(), ZERO)
     if total != 1:
         raise InternalCheckError(f"outcome probabilities sum to {total}, not 1")
@@ -186,32 +222,36 @@ def counterfactually_outcome_equivalent(game: Game, a: MixtureOfProducts,
     terminal below it - a strictly stronger notion than outcome equivalence
     (chance is a common factor and is left out)."""
     reach_a, reach_b = ProfileReach(game, a), ProfileReach(game, b)
-    return all(_cf_reach_profiles(reach_a, i) == _cf_reach_profiles(reach_b, i)
-               for i in range(game.n))
+    return all(r * reach_b.scale == cf_b[z] * reach_a.scale
+               for i in range(game.n)
+               for cf_a, cf_b in zip(_cf_reach_profiles(reach_a, i),
+                                     _cf_reach_profiles(reach_b, i))
+               for z, r in cf_a.items())
 
 
-def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, Fraction]]:
+def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, int]]:
     """Per infoset of player ``i`` (by index) and terminal below it:
-    E[x_i(z | I) x_{-i}(z)], the own factor restarted at the infoset.
+    E[x_i(z | I) x_{-i}(z)] over ``reach.scale``, the own factor restarted at
+    the infoset.
 
     A plan reaches z from the infoset at ``offset`` on z's own pairs exactly
     when the deepest pair it leaves lies above ``offset``, so one backward
     scan per (plan, terminal) serves every infoset on z's path: the own
     factor there is a prefix sum of the betas binned by that depth."""
     game = reach.game
-    out = [{z_idx: ZERO for z_idx, _ in iset.terminals_below} for iset in game.infosets[i]]
+    out = [{z_idx: 0 for z_idx, _ in iset.terminals_below} for iset in game.infosets[i]]
     for plans, other in zip(reach.plans[i], reach.others[i]):
         for z in game.terminals:
             o, pairs = other[z.index], z.own_pairs[i]
             if not o or not pairs:
                 continue
-            by_depth = [ZERO] * (len(pairs) + 1)  # [k]: plans leaving pair k-1 last
+            by_depth = [0] * (len(pairs) + 1)  # [k]: plans leaving pair k-1 last
             for beta, ps in plans:
                 k = len(pairs)
                 while k and ps.actions[pairs[k - 1][0]] == pairs[k - 1][1]:
                     k -= 1
                 by_depth[k] += beta
-            own = ZERO
+            own = 0
             for offset, (idx, _a) in enumerate(pairs):
                 own += by_depth[offset]
                 if own:
@@ -219,13 +259,12 @@ def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, Fraction]]
     return out
 
 
-def _cf_values(reach: ProfileReach, i: int) -> list[Fraction]:
+def _cf_values(reach: ProfileReach, i: int) -> list[int]:
     """Per infoset of player ``i``: the support sum of ``w *
-    counterfactual_utility`` there, factorized."""
-    terminals = reach.game.terminals
-    return [sum((terminals[z].payoffs[i] * terminals[z].chance_reach * r
-                 for z, r in cf.items() if r), ZERO)
-            for cf in _cf_reach_profiles(reach, i)]
+    counterfactual_utility`` there, factorized, over
+    ``reach.value_scale(i)``."""
+    pc = reach.payoffs[i][1]
+    return [sum(pc[z] * r for z, r in cf.items()) for cf in _cf_reach_profiles(reach, i)]
 
 
 @dataclass(frozen=True)
@@ -252,16 +291,14 @@ def conditional_reach(game: Game, pi: MixtureOfProducts, player: Union[int, str]
     if not seq.is_empty:
         game.infoset(i, seq.infoset)  # an unknown infoset raises KeyError
     reach = ProfileReach.of(game, pi, reach)
-    out = [ZERO] * len(game.terminals)
-    mass = ZERO
-    for alpha, masses, other in zip(reach.alphas, reach.masses[i], reach.others[i]):
+    out = [0] * len(game.terminals)
+    for masses, other in zip(reach.masses[i], reach.others[i]):
         m = masses.get(seq)
         if m:
-            mass += alpha * m
             for z, o in enumerate(other):
-                if o:
-                    out[z] += m * o
-    return ConditionalReach(i, seq, mass, tuple(out))
+                out[z] += m * o
+    return ConditionalReach(i, seq, reach.event_mass(i, seq),
+                            tuple(Fraction(r, reach.scale) for r in out))
 
 
 def conditional_node_utility(game: Game, pi: MixtureOfProducts,
@@ -350,18 +387,19 @@ def gap(game: Game, pi: MixtureOfProducts, notion: str,
     return _gap_full_efce(reach, state_cap)
 
 
-def _payoff_units(reach: ProfileReach, i: int) -> list[list[Fraction]]:
+def _payoff_units(reach: ProfileReach, i: int) -> list[list[int]]:
     """Per component ``t``: ``payoff_i(z) * chance(z) * others[i][t][z]``,
-    the terminal weights of a trigger that holds all of ``t``'s own mass."""
-    pc = [z.payoffs[i] * z.chance_reach for z in reach.game.terminals]
-    return [[p * o if p and o else ZERO for p, o in zip(pc, other)]
-            for other in reach.others[i]]
+    the terminal weights of a trigger that holds all of ``t``'s own mass,
+    over ``reach.value_scale(i) // reach.den[i]``."""
+    pc = reach.payoffs[i][1]
+    return [[p * o for p, o in zip(pc, other)] for other in reach.others[i]]
 
 
-def _trigger_weights(reach: ProfileReach, units: list[list[Fraction]], seq: Sequence,
-                     at: Optional[Infoset]) -> Optional[list[Fraction]]:
-    """``payoff * chance * E[x_{-i}(z) 1[x_i(seq) = 1]]`` per terminal, for
-    the trigger ``seq`` at infoset ``at`` (None for the empty sequence).
+def _trigger_weights(reach: ProfileReach, units: list[list[int]], seq: Sequence,
+                     at: Optional[Infoset]) -> Optional[list[int]]:
+    """``payoff * chance * E[x_{-i}(z) 1[x_i(seq) = 1]]`` per terminal, over
+    ``reach.value_scale(i)``, for the trigger ``seq`` at infoset ``at`` (None
+    for the empty sequence).
 
     Filled in only below ``at`` (everywhere for the empty trigger): those
     are the terminals ``best_response(at=at)`` and the obey sum read. None
@@ -372,11 +410,10 @@ def _trigger_weights(reach: ProfileReach, units: list[list[Fraction]], seq: Sequ
         if not m:
             continue
         if w is None:
-            w = [ZERO] * len(unit)
+            w = [0] * len(unit)
             below = range(len(unit)) if at is None else [z for z, _ in at.terminals_below]
         for z in below:
-            if unit[z]:
-                w[z] += m * unit[z]
+            w[z] += m * unit[z]
     return w
 
 
@@ -388,7 +425,7 @@ def _gap_nfcce(reach: ProfileReach) -> GapReport:
     for i in range(game.n):
         w = _trigger_weights(reach, _payoff_units(reach, i), Sequence.empty(i), None)
         value, strat = best_response(game, i, w)
-        gaps.append(max(ZERO, value - expected_utility(game, reach.pi, i, reach)))
+        gaps.append(Fraction(max(0, value - _expected(reach, i)), reach.value_scale(i)))
         witnesses.append(ConstantWitness(i, strat))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("nfcce", gaps[best], tuple(gaps), None, witnesses[best])
@@ -410,12 +447,12 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
     for i in range(game.n):
         units = _payoff_units(reach, i)
 
-        def walk(seq: Sequence, at: Optional[Infoset]) -> tuple[Fraction, list]:
+        def walk(seq: Sequence, at: Optional[Infoset]) -> tuple[int, list]:
             w = _trigger_weights(reach, units, seq, at)
             if w is None:
-                return ZERO, []
+                return 0, []
             t_val, t_strat = best_response(game, i, w, at)
-            obey = sum((w[z] for z in game.terminals_by_last_sequence(seq)), ZERO)
+            obey = sum(w[z] for z in game.terminals_by_last_sequence(seq))
             commits: list = []
             for child in game.children_infosets(seq):
                 for b in child.actions:
@@ -427,7 +464,7 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
             return obey, commits
 
         value, commits = walk(Sequence.empty(i), None)
-        gaps.append(value - expected_utility(game, reach.pi, i, reach))
+        gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
         witnesses.append(TriggerCommitWitness(i, tuple(commits)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("efce", gaps[best], tuple(gaps), None, witnesses[best])
@@ -446,76 +483,134 @@ class _StateBudget:
                 f"raise it via the {STATE_CAP_ENV} environment variable or state_cap=")
 
 
-def _descend(game: Game, node: Node, om: Fraction, k: int, profile: PureProfile,
-             i: int, sink: dict, consts: list):
-    """Route support element ``k`` (``profile``) downward until the deviator
-    must act.
+def _support_steps(reach: ProfileReach) -> tuple[list, list]:
+    """How the history tables move through the support, per live component.
 
-    Terminal mass lands in ``consts``; own decision nodes are grouped in
-    ``sink`` by (infoset index, recommendation history)."""
-    if node.kind == "terminal":
-        consts.append(om * node.payoffs[i])
-        return
-    if node.kind == "chance":
-        for _label, p, child in node.moves:
-            if p != 0:
-                _descend(game, child, om * p, k, profile, i, sink, consts)
-        return
-    iset = node.infoset
-    if node.player != i:
-        want = profile.strategies[node.player].actions[iset.index]
-        for label, child in node.moves:
-            if label == want:
-                _descend(game, child, om, k, profile, i, sink, consts)
-                return
-        raise InternalCheckError("opponent strategy names a missing action")
-    hist = recommendation_history(game, profile.strategies[i], iset)
-    sink.setdefault((iset.index, hist), []).append((node, om, k))
+    A support element is a tuple (component, one plan index per player),
+    ranked ``k`` in :func:`profile_support`'s lexicographic order. An entry
+    of a table pairs a node with a component and an own plan, standing for
+    every support element that pairs the plan with opponent plans reaching
+    the node; the least of them ranks at ``k`` with each opponent's plan
+    index the lowest positive-beta one reaching the node.
+
+    Returns ``(roots, steps)``: ``roots[t][i]`` maps each positive-beta plan
+    index ``p`` of player ``i`` to ``k`` at the root, and ``steps[t][j][J]``
+    lists, for player ``j``'s infoset index ``J``, the ``(action position,
+    change of k)`` pairs of the actions some positive-beta plan reaching
+    ``J`` takes there."""
+    game = reach.game
+    roots, steps = [], []
+    base = 0
+    for t in range(len(reach.alphas)):
+        sizes = [len(reach.plans[j][t]) for j in range(game.n)]
+        stride = [prod(sizes[j + 1:]) for j in range(game.n)]
+        least = []  # per player: sequence -> lowest positive-beta plan index reaching it
+        for j in range(game.n):
+            low: dict[Sequence, int] = {}
+            for q, (beta, ps) in enumerate(reach.plans[j][t]):
+                if beta:
+                    for seq in _plan_sequences(game, j, ps):
+                        low.setdefault(seq, q)
+            least.append(low)
+        top = base + sum(least[j][Sequence.empty(j)] * stride[j] for j in range(game.n))
+        roots.append([{p: top + (p - least[i][Sequence.empty(i)]) * stride[i]
+                       for p, (beta, _) in enumerate(reach.plans[i][t]) if beta}
+                      for i in range(game.n)])
+        per_player = []
+        for j in range(game.n):
+            low = least[j]
+            per_player.append([
+                [(m, (low[seq] - low[iset.parent_seq]) * stride[j])
+                 for m, seq in enumerate(Sequence(j, iset.id, a) for a in iset.actions)
+                 if seq in low] if iset.parent_seq in low else []
+                for iset in game.infosets[j]])
+        steps.append(per_player)
+        base += prod(sizes)
+    return roots, steps
 
 
-def _history_table(game: Game, i: int, support: list, budget: _StateBudget):
+def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBudget):
     """Player ``i``'s (infoset index, recommendation history) states, each
     valued once for a deviator who tells support elements apart only by
-    those histories.
+    those histories; ``support`` is :func:`_support_steps`'s output.
 
-    A state's bundle holds the support elements with its history at its
-    infoset's nodes, in support order, weighted by chance times the
-    opponents' reach. Under perfect recall every node of an infoset lies
-    below every infoset on its own chain, so the bundle does not depend on
-    where a walk starts, and one descent from the root serves every history
-    notion. States form a forest (each is reached by a unique own-action
-    chain), so a single top-down pass maximizes exactly.
+    A state's bundle holds entries (node, component, own plan): the plan has
+    the state's history at the node's infoset, and every opponent has a
+    positive-beta plan in the component reaching the node. Within a
+    component the players' plans are independent, so the opponents enter
+    only through the terminal weights: a terminal adds the own beta times
+    :func:`_payoff_units`, over ``reach.value_scale(i)``, and a descent
+    branches into every action some positive-beta opponent plan reaching the
+    node takes. Under perfect recall every node of an infoset lies below
+    every infoset on its own chain, so the bundle does not depend on where a
+    walk starts, and one descent from the root serves every history notion.
+    States form a forest (each is reached by a unique own-action chain), so
+    a single top-down pass maximizes exactly.
 
     Returns the value from the root, the root states, and per state
-    ``(first, value, action, children)``: the support position of its
-    bundle's first entry, its best value, the winning action (the smallest
-    on ties) and that action's child states.
+    ``(first, value, action, children)``: its least (support rank, node
+    preorder) pair as one int, its best value, the winning action (the
+    smallest on ties) and that action's child states. Root and child states
+    are listed by ``first``: the order in which a walk through the expanded
+    support, element by element, would first meet them.
     """
+    game = reach.game
+    roots, steps = support
+    units = _payoff_units(reach, i)
+    betas = [[beta for beta, _ in plans] for plans in reach.plans[i]]
+    histories: dict = {}
     table: dict = {}
 
-    def solve(key, bundle) -> Fraction:
+    def descend(node: Node, t: int, p: int, k: int, sink: dict) -> int:
+        """Route entry ``(t, p)``, ranked ``k`` here, down to the deviator's
+        next nodes, filed in ``sink`` by state; returns the units of the
+        terminals on the way."""
+        if node.kind == "terminal":
+            return units[t][node.index]
+        if node.kind == "chance":
+            return sum(descend(child, t, p, k, sink)
+                       for _label, prob, child in node.moves if prob)
+        iset = node.infoset
+        if node.player != i:
+            return sum(descend(node.moves[m][1], t, p, k + dk, sink)
+                       for m, dk in steps[t][node.player][iset.index])
+        hist = histories.get((t, p, iset.index))
+        if hist is None:
+            hist = histories[(t, p, iset.index)] = recommendation_history(
+                game, reach.plans[i][t][p][1], iset)
+        first = k * game.num_nodes + node.order
+        state = sink.get((iset.index, hist))
+        if state is None:
+            sink[(iset.index, hist)] = [first, [(node, t, p, k)]]
+        else:
+            state[0] = min(state[0], first)
+            state[1].append((node, t, p, k))
+        return 0
+
+    def settle(sink: dict) -> tuple[int, tuple]:
+        """Solve the states in ``sink``; their value and keys by ``first``."""
+        keys = tuple(sorted(sink, key=lambda key: sink[key][0]))
+        return sum(solve(key, *sink[key]) for key in keys), keys
+
+    def solve(key, first: int, bundle: list) -> int:
         budget.spend()
         best = None
-        for a in game.infosets[i][key[0]].actions:
-            consts: list[Fraction] = []
+        for m, a in enumerate(game.infosets[i][key[0]].actions):
             sink: dict = {}
-            for node, om, k in bundle:
-                for label, child in node.moves:
-                    if label == a:
-                        _descend(game, child, om, k, support[k][1], i, sink, consts)
-                        break
-            val = sum(consts, ZERO) + sum((solve(*s) for s in sink.items()), ZERO)
+            val = sum(betas[t][p] * descend(node.moves[m][1], t, p, k, sink)
+                      for node, t, p, k in bundle)
+            below, children = settle(sink)
+            val += below
             if best is None or val > best[0] or (val == best[0] and a < best[1]):
-                best = (val, a, tuple(sink))
-        table[key] = (bundle[0][2],) + best
+                best = (val, a, children)
+        table[key] = (first,) + best
         return best[0]
 
-    consts: list[Fraction] = []
     sink: dict = {}
-    for k, (w, profile) in enumerate(support):
-        _descend(game, game.root, w, k, profile, i, sink, consts)
-    value = sum(consts, ZERO) + sum((solve(*s) for s in sink.items()), ZERO)
-    return value, tuple(sink), table
+    value = sum(betas[t][p] * descend(game.root, t, p, k, sink)
+                for t, per_plan in enumerate(roots) for p, k in per_plan[i].items())
+    below, keys = settle(sink)
+    return value + below, keys, table
 
 
 def _policy(game: Game, i: int, table: dict, keys) -> list:
@@ -535,27 +630,28 @@ def _gap_bce(reach: ProfileReach, state_cap: int) -> GapReport:
     profile's own counterfactual utility there. The deviation value at an
     infoset is the sum of its states' values in the player's table."""
     game = reach.game
-    support = list(profile_support(reach.pi))
+    support = _support_steps(reach)
     budget = _StateBudget(state_cap)
     per_infoset: dict[tuple[int, str], Fraction] = {}
     per_player, witnesses = [], []
     for i in range(game.n):
-        _value, _roots, table = _history_table(game, i, support, budget)
+        _value, _roots, table = _history_table(reach, i, support, budget)
         baseline = _cf_values(reach, i)
-        states: dict[int, list] = {}  # infoset index -> its states, in support order
+        scale = reach.value_scale(i)
+        states: dict[int, list] = {}  # infoset index -> its states, by first
         for key in sorted(table, key=lambda s: table[s][0]):
             states.setdefault(key[0], []).append(key)
-        player_best = ZERO  # identity achieves 0 at every infoset
+        player_best = 0  # identity achieves 0 at every infoset
         player_witness = HistoryPolicyWitness(i, ())
         for iset in game.infosets[i]:
             keys = states.get(iset.index, ())
-            g = sum((table[s][1] for s in keys), ZERO) - baseline[iset.index]
-            per_infoset[(i, iset.id)] = g
+            g = sum(table[s][1] for s in keys) - baseline[iset.index]
+            per_infoset[(i, iset.id)] = Fraction(g, scale)
             if g > player_best:
                 player_best = g
                 player_witness = HistoryPolicyWitness(
                     i, tuple(_policy(game, i, table, keys)), iset.id)
-        per_player.append(player_best)
+        per_player.append(Fraction(player_best, scale))
         witnesses.append(player_witness)
     best = max(range(game.n), key=lambda i: (per_player[i], -i))
     return GapReport("bce", per_player[best], tuple(per_player), per_infoset,
@@ -566,12 +662,12 @@ def _gap_full_efce(reach: ProfileReach, state_cap: int) -> GapReport:
     """Ordinary regret against the history-seeing deviation class: the
     player's table read from the root instead of per infoset."""
     game = reach.game
-    support = list(profile_support(reach.pi))
+    support = _support_steps(reach)
     budget = _StateBudget(state_cap)
     gaps, witnesses = [], []
     for i in range(game.n):
-        value, roots, table = _history_table(game, i, support, budget)
-        gaps.append(value - expected_utility(game, reach.pi, i, reach))
+        value, roots, table = _history_table(reach, i, support, budget)
+        gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
         witnesses.append(HistoryPolicyWitness(i, tuple(_policy(game, i, table, roots))))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
     return GapReport("full-efce", gaps[best], tuple(gaps), None, witnesses[best])

@@ -1,9 +1,16 @@
 """Exact rational scalars.
 
-Every number in this package is a ``fractions.Fraction``: probabilities,
-payoffs, LP pivots, gaps. Fractions are always stored in lowest terms with a
-positive denominator, and arithmetic is exact. Floats never enter a semantic
-path; the only decimal output is display-side formatting in the CLI.
+Every number this package reads or reports is a ``fractions.Fraction``:
+probabilities, payoffs, LP pivots, gaps. Fractions are always stored in
+lowest terms with a positive denominator, and arithmetic is exact. The gap
+dynamic programs, best responses and the off-path rewrite work instead on
+Python ints over one known positive scale (see
+:class:`gametree.metrics.ProfileReach`), from
+:func:`over_common_denominator`: ints are exact too, keep every comparison
+and tie at a common scale, and need no gcd per operation. Each value they
+report is built once, as ``Fraction(value, scale)``. Floats never enter a
+semantic path; the only decimal output is display-side formatting in the
+CLI.
 
 Documents serialize rationals as strings "p/q" or "p".
 """
@@ -13,6 +20,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -44,6 +52,13 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """``(den, ints)`` with ``values[k] == Fraction(ints[k], den)``, where
+    ``den`` is the lcm of the values' denominators (1 for no values)."""
+    den = lcm(*(q.denominator for q in values))
+    return den, tuple(q.numerator * (den // q.denominator) for q in values)
 
 
 def decimal_repr(q: Fraction, digits: int = 20) -> str:

@@ -6,8 +6,8 @@ import pytest
 from gametree import fixtures
 from gametree.randgen import (random_behavior_strategy, random_game, random_mixture,
                               random_pure_profile_mixture, random_pure_strategy)
-from gametree.strategy import (MixtureComponent, MixtureOfProducts,
-                               expand_behavior_products)
+from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
+                               expand_behavior_products, profile_support)
 
 F = Fraction
 
@@ -78,3 +78,21 @@ def _games_and_profiles(seed):
             pi.validate(game)
             out.append((game, pi))
     return out
+
+
+@pytest.fixture(scope="session")
+def replayed_regret():
+    """``replayed_regret(game, pi, witness, utility)``: the support sum of
+    the deviator's ``utility`` swing when ``witness`` rewrites its plan."""
+    return _replayed_regret
+
+
+def _replayed_regret(game, pi, witness, utility):
+    i = witness.player
+    regret = F(0)
+    for w, profile in profile_support(pi):
+        strategies = list(profile.strategies)
+        strategies[i] = witness.apply(game, profile.strategies[i])
+        regret += w * (utility(game, PureProfile(tuple(strategies)), i)
+                       - utility(game, profile, i))
+    return regret

@@ -185,6 +185,53 @@ def test_cbr_event_mass_matches_the_cbr_table(paths, capsys):
                 assert json.loads(out)["value"] == format_rational(entry.value)
 
 
+def test_cbr_builds_one_reach(paths, capsys, monkeypatch):
+    # the response and the printed event mass read the same reach
+    from gametree import metrics
+    built = []
+    init = metrics.ProfileReach.__init__
+
+    def counting(self, game, pi):
+        built.append(pi)
+        init(self, game, pi)
+
+    monkeypatch.setattr(metrics.ProfileReach, "__init__", counting)
+    for sequence in ("Root:NotU", "Root:U", "empty"):
+        built.clear()
+        code, _, _ = run(capsys, "cbr", paths["ebos"], paths["ebos.profile"],
+                         "--player", "P1", "--sequence", sequence)
+        assert code == 0
+        assert len(built) == 1
+
+
+def test_solve_honours_epsilon_with_an_objective(tmp_path, capsys):
+    # the objective is optimized over the profiles within the requested slack;
+    # at slack 0 the output is the exact program's
+    from gametree import optimal_efce
+    rng = random.Random(3)
+    game = random_game(rng, max_players=2, max_nodes=20, max_pure_product=64,
+                       max_pure_per_player=16)
+    objective = random_objective(rng, game)
+    game_path, objective_path = tmp_path / "g.json", tmp_path / "c.json"
+    game_path.write_text(serialize_game(game))
+    objective_path.write_text(json.dumps({"c": {
+        zid: format_rational(c) for zid, c in objective.items()}}))
+    exact, exact_value = optimal_efce(game, objective)
+    outputs = []
+    for extra, value, measured in (((), "0", "0"), (("--epsilon", "0"), "0", "0"),
+                                   (("--epsilon", "1/2"), "25/87", "1/2")):
+        code, out, err = run(capsys, "solve", str(game_path), "--notion", "efce",
+                             "--objective", str(objective_path), *extra)
+        assert code == 0
+        report = json.loads(err)["outputs"]
+        assert (report["objective_value"], report["gap"]) == (value, measured)
+        assert format_rational(gap(game, parse_profile(game, out), "efce").overall) == measured
+        outputs.append(out)
+    assert format_rational(exact_value) == "0"
+    assert outputs[0] == outputs[1] == serialize_profile(game, exact)
+    assert outputs[2] != outputs[0]
+
+
 def test_solve_bce_rejects_epsilon(paths, capsys):
     code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "bce",
                          "--epsilon", "1/4")

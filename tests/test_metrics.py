@@ -199,37 +199,26 @@ def _acts_deep(report) -> bool:
     return any(len(hist) >= 3 for _, hist, _ in report.witness.policy)
 
 
-def _replayed_regret(game, pi, witness, utility):
-    i = witness.player
-    regret = F(0)
-    for w, profile in profile_support(pi):
-        strategies = list(profile.strategies)
-        strategies[i] = witness.apply(game, profile.strategies[i])
-        regret += w * (utility(game, PureProfile(tuple(strategies)), i)
-                       - utility(game, profile, i))
-    return regret
-
-
-def test_gap_witness_replays_to_the_reported_gap(lrr, lrr_pi, ebos, ebos_pi):
+def test_gap_witness_replays_to_the_reported_gap(lrr, lrr_pi, ebos, ebos_pi, replayed_regret):
     # applying the serialized deviation recovers the gap independently
     cases = [(game, pi, gap(game, pi, notion))
              for game, pi, notion in ((lrr, lrr_pi, "efce"), (lrr, lrr_pi, "nfcce"),
                                       (ebos, ebos_pi, "full-efce"))]
     deep = _deep_history_cases("full-efce")
     for game, pi, report in cases + deep:
-        regret = _replayed_regret(game, pi, report.witness, pure_utility)
+        regret = replayed_regret(game, pi, report.witness, pure_utility)
         assert regret == report.per_player[report.witness.player]
     assert sum(_acts_deep(report) for _, _, report in deep) >= 5
 
 
-def test_gap_bce_witness_replays_counterfactually(lrr, lrr_pi):
+def test_gap_bce_witness_replays_counterfactually(lrr, lrr_pi, replayed_regret):
     report = gap(lrr, lrr_pi, "bce")
     assert report.witness.at_infoset == "B"
     assert report.overall == 1
     deep = _deep_history_cases("bce")
     for game, pi, report in [(lrr, lrr_pi, report)] + deep:
         w = report.witness
-        regret = _replayed_regret(
+        regret = replayed_regret(
             game, pi, w, lambda g, p, i: counterfactual_utility(g, p, i, w.at_infoset))
         assert regret == report.per_infoset[(w.player, w.at_infoset)]
         assert regret == report.per_player[w.player] == report.overall
@@ -350,21 +339,23 @@ def test_gap_state_cap_env_override(surj, surj_pi, monkeypatch):
 
 def test_profile_reach_masses_and_rows_match_support_expansion(games_and_profiles):
     for game, pi in games_and_profiles(31):
+        # the tables hold ints over their stated scales
         reach = ProfileReach(game, pi)
         live = [c for c in pi.components if c.alpha != 0]
-        assert reach.alphas == [c.alpha for c in live]
+        assert [F(a, reach.alpha_den) for a in reach.alphas] == [c.alpha for c in live]
         support = list(profile_support(pi))
         for i in range(game.n):
             assert len(reach.masses[i]) == len(live)
             for row, comp in zip(reach.rows[i], live):
-                assert row == [sum((beta for beta, ps in comp.strategies[i]
-                                    if pure_terminal_reach(game, ps, z)), F(0))
-                               for z in game.terminals]
+                assert [F(r, reach.den[i]) for r in row] == [
+                    sum((beta for beta, ps in comp.strategies[i]
+                         if pure_terminal_reach(game, ps, z)), F(0))
+                    for z in game.terminals]
             for seq in game.sequences(i):
                 for masses, comp in zip(reach.masses[i], live):
                     want = sum((beta for beta, ps in comp.strategies[i]
                                 if pure_reaches_sequence(game, ps, seq)), F(0))
-                    assert masses.get(seq, F(0)) == want
+                    assert F(masses.get(seq, 0), reach.den[i]) == want
                 expanded = sum((w for w, p in support
                                 if pure_reaches_sequence(game, p.strategies[i], seq)), F(0))
                 assert reach.event_mass(i, seq) == expanded
@@ -386,7 +377,7 @@ def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
                                 and all(pure_terminal_reach(game, profile.strategies[j], z)
                                         for j in range(game.n) if j != i)):
                             want[z_idx] += w
-                assert got[iset.index] == want
+                assert {z: F(r, reach.scale) for z, r in got[iset.index].items()} == want
 
 
 def test_bce_baseline_matches_support_expansion(games_and_profiles):
@@ -398,7 +389,7 @@ def test_bce_baseline_matches_support_expansion(games_and_profiles):
             for iset in game.infosets[i]:
                 want = sum((w * counterfactual_utility(game, profile, i, iset.id)
                             for w, profile in support), F(0))
-                assert got[iset.index] == want
+                assert F(got[iset.index], reach.value_scale(i)) == want
 
 
 def test_profile_reach_expected_utility_and_outcomes_match_support_expansion(games_and_profiles):
@@ -451,7 +442,8 @@ def test_trigger_weights_match_conditional_reach_below_each_trigger(games_and_pr
                     continue
                 for z in below:
                     t = game.terminals[z]
-                    assert w[z] == t.payoffs[i] * t.chance_reach * cr.reach[z]
+                    assert F(w[z], reach.value_scale(i)) == \
+                        t.payoffs[i] * t.chance_reach * cr.reach[z]
     assert zero_mass > 0
 
 
