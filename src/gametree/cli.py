@@ -111,7 +111,11 @@ def _load_profile(game: Game, path: str, behavior_mode="expand"):
 
 
 def _emit(doc, args=None):
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    _write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args)
+
+
+def _write(text: str, args=None):
+    """``text`` to the -o file if one was given, else to stdout."""
     out = getattr(args, "output", None) if args else None
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -189,7 +193,7 @@ def cmd_convert(args) -> int:
     gap_out = gap(game, out, "bce", reach=reach_out).overall
     same = (outcome_distribution(game, pi, reach_in).probs
             == outcome_distribution(game, out, reach_out).probs)
-    _emit(json.loads(serialize_profile(game, out)), args)
+    _write(serialize_profile(game, out), args)
     print(f"efce gap in:  {format_rational(gap_in)}\n"
           f"bce gap out:  {format_rational(gap_out)}\n"
           f"outcome-equivalent: {same}", file=sys.stderr)
@@ -199,7 +203,7 @@ def cmd_convert(args) -> int:
 def cmd_decompose(args) -> int:
     game = _load_game(args.game)
     pi = _load_profile(game, args.profile, behavior_mode="decompose")
-    _emit(json.loads(serialize_profile(game, pi)), args)
+    _write(serialize_profile(game, pi), args)
     return EXIT_OK
 
 
@@ -241,7 +245,7 @@ def cmd_solve(args) -> int:
     else:
         pi, value, measured = _solve_program(game, epsilon, objective)
     reach = ProfileReach(game, pi)
-    _emit(json.loads(serialize_profile(game, pi)), args)
+    _write(serialize_profile(game, pi), args)
     report = {
         "command": "solve",
         "inputs": {"game": {"path": args.game, "sha256": _sha256(args.game)}},

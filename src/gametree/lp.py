@@ -2,11 +2,30 @@
 
 Dense two-phase primal simplex with Bland's smallest-index rule for both the
 entering and leaving choices, so no cycling and fully deterministic pivots.
-Every coefficient is a Fraction and every returned optimum is certified
-before it leaves this module: original constraints and bounds are re-checked
-with zero residual, the objective is recomputed from the solution, and the
-final reduced costs must carry optimal signs. Infeasible and unbounded are
-ordinary outcomes, not errors.
+
+The tableau holds Python ints, never Fractions. Each row of the
+standardized program is scaled by the lcm of its denominators (its
+``scale``), and all rows share one positive ``det``: an entry ``v`` stands
+for ``v / det``. A pivot on entry ``p`` at ``(r, j)`` is the Edmonds/Bareiss
+fraction-free update ``row_k = (row_k * p - row_k[j] * row_r) // det``,
+then ``det = p``; every entry is a minor of the starting rows, so the
+division is exact and no gcd is taken (the "integer pivoting" of Avis's
+lrs). The reduced-cost row is carried the same way. A row scale multiplies
+that row's slack or artificial by a positive constant, which changes no
+sign and no ratio the pivot rule compares, and each artificial costs
+``-1 / scale`` in phase 1, so the pivots are exactly those of the same
+simplex on Fractions. The solution is built once, as ``Fraction(rhs, det)``.
+
+Every returned optimum is certified against the original program, not the
+tableau, before it leaves this module. Primal: every constraint and bound
+holds with zero residual, and the objective is recomputed from the
+solution. Dual: ``y``, read off the final reduced costs (minus the reduced
+cost at each row's slack or artificial column), has the sign each row's
+relation asks, leaves every variable a reduced cost its bounds absorb, and
+bounds the objective by exactly the value found. By weak duality the two
+prove optimality, whatever the pivots did. The final reduced costs must
+also carry optimal signs. Infeasible and unbounded are ordinary outcomes,
+not errors.
 
 Problem sizes here are desk scale (hundreds of variables); no sparsity, no
 revised simplex, no floating point.
@@ -16,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import InternalCheckError
-from .rational import format_rational
+from .rational import format_rational, over_common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,25 +89,22 @@ class LPResult:
 def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve exactly; certificates are checked before returning an optimum."""
     std = _Standardized(lp)
-    tab = _Tableau(std.rows, std.rhs, std.num_cols)
+    tab = _Tableau(std)
     if not tab.phase_one():
         return LPResult("infeasible", None, None)
-    status = tab.phase_two(std.objective)
-    if status == "unbounded":
+    if tab.phase_two(std.objective) == "unbounded":
         return LPResult("unbounded", None, None)
-    y = tab.solution(std.num_cols)
-    x = std.recover(y)
-    value = _dot(lp.objective, x)
-    _certify(lp, x, value, tab, std)
-    return LPResult("optimal", tuple(x), value)
-
-
-def _dot(coeffs: dict[int, Fraction], x) -> Fraction:
-    return sum((c * x[j] for j, c in coeffs.items()), ZERO)
+    x = std.recover(tab.solution())
+    return LPResult("optimal", tuple(x), _certify(lp, x, tab, std))
 
 
 class _Standardized:
-    """Rewrite general form into max c.y, A y rel b, y >= 0."""
+    """Rewrite general form into max c.y, A y rel b, y >= 0, on int rows.
+
+    Row ``r`` of the rewritten program is ``rows[r] / scale[r]``, with
+    right-hand side ``rhs[r] / scale[r]`` (lower bounds folded in), and its
+    objective is ``objective / cost_scale``.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -113,25 +130,32 @@ class _Standardized:
                     extra_rows.append(({}, LE, Fraction(-1)))  # trivially infeasible
                 extra_rows.append(({j: ONE}, LE, hi))
         self.num_cols = cols
-        sign = ONE if lp.maximize else Fraction(-1)
-        self.objective = [ZERO] * cols
-        for j, c in lp.objective.items():
+        sign = 1 if lp.maximize else -1
+        self.cost_scale, costs = over_common_denominator(lp.objective.values())
+        self.objective = [0] * cols
+        for j, c in zip(lp.objective, costs):
             self.objective[self.pos_col[j]] += sign * c
             if self.neg_col[j] is not None:
                 self.objective[self.neg_col[j]] -= sign * c
-        self.rows: list[tuple[list[Fraction], str]] = []
-        self.rhs: list[Fraction] = []
+        self.rows: list[tuple[list[int], str]] = []
+        self.rhs: list[int] = []
+        self.scale: list[int] = []
         all_rows = [(c.coeffs, c.rel, c.rhs) for c in lp.constraints] + extra_rows
         for coeffs, rel, rhs in all_rows:
-            row = [ZERO] * cols
             b = rhs
             for j, c in coeffs.items():
-                row[self.pos_col[j]] += c
+                if self.shift[j]:
+                    b -= c * self.shift[j]
+            den = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+            row = [0] * cols
+            for j, c in coeffs.items():
+                v = c.numerator * (den // c.denominator)
+                row[self.pos_col[j]] += v
                 if self.neg_col[j] is not None:
-                    row[self.neg_col[j]] -= c
-                b -= c * self.shift[j]
+                    row[self.neg_col[j]] -= v
             self.rows.append((row, rel))
-            self.rhs.append(b)
+            self.rhs.append(b.numerator * (den // b.denominator))
+            self.scale.append(den)
 
     def recover(self, y: list[Fraction]) -> list[Fraction]:
         x = []
@@ -144,98 +168,86 @@ class _Standardized:
 
 
 class _Tableau:
-    def __init__(self, rows, rhs, n: int):
-        self.artificial: set[int] = set()
-        self.rows: list[list[Fraction]] = []
-        self.basis: list[int] = []
-        ncols = n
-        specs = []
-        for (row, rel), b in zip(rows, rhs):
-            row = list(row)
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            specs.append((row, rel, b))
-            ncols += 1 if rel != EQ else 0
-        # second pass: artificials for >= and == rows
-        for _row, rel, _b in specs:
-            if rel != LE:
-                ncols += 1
-        self.ncols = ncols
-        col = n
-        art_rows = []
-        for row, rel, b in specs:
-            full = row + [ZERO] * (ncols - n)
-            if rel == LE:
-                full[col] = ONE
-                self.basis.append(col)
-                col += 1
-            elif rel == GE:
-                full[col] = Fraction(-1)
-                col += 1
-                full[col] = ONE
-                self.artificial.add(col)
-                self.basis.append(col)
-                art_rows.append(len(self.rows))
-                col += 1
-            else:
-                full[col] = ONE
-                self.artificial.add(col)
-                self.basis.append(col)
-                art_rows.append(len(self.rows))
-                col += 1
-            full.append(b)
-            self.rows.append(full)
-        self.n_structural = n
-        self._art_rows = art_rows
+    """The standardized rows as ints over one shared positive ``det``.
 
-    def _pivot(self, r: int, j: int, z: list[Fraction]):
-        piv = self.rows[r][j]
-        self.rows[r] = [v / piv for v in self.rows[r]]
+    Program row ``i`` enters as its ints times ``flip``, -1 when its
+    right-hand side is negative, plus one identity column ``dual_col[i]``:
+    its slack for ``<=``, else its artificial (after a surplus for ``>=``).
+    ``basis[r]`` is the column basic in tableau row ``r``; phase 1 may drop
+    redundant rows, so ``rows`` can end shorter than ``dual_col``.
+    """
+
+    def __init__(self, std: _Standardized):
+        n = std.num_cols
+        specs = []
+        for (row, rel), b, scale in zip(std.rows, std.rhs, std.scale):
+            flip = 1
+            if b < 0:
+                row, b, flip = [-v for v in row], -b, -1
+                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            specs.append((row, rel, b, flip, scale))
+        self.ncols = n + sum((rel != EQ) + (rel != LE) for _, rel, _, _, _ in specs)
+        self.n_structural = n
+        self.det = 1
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.artificial: set[int] = set()
+        self.dual_col: list[int] = []
+        self.dual_scale: list[int] = []  # flip * scale, per program row
+        self.art_scale: dict[int, int] = {}  # artificial column -> its row's scale
+        col = n
+        for row, rel, b, flip, scale in specs:
+            full = row + [0] * (self.ncols - n) + [b]
+            if rel == GE:
+                full[col] = -1
+                col += 1
+            full[col] = 1
+            if rel != LE:
+                self.artificial.add(col)
+                self.art_scale[col] = scale
+            self.basis.append(col)
+            self.dual_col.append(col)
+            self.dual_scale.append(flip * scale)
+            self.rows.append(full)
+            col += 1
+
+    def _pivot(self, r: int, j: int, z: list[int]):
         prow = self.rows[r]
+        p, det = prow[j], self.det
+        if p < 0:  # -prow over -p is prow over p, and keeps det positive
+            prow = self.rows[r] = [-v for v in prow]
+            p = -p
         for k, row in enumerate(self.rows):
-            if k != r and row[j] != 0:
-                f = row[j]
-                self.rows[k] = [a - f * b for a, b in zip(row, prow)]
-        if z[j] != 0:
-            f = z[j]
-            z[:] = [a - f * b for a, b in zip(z, prow)]
+            if k != r:
+                self.rows[k] = _bareiss(row, prow, j, p, det)
+        z[:] = _bareiss(z, prow, j, p, det)
+        self.det = p
         self.basis[r] = j
 
-    def _reduced_costs(self, c: list[Fraction]) -> list[Fraction]:
-        z = list(c)
+    def _reduced_costs(self, c: list[int]) -> list[int]:
+        """``c - c_B B^-1 A``, over ``det`` times the scale of ``c``."""
+        z = [v * self.det for v in c]
         for r, bv in enumerate(self.basis):
             cb = c[bv]
-            if cb != 0:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        z[j] -= cb * row[j]
+            if cb:
+                z = [a - cb * b for a, b in zip(z, self.rows[r])]
         return z
 
-    def _value(self, c: list[Fraction]) -> Fraction:
-        return sum((c[bv] * self.rows[r][-1] for r, bv in enumerate(self.basis)), ZERO)
-
-    def _simplex(self, z: list[Fraction], allowed) -> str:
+    def _simplex(self, z: list[int], excluded) -> str:
         while True:
-            enter = None
-            for j in range(self.ncols):
-                if allowed(j) and z[j] > 0:
-                    enter = j
-                    break
+            enter = next((j for j, v in enumerate(z) if v > 0 and j not in excluded), None)
             if enter is None:
                 return "optimal"
+            # least ratio rhs / a over a > 0, compared cross-multiplied, ties
+            # to the least basic column
             leave = None
-            best = None
             for r, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    key = (ratio, self.basis[r])
-                    if best is None or key < best:
-                        best = key
-                        leave = r
+                    b = row[-1]
+                    if leave is None or b * best_a < best_b * a or (
+                            b * best_a == best_b * a and self.basis[r] < self.basis[leave]):
+                        leave, best_a, best_b = r, a, b
             if leave is None:
                 return "unbounded"
             self._pivot(leave, enter, z)
@@ -243,21 +255,22 @@ class _Tableau:
     def phase_one(self) -> bool:
         if not self.artificial:
             return True
-        c = [ZERO] * self.ncols
-        for j in self.artificial:
-            c[j] = Fraction(-1)
+        # the artificial of a row of scale s is s times the Fraction one
+        scale = lcm(*self.art_scale.values())
+        c = [0] * self.ncols
+        for j, s in self.art_scale.items():
+            c[j] = -(scale // s)
         z = self._reduced_costs(c)
-        status = self._simplex(z, lambda j: True)
+        status = self._simplex(z, ())
         if status != "optimal":  # the phase-1 objective is bounded above by 0
             raise InternalCheckError(f"phase 1 ended {status}, not optimal")
-        if self._value(c) != 0:
+        if sum(c[bv] * row[-1] for bv, row in zip(self.basis, self.rows)) != 0:
             return False
         # drive remaining artificials out of the basis; drop redundant rows
         for r in range(len(self.rows) - 1, -1, -1):
             if self.basis[r] in self.artificial:
                 prow = self.rows[r]
-                pivot_col = next((j for j in range(self.n_structural)
-                                  if prow[j] != 0), None)
+                pivot_col = next((j for j in range(self.n_structural) if prow[j]), None)
                 if pivot_col is None:
                     del self.rows[r]
                     del self.basis[r]
@@ -265,36 +278,90 @@ class _Tableau:
                     self._pivot(r, pivot_col, z)
         return True
 
-    def phase_two(self, objective: list[Fraction]) -> str:
-        c = objective + [ZERO] * (self.ncols - self.n_structural)
-        for j in self.artificial:
-            c[j] = ZERO
+    def phase_two(self, objective: list[int]) -> str:
+        c = objective + [0] * (self.ncols - self.n_structural)
         z = self._reduced_costs(c)
-        status = self._simplex(z, lambda j: j not in self.artificial)
+        status = self._simplex(z, self.artificial)
         self._final_z = z
         return status
 
-    def solution(self, num_cols: int) -> list[Fraction]:
-        y = [ZERO] * self.ncols
+    def solution(self) -> list[Fraction]:
+        y = [ZERO] * self.n_structural
         for r, bv in enumerate(self.basis):
-            y[bv] = self.rows[r][-1]
-        return y[:num_cols]
+            if bv < self.n_structural:
+                y[bv] = Fraction(self.rows[r][-1], self.det)
+        return y
+
+    def duals(self) -> list[int]:
+        """Each program row's dual, over ``det`` times the cost scale: minus
+        the final reduced cost at its ``dual_col``, times its flip and
+        scale. A row phase 1 dropped reads 0, as its artificial column stays
+        a unit column of that row."""
+        z = self._final_z
+        return [-z[col] * s for col, s in zip(self.dual_col, self.dual_scale)]
 
 
-def _certify(lp: LinearProgram, x, value, tab: _Tableau, std: _Standardized):
-    for c in lp.constraints:
-        lhs = _dot(c.coeffs, x)
-        ok = lhs <= c.rhs if c.rel == LE else lhs >= c.rhs if c.rel == GE else lhs == c.rhs
-        if not ok:
+def _bareiss(row: list[int], prow: list[int], j: int, p: int, det: int) -> list[int]:
+    """``row`` after a pivot on ``p = prow[j]``, its old divisor ``det``."""
+    f = row[j]
+    if f:
+        return [(a * p - f * b) // det for a, b in zip(row, prow)]
+    if p == det:
+        return row
+    return [a * p // det for a in row]
+
+
+def _certify(lp: LinearProgram, x, tab: _Tableau, std: _Standardized) -> Fraction:
+    """The objective value of ``x``, once ``x`` and the tableau's duals are
+    checked against ``lp`` itself, in ints over the lcm ``g`` of its
+    coefficients' denominators."""
+    rows = lp.constraints
+    g = lcm(*(q.denominator for c in rows for q in c.coeffs.values()),
+            *(c.rhs.denominator for c in rows),
+            *(q.denominator for q in lp.objective.values()))
+    scaled = [({j: q.numerator * (g // q.denominator) for j, q in c.coeffs.items()},
+               c.rel, c.rhs.numerator * (g // c.rhs.denominator)) for c in rows]
+    cost = {j: q.numerator * (g // q.denominator) for j, q in lp.objective.items()}
+    # primal: x = xs / dx
+    dx, xs = over_common_denominator(x)
+    for coeffs, rel, b in scaled:
+        lhs, rhs = sum(a * xs[j] for j, a in coeffs.items()), b * dx
+        if not (lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs):
             raise InternalCheckError(
-                f"optimum violates constraint: {format_rational(lhs)} {c.rel} "
-                f"{format_rational(c.rhs)}")
+                f"optimum violates constraint: {format_rational(Fraction(lhs, g * dx))} "
+                f"{rel} {format_rational(Fraction(rhs, g * dx))}")
     for j in range(lp.num_vars):
         lo, hi = lp.bound(j)
         if (lo is not None and x[j] < lo) or (hi is not None and x[j] > hi):
             raise InternalCheckError(f"optimum violates bounds of variable {j}")
-    if _dot(lp.objective, x) != value:
-        raise InternalCheckError("objective value does not match the solution")
+    value = Fraction(sum(a * xs[j] for j, a in cost.items()), g * dx)
     for j in range(tab.ncols):
         if j not in tab.artificial and tab._final_z[j] > 0 and j not in tab.basis:
             raise InternalCheckError("positive reduced cost at claimed optimum")
+    # dual: y = ys / dy for max sign * c.x; weak duality bounds the objective
+    # by b.y plus, per variable, its reduced cost d_j times the bound it
+    # pushes against, and that bound must be value itself
+    sign = 1 if lp.maximize else -1
+    dy = tab.det * std.cost_scale
+    ys = tab.duals()
+    d = [0] * lp.num_vars
+    for j, a in cost.items():
+        d[j] = sign * a * dy
+    bound = 0
+    for (coeffs, rel, b), y in zip(scaled, ys):
+        if (rel == LE and y < 0) or (rel == GE and y > 0):
+            raise InternalCheckError(f"dual of a {rel} row has the wrong sign")
+        if y:
+            bound += b * y
+            for j, a in coeffs.items():
+                d[j] -= a * y
+    pushed = ZERO
+    for j, dj in enumerate(d):
+        if dj:
+            limit = lp.bound(j)[1 if dj > 0 else 0]
+            if limit is None:
+                raise InternalCheckError(f"dual is infeasible at variable {j}")
+            pushed += dj * limit
+    if bound + pushed != sign * value * (g * dy):
+        raise InternalCheckError("dual bound does not match the optimum")
+    return value

@@ -1,14 +1,16 @@
 """Exact rational scalars.
 
 Every number this package reads or reports is a ``fractions.Fraction``:
-probabilities, payoffs, LP pivots, gaps. Fractions are always stored in
+probabilities, payoffs, LP solutions, gaps. Fractions are always stored in
 lowest terms with a positive denominator, and arithmetic is exact. The gap
 dynamic programs, best responses and the off-path rewrite work instead on
 Python ints over one known positive scale (see
 :class:`gametree.metrics.ProfileReach`), from
-:func:`over_common_denominator`: ints are exact too, keep every comparison
-and tie at a common scale, and need no gcd per operation. Each value they
-report is built once, as ``Fraction(value, scale)``. Floats never enter a
+:func:`over_common_denominator`, and the simplex pivots an int tableau whose
+rows share one determinant (see :mod:`gametree.lp`): ints are exact too,
+keep every comparison and tie at a common scale, and need no gcd per
+operation. Each value they report is built once, as
+``Fraction(value, scale)``. Floats never enter a
 semantic path; the only decimal output is display-side formatting in the
 CLI.
 

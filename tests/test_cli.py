@@ -16,9 +16,10 @@ def paths(tmp_path):
         p = tmp_path / f"{name}.game.json"
         p.write_text(fixtures.fixture_text(f"{name}.game.json"))
         out[name] = str(p)
-    prof = tmp_path / "ebos.profile.json"
-    prof.write_text(fixtures.fixture_text("ebos.profile.json"))
-    out["ebos.profile"] = str(prof)
+    for name in ("ebos", "surj"):
+        prof = tmp_path / f"{name}.profile.json"
+        prof.write_text(fixtures.fixture_text(f"{name}.profile.json"))
+        out[f"{name}.profile"] = str(prof)
     beh = tmp_path / "lrr.behavior.json"
     beh.write_text(fixtures.fixture_text("lrr.behavior.json"))
     out["lrr.behavior"] = str(beh)
@@ -137,6 +138,23 @@ def test_convert_is_deterministic(paths, capsys):
     run(capsys, "convert", paths["lrr"], paths["lrr.behavior"], "-o", str(a))
     run(capsys, "convert", paths["lrr"], paths["lrr.behavior"], "-o", str(b))
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "ebos", "ebos.profile"), ("convert", "lrr", "lrr.behavior"),
+    ("convert", "surj", "surj.profile"), ("decompose", "lrr", "lrr.behavior"),
+    ("decompose", "ebos", "ebos.profile"), ("solve", "ebos", "--notion", "efce"),
+    ("solve", "lrr", "--notion", "bce"), ("solve", "surj", "--notion", "efce")])
+def test_profile_output_bytes_match_the_json_round_trip(paths, capsys, argv):
+    # the profile is printed as serialize_profile's text; the commands used
+    # to decode it and encode it again with the same settings
+    argv = [paths.get(a, a) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+    written = paths["tmp"] / "out.json"
+    assert run(capsys, *argv, "-o", str(written))[:2] == (0, "")
+    assert written.read_bytes() == out.encode("utf-8")
 
 
 def test_decompose(paths, capsys):

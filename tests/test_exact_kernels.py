@@ -141,20 +141,84 @@ def test_history_tables_match_the_expanded_support(games_and_profiles):
     cases = games_and_profiles(40) + _three_player_cases()
     cases += [(game, _reversed(pi)) for game, pi in cases]
     for game, pi in cases + [(game, _padded(rng, game, pi)) for game, pi in cases[::3]]:
-        reach = ProfileReach(game, pi)
-        support = list(profile_support(pi))
-        for i in range(game.n):
-            value, roots, table = _history_table(reach, i, _support_steps(reach),
-                                                 _StateBudget(10 ** 6))
-            want_value, want_roots, want = _expanded_history_table(game, i, support)
-            scale = reach.value_scale(i)
-            assert F(value, scale) == want_value
-            assert roots == want_roots
-            assert {key: (F(v, scale), a, children)
-                    for key, (_, v, a, children) in table.items()} == \
-                {key: (v, a, children) for key, (_, v, a, children) in want.items()}
-            assert sorted(table, key=lambda s: (s[0], table[s][0])) == \
-                sorted(want, key=lambda s: (s[0], want[s][0]))
+        _assert_tables_match(game, pi)
+
+
+def _assert_tables_match(game, pi):
+    reach = ProfileReach(game, pi)
+    support = list(profile_support(pi))
+    for i in range(game.n):
+        value, roots, table = _history_table(reach, i, _support_steps(reach),
+                                             _StateBudget(10 ** 6))
+        want_value, want_roots, want = _expanded_history_table(game, i, support)
+        scale = reach.value_scale(i)
+        assert F(value, scale) == want_value
+        assert roots == want_roots
+        assert {key: (F(v, scale), a, children)
+                for key, (_, v, a, children) in table.items()} == \
+            {key: (v, a, children) for key, (_, v, a, children) in want.items()}
+        assert sorted(table, key=lambda s: (s[0], table[s][0])) == \
+            sorted(want, key=lambda s: (s[0], want[s][0]))
+
+
+def _opponent_fork_cases(seed, count):
+    """Seeded games rooted at a node of B with two or three actions, each
+    leading (at times through a chance move) to infosets of A of its own, so
+    one plan of A meets several infosets below one node of B; some actions
+    of A lead to a further such fork. In every profile some component lists
+    B's plans so that the lowest plan taking each root action does not rise
+    with the actions' tree order, where a walk through the support meets
+    A's infosets in an order the tree does not give."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        names = iter(range(1000))
+
+        def own(nested):
+            return {"kind": "decision", "player": 0, "infoset": f"A{next(names)}",
+                    "actions": [{"label": label, "child": fork(False) if nested and
+                                 rng.random() < 0.4 else
+                                 {"kind": "terminal",
+                                  "payoffs": [str(rng.randint(-3, 3)) for _ in "AB"]}}
+                                for label in "xy"]}
+
+        def fork(nested):
+            children = [{"kind": "chance", "actions": [
+                {"label": label, "prob": "1/2", "child": own(nested)} for label in "ht"]}
+                if rng.random() < 0.3 else own(nested) for _ in range(rng.randint(2, 3))]
+            return {"kind": "decision", "player": 1, "infoset": f"B{next(names)}",
+                    "actions": [{"label": f"b{m}", "child": child}
+                                for m, child in enumerate(children)]}
+
+        game = parse_game(json.dumps({"players": ["A", "B"], "root": fork(True)}))
+        root = game.root.infoset
+
+        def mix(player, size):
+            cuts = sorted(rng.sample(range(1, 12), size - 1))
+            return tuple((F(b - a, 12), random_pure_strategy(rng, game, player))
+                         for a, b in zip([0] + cuts, cuts + [12]))
+
+        components = tuple(MixtureComponent(alpha, (mix(0, rng.randint(1, 2)),
+                                                    mix(1, rng.randint(2, 3))))
+                           for alpha in ((F(1),), (F(1, 3), F(2, 3)))[rng.randint(0, 1)])
+
+        def out_of_tree_order(component):
+            plays = [plan.actions[root.index] for _, plan in component.strategies[1]]
+            lowest = [plays.index(a) for a in root.actions if a in plays]
+            return lowest != sorted(lowest)
+
+        if any(out_of_tree_order(c) for c in components):
+            pi = MixtureOfProducts(components)
+            pi.validate(game)
+            cases.append((game, pi))
+    return cases
+
+
+def test_states_below_an_opponent_fork_are_ranked_by_the_plan_order():
+    # the hand-built case below, drawn: the expanded walk meets A's states
+    # in B's plan order, which the factorized table must reproduce
+    for game, pi in _opponent_fork_cases(57, 40):
+        _assert_tables_match(game, pi)
 
 
 def test_states_are_met_in_the_opponents_plan_order():

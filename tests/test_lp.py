@@ -1,7 +1,12 @@
+import copy
 import random
 from fractions import Fraction
 
-from gametree.lp import EQ, GE, LE, LinearProgram, lp_solve
+import pytest
+
+from gametree import lp as lpmod
+from gametree.errors import InternalCheckError
+from gametree.lp import EQ, GE, LE, LinearProgram, LPResult, lp_solve
 
 F = Fraction
 
@@ -143,3 +148,317 @@ def test_random_lps_agree_with_vertex_enumeration():
 def test_contradictory_bounds_are_infeasible():
     lp = LinearProgram(num_vars=1, objective={0: F(1)}, bounds=[(F(2), F(1))])
     assert lp_solve(lp).status == "infeasible"
+
+
+# -- the fraction-free kernel against the Fraction tableau it replaced ----------
+
+
+class _FractionTableau:
+    """The reference: the dense Fraction tableau with Bland's rule that the
+    integer kernel replaced, on the unscaled standardized rows. ``pivots``
+    lists (entering column, leaving basic column) in order."""
+
+    def __init__(self, rows, rhs, n):
+        self.artificial, self.rows, self.basis, self.pivots = set(), [], [], []
+        specs = []
+        for (row, rel), b in zip(rows, rhs):
+            if b < 0:
+                row, b, rel = [-v for v in row], -b, {LE: GE, GE: LE, EQ: EQ}[rel]
+            specs.append((list(row), rel, b))
+        self.ncols = n + sum((rel != EQ) + (rel != LE) for _, rel, _ in specs)
+        self.n_structural = n
+        col = n
+        for row, rel, b in specs:
+            full = row + [F(0)] * (self.ncols - n)
+            if rel == GE:
+                full[col] = F(-1)
+                col += 1
+            full[col] = F(1)
+            if rel != LE:
+                self.artificial.add(col)
+            self.basis.append(col)
+            col += 1
+            self.rows.append(full + [b])
+
+    def pivot(self, r, j, z):
+        self.pivots.append((j, self.basis[r]))
+        piv = self.rows[r][j]
+        prow = self.rows[r] = [v / piv for v in self.rows[r]]
+        for k, row in enumerate(self.rows):
+            if k != r and row[j] != 0:
+                f = row[j]
+                self.rows[k] = [a - f * b for a, b in zip(row, prow)]
+        if z[j] != 0:
+            f = z[j]
+            z[:] = [a - f * b for a, b in zip(z, prow)]
+        self.basis[r] = j
+
+    def reduced_costs(self, c):
+        z = list(c)
+        for r, bv in enumerate(self.basis):
+            for j in range(self.ncols):
+                z[j] -= c[bv] * self.rows[r][j]
+        return z
+
+    def simplex(self, z, allowed):
+        while True:
+            enter = next((j for j in range(self.ncols) if allowed(j) and z[j] > 0), None)
+            if enter is None:
+                return "optimal"
+            keys = [(row[-1] / row[enter], self.basis[r], r)
+                    for r, row in enumerate(self.rows) if row[enter] > 0]
+            if not keys:
+                return "unbounded"
+            self.pivot(min(keys)[2], enter, z)
+
+    def phase_one(self):
+        if not self.artificial:
+            return True
+        c = [F(-1) if j in self.artificial else F(0) for j in range(self.ncols)]
+        z = self.reduced_costs(c)
+        assert self.simplex(z, lambda j: True) == "optimal"
+        if sum(c[bv] * self.rows[r][-1] for r, bv in enumerate(self.basis)) != 0:
+            return False
+        for r in range(len(self.rows) - 1, -1, -1):
+            if self.basis[r] in self.artificial:
+                col = next((j for j in range(self.n_structural) if self.rows[r][j]), None)
+                if col is None:
+                    del self.rows[r], self.basis[r]
+                else:
+                    self.pivot(r, col, z)
+        return True
+
+    def phase_two(self, objective):
+        c = objective + [F(0)] * (self.ncols - self.n_structural)
+        return self.simplex(self.reduced_costs(c), lambda j: j not in self.artificial)
+
+
+def _fraction_program(lp):
+    """``lp`` as max c.y, rows, y >= 0 in Fractions, the way the Fraction
+    kernel standardized it, and the map from y back to x."""
+    cols, shift, where, extra = 0, [], [], []
+    for j in range(lp.num_vars):
+        lo, hi = lp.bound(j)
+        where.append((cols, cols + 1 if lo is None else None))
+        shift.append(F(0) if lo is None else lo)
+        cols += 1 if lo is not None else 2
+        if hi is not None:
+            if lo is not None and hi < lo:
+                extra.append(({}, LE, F(-1)))
+            extra.append(({j: F(1)}, LE, hi))
+
+    def spread(coeffs):
+        row = [F(0)] * cols
+        for j, c in coeffs.items():
+            pos, neg = where[j]
+            row[pos] += c
+            if neg is not None:
+                row[neg] -= c
+        return row
+
+    program = [(c.coeffs, c.rel, c.rhs) for c in lp.constraints] + extra
+    rows = [(spread(coeffs), rel) for coeffs, rel, _ in program]
+    rhs = [b - sum((c * shift[j] for j, c in coeffs.items()), F(0))
+           for coeffs, _, b in program]
+    objective = [c if lp.maximize else -c for c in spread(lp.objective)]
+
+    def recover(y):
+        return [shift[j] + y[pos] - (y[neg] if neg is not None else 0)
+                for j, (pos, neg) in enumerate(where)]
+
+    return rows, rhs, objective, recover
+
+
+def _reference_solve(lp):
+    """``(outcome, pivots)`` of the Fraction kernel: its ``LPResult``, or the
+    name of the exception the primal check raised on its optimum."""
+    rows, rhs, objective, recover = _fraction_program(lp)
+    tab = _FractionTableau(rows, rhs, len(objective))
+    if not tab.phase_one():
+        return LPResult("infeasible", None, None), tab.pivots
+    if tab.phase_two(objective) == "unbounded":
+        return LPResult("unbounded", None, None), tab.pivots
+    y = [F(0)] * len(objective)
+    for r, bv in enumerate(tab.basis):
+        if bv < len(objective):
+            y[bv] = tab.rows[r][-1]
+    x = recover(y)
+    for c in lp.constraints:
+        lhs = sum((a * x[j] for j, a in c.coeffs.items()), F(0))
+        if not {LE: lhs <= c.rhs, GE: lhs >= c.rhs, EQ: lhs == c.rhs}[c.rel]:
+            return "InternalCheckError", tab.pivots
+    value = sum((c * x[j] for j, c in lp.objective.items()), F(0))
+    return LPResult("optimal", tuple(x), value), tab.pivots
+
+
+def _kernel_solve(lp, monkeypatch):
+    """``(outcome, pivots)`` of :func:`lp_solve`, asserting that every
+    Bareiss division of every pivot leaves no remainder."""
+    pivots = []
+    pivot = lpmod._Tableau._pivot
+
+    def checked(tab, r, j, z):
+        pivots.append((j, tab.basis[r]))
+        prow, det = tab.rows[r], tab.det
+        p = prow[j]
+        for row in [row for k, row in enumerate(tab.rows) if k != r] + [z]:
+            assert all((a * p - row[j] * b) % det == 0 for a, b in zip(row, prow))
+        pivot(tab, r, j, z)
+
+    with monkeypatch.context() as m:
+        m.setattr(lpmod._Tableau, "_pivot", checked)
+        try:
+            return lp_solve(lp), pivots
+        except InternalCheckError:
+            return "InternalCheckError", pivots
+
+
+def _hand_built_programs():
+    beale = LinearProgram(num_vars=4, objective={0: F(3, 4), 1: F(-150), 2: F(1, 50),
+                                                 3: F(-6)})
+    beale.add({0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)}, LE, F(0))
+    beale.add({0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)}, LE, F(0))
+    beale.add({2: F(1)}, LE, F(1))
+    redundant = LinearProgram(num_vars=3, objective={0: F(1), 2: F(-1, 3)})
+    redundant.add({0: F(1), 1: F(1)}, EQ, F(1))
+    redundant.add({0: F(2), 1: F(2)}, EQ, F(2))
+    redundant.add({0: F(-1, 2), 1: F(-1, 2), 2: F(1)}, EQ, F(-1, 2))
+    infeasible = LinearProgram(num_vars=2)
+    infeasible.add({0: F(1), 1: F(1)}, LE, F(1, 2))
+    infeasible.add({0: F(1), 1: F(1)}, GE, F(2, 3))
+    unbounded = LinearProgram(num_vars=2, objective={0: F(1), 1: F(1)})
+    unbounded.add({0: F(1), 1: F(-1)}, LE, F(-1, 3))
+    bounded = LinearProgram(num_vars=2, objective={0: F(2), 1: F(-1)}, maximize=False,
+                            bounds=[(F(-5, 2), F(3)), (None, F(7, 4))])
+    bounded.add({0: F(1), 1: F(1)}, GE, F(-4))
+    free = LinearProgram(num_vars=2, objective={0: F(1), 1: F(2)},
+                         bounds=[(None, None), (None, None)])
+    free.add({0: F(1), 1: F(1)}, EQ, F(-3, 5))
+    free.add({0: F(-1), 1: F(1)}, LE, F(2))
+    # x <= 1 and x >= 1: phase 1 drops the second row, which is zero on x but
+    # not on the first row's slack, so the optimum breaks it; the kernels agree
+    tight = LinearProgram(num_vars=1, objective={0: F(1)}, maximize=False)
+    tight.add({0: F(1)}, LE, F(1))
+    tight.add({0: F(1)}, GE, F(1))
+    return [beale, redundant, infeasible, unbounded, bounded, free, tight]
+
+
+def _random_program(rng):
+    n, m = rng.randint(1, 5), rng.randint(1, 4)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+
+    bounds = [rng.choice([(F(0), None), (F(0), None), (None, None), (q(), None),
+                          (None, q()), tuple(sorted((q(), q())))]) for _ in range(n)]
+    lp = LinearProgram(num_vars=n, objective={j: q() for j in range(n) if rng.random() < 0.7},
+                       maximize=rng.random() < 0.5, bounds=bounds)
+    for _ in range(m):
+        lp.add({j: q() for j in range(n) if rng.random() < 0.7}, rng.choice((LE, LE, GE, EQ)),
+               q())
+    if rng.random() < 0.2:  # a redundant copy of a row, scaled
+        c = rng.choice(lp.constraints)
+        k = F(rng.randint(1, 3), rng.randint(1, 3))
+        lp.add({j: k * a for j, a in c.coeffs.items()}, c.rel, k * c.rhs)
+    return lp
+
+
+def _solver_programs(monkeypatch):
+    """Every program ``_solve_program`` solves on the fixtures and on seeded
+    random games, feasible and optimal, at epsilon 0 and 1/4."""
+    from gametree import equilibrium, fixtures
+    from gametree.randgen import random_game, random_objective
+
+    rng = random.Random(9)
+    games = [fixtures.load_game(name) for name in ("ebos", "lrr", "surj")]
+    games += [random_game(rng, max_players=3, max_nodes=20, max_pure_product=64,
+                          max_pure_per_player=16) for _ in range(24)]
+    programs = []
+    solve = equilibrium.lp_solve
+
+    def recording(lp):
+        programs.append(copy.deepcopy(lp))
+        return solve(lp)
+
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "lp_solve", recording)
+        for game in games:
+            for epsilon in (F(0), F(1, 4)):
+                equilibrium._solve_program(game, epsilon, None)
+                equilibrium._solve_program(game, epsilon, random_objective(rng, game))
+    return programs
+
+
+def test_integer_kernel_pivots_like_the_fraction_tableau(monkeypatch):
+    rng = random.Random(2024)
+    programs = _hand_built_programs() + [_random_program(rng) for _ in range(600)]
+    solver = _solver_programs(monkeypatch)
+    assert len(solver) > 150 and any(len(lp.constraints) > 3 for lp in solver)
+    outcomes = set()
+    for lp in programs + solver:
+        got = _kernel_solve(lp, monkeypatch)
+        assert got == _reference_solve(lp)
+        outcomes.add(got[0] if isinstance(got[0], str) else got[0].status)
+    assert {"optimal", "infeasible", "unbounded"} <= outcomes
+
+
+# -- the dual certificate ---------------------------------------------------------
+
+
+def _duals(lp):
+    """The dual per row that :func:`lp_solve` certifies, for max sign * c.x."""
+    std = lpmod._Standardized(lp)
+    tab = lpmod._Tableau(std)
+    assert tab.phase_one() and tab.phase_two(std.objective) == "optimal"
+    return [F(y, tab.det * std.cost_scale) for y in tab.duals()[:len(lp.constraints)]]
+
+
+def test_duals_are_read_off_the_final_reduced_costs():
+    lp = LinearProgram(num_vars=2, objective={0: F(2), 1: F(3)})
+    lp.add({0: F(1), 1: F(1)}, LE, F(4))
+    lp.add({0: F(1, 3), 1: F(1)}, LE, F(2))
+    assert _duals(lp) == [F(3, 2), F(3, 2)]
+    # >= rows in a minimization: nonpositive duals of max -x - y
+    lp = LinearProgram(num_vars=2, objective={0: F(1), 1: F(1)}, maximize=False)
+    lp.add({0: F(1), 1: F(2)}, GE, F(4))
+    lp.add({0: F(2), 1: F(1)}, GE, F(4))
+    assert _duals(lp) == [F(-1, 3), F(-1, 3)]
+    # a row with a negative rhs is flipped in the tableau, not in its dual
+    lp = LinearProgram(num_vars=1, objective={0: F(-1)})
+    lp.add({0: F(-2)}, LE, F(-3))
+    assert _duals(lp) == [F(1, 2)]
+    # the row phase 1 drops as redundant reads 0
+    lp = LinearProgram(num_vars=2, objective={0: F(1)})
+    lp.add({0: F(1), 1: F(1)}, EQ, F(1))
+    lp.add({0: F(2), 1: F(2)}, EQ, F(2))
+    assert _duals(lp) == [F(1), F(0)]
+
+
+def _perturbed(monkeypatch, entry):
+    """Run :func:`lp_solve` with one tableau entry changed after phase 2: the
+    rhs of the row where x is basic set to 0 (a feasible, worse vertex), or
+    the reduced cost at the first row's slack doubled (wrong duals). Neither
+    breaks primal feasibility or the reduced costs' optimal signs."""
+    phase_two = lpmod._Tableau.phase_two
+
+    def corrupt(tab, objective):
+        status = phase_two(tab, objective)
+        if entry == "rhs":
+            tab.rows[tab.basis.index(0)][-1] = 0
+        else:
+            tab._final_z[tab.dual_col[0]] *= 2
+        return status
+
+    lp = LinearProgram(num_vars=2, objective={0: F(2), 1: F(3)})
+    lp.add({0: F(1), 1: F(1)}, LE, F(4))
+    lp.add({0: F(1), 1: F(3)}, LE, F(6))
+    assert lp_solve(lp).value == 9
+    monkeypatch.setattr(lpmod._Tableau, "phase_two", corrupt)
+    return lp
+
+
+@pytest.mark.parametrize("entry", ["rhs", "reduced cost"])
+def test_a_perturbed_final_tableau_fails_the_dual_check(monkeypatch, entry):
+    lp = _perturbed(monkeypatch, entry)
+    with pytest.raises(InternalCheckError, match="dual bound"):
+        lp_solve(lp)
