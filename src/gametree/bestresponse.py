@@ -41,10 +41,9 @@ def best_response(game: Game, player: int, weights: Seq[Weight],
     for iset in reversed(scope):  # children precede parents in reverse discovery order
         best_v = None
         best_a = None
-        for a in iset.actions:
-            seq = Sequence(player, iset.id, a)
-            v = sum(weights[z] for z in game.terminals_by_last_sequence(seq))
-            v += sum(f_value[j.index] for j in game.children_infosets(seq))
+        for a, (terminals, children) in zip(iset.actions, iset.after):
+            v = sum(weights[z] for z in terminals)
+            v += sum(f_value[j.index] for j in children)
             if best_v is None or v > best_v or (v == best_v and a < best_a):
                 best_v, best_a = v, a
         if best_v is None:  # zero-action infosets are rejected by validation

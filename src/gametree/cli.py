@@ -239,12 +239,12 @@ def cmd_solve(args) -> int:
     if args.notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
                          "the bce programs are exact")
-    # the solvers return the gap their own exit test measured on pi
+    # the solvers return the gap their own exit test measured on pi, and the
+    # reach it was measured with
     if args.notion == "bce":
-        pi, value, measured = _solve_bce(game, objective)
+        pi, value, measured, reach = _solve_bce(game, objective)
     else:
-        pi, value, measured = _solve_program(game, epsilon, objective)
-    reach = ProfileReach(game, pi)
+        pi, value, measured, reach = _solve_program(game, epsilon, objective)
     _write(serialize_profile(game, pi), args)
     report = {
         "command": "solve",

@@ -157,7 +157,7 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
                     at = _deviation_infoset(game, ps, iset)
                     if at is None:
                         continue
-                    dev = Sequence(i, at.id, ps.actions[at.index])
+                    dev = at.seqs[at.actions.index(ps.actions[at.index])]
                     if dev not in cbr_cache:
                         if i not in units:
                             units[i] = _payoff_units(reach, i)

@@ -29,7 +29,7 @@ from .convert import efce_to_bce
 from .errors import InternalCheckError, ResourceGuardError
 from .game import Game
 from .lp import LE, LinearProgram, lp_solve
-from .metrics import _play_from, gap, pure_utility
+from .metrics import ProfileReach, _play_from, gap, pure_utility
 from .rational import format_rational
 from .strategy import (MixtureOfProducts, PureProfile, PureStrategy,
                        profile_support, pure_mixture)
@@ -64,10 +64,11 @@ def _objective_value(game: Game, objective: dict[str, Fraction],
 def _solve_program(game: Game, epsilon: Fraction,
                    objective: Optional[dict[str, Fraction]],
                    profile_cap: int = DEFAULT_PROFILE_CAP
-                   ) -> tuple[MixtureOfProducts, Fraction, Fraction]:
+                   ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
     """Row generation against the efce gap program. Returns the profile, the
-    program's optimal value and the profile's causal gap, which the loop's
-    exit test measured at most ``epsilon``."""
+    program's optimal value, the profile's causal gap, which the loop's
+    exit test measured at most ``epsilon``, and the :class:`ProfileReach` it
+    measured with."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     game.require_valid()
@@ -89,9 +90,10 @@ def _solve_program(game: Game, epsilon: Fraction,
                 f"happen for epsilon >= 0; this is a bug")
         entries = [(x, profiles[j]) for j, x in enumerate(result.x) if x != 0]
         mixture = pure_mixture(game, entries)
-        report = gap(game, mixture, "efce")
+        reach = ProfileReach(game, mixture)
+        report = gap(game, mixture, "efce", reach=reach)
         if report.overall <= epsilon:
-            return mixture, result.value, report.overall
+            return mixture, result.value, report.overall, reach
         row = _witness_row(game, report.witness, profiles, index, utility)
         swing = sum((result.x[j] * c for j, c in row.items()), ZERO)
         if swing <= epsilon:
@@ -149,14 +151,17 @@ def optimal_efce(game: Game, objective: dict[str, Fraction],
 
 def _solve_bce(game: Game, objective: Optional[dict[str, Fraction]],
                profile_cap: int = DEFAULT_PROFILE_CAP
-               ) -> tuple[MixtureOfProducts, Fraction, Fraction]:
+               ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
     """The exact causal solve with its off-path recommendations rewritten:
-    the profile, the program's optimal value and the profile's measured bce
-    gap, which must be 0. The rewrite preserves the outcome distribution,
-    so the value equals the causal optimum; both facts are re-checked."""
-    pi, value, _ = _solve_program(game, ZERO, objective, profile_cap)
-    out = efce_to_bce(game, pi)
-    measured = gap(game, out, "bce").overall
+    the profile, the program's optimal value, the profile's measured bce
+    gap, which must be 0, and the :class:`ProfileReach` it was measured
+    with. The rewrite preserves the outcome distribution, so the value
+    equals the causal optimum; both facts are re-checked."""
+    pi, value, _, reach = _solve_program(game, ZERO, objective, profile_cap)
+    out = efce_to_bce(game, pi, reach)
+    if out != pi:  # the rewrite changed an off-path action
+        reach = ProfileReach(game, out)
+    measured = gap(game, out, "bce", reach=reach).overall
     if measured != 0:
         raise InternalCheckError(
             f"converted profile has bce gap {format_rational(measured)}, expected 0")
@@ -167,7 +172,7 @@ def _solve_bce(game: Game, objective: Optional[dict[str, Fraction]],
             raise InternalCheckError(
                 f"conversion changed the objective value from {format_rational(value)} "
                 f"to {format_rational(out_value)}")
-    return out, value, measured
+    return out, value, measured, reach
 
 
 def compute_bce(game: Game, profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import GameParseError, InvalidGameError
 from .rational import format_rational, parse_rational
@@ -35,11 +35,15 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(NamedTuple):
     """A point in a player's decision history: the empty sequence or a final
     (infoset, action) pair, which under perfect recall identifies the whole
-    path of that player's choices."""
+    path of that player's choices.
+
+    A named tuple, so hashing and equality run in C; like any tuple it
+    equals (and hashes as) the plain tuple of its fields, ``(player,
+    infoset, action)``. :class:`Game` interns one per (infoset, action) in
+    ``Infoset.seqs``."""
 
     player: int
     infoset: Optional[str]
@@ -129,10 +133,18 @@ class Infoset:
     ``subtree`` lists the player's infosets weakly after this one (itself
     included) in discovery order; together they are the player's ancestry
     index, built once by :class:`Game`.
+
+    Per action position ``m``, ``seqs[m]`` is the interned :class:`Sequence`
+    of (this infoset, ``actions[m]``), and ``after[m]`` the pair
+    ``(terminals, children)``: the indices of the terminals whose last own
+    sequence it is, and the infosets whose parent sequence it is
+    (:meth:`Game.terminals_by_last_sequence` and
+    :meth:`Game.children_infosets` of ``seqs[m]``). Kernels read these
+    instead of building a sequence and looking it up.
     """
 
     __slots__ = ("player", "id", "index", "actions", "nodes", "own_history",
-                 "parent_seq", "chain", "subtree", "terminals_below")
+                 "parent_seq", "chain", "subtree", "terminals_below", "seqs", "after")
 
     def __init__(self, player, id_, index, actions, own_history, parent_seq, chain):
         self.player = player
@@ -252,28 +264,31 @@ class Game:
         return Sequence(i, self.infosets[i][j].id, a)
 
     def _index_sequences(self):
+        interned: dict[Sequence, Sequence] = {}  # one object per sequence
         for i in range(self.n):
+            isets = self.infosets[i]
             seqs = [Sequence.empty(i)]
-            children: dict[Sequence, list[Infoset]] = {Sequence.empty(i): []}
-            for iset in self.infosets[i]:
-                children.setdefault(iset.parent_seq, [])
-                for a in iset.actions:
-                    s = Sequence(i, iset.id, a)
-                    seqs.append(s)
-                    children.setdefault(s, [])
-            for iset in self.infosets[i]:
-                if iset.parent_seq in children:
-                    children[iset.parent_seq].append(iset)
+            for iset in isets:
+                iset.seqs = tuple(Sequence(i, iset.id, a) for a in iset.actions)
+                seqs.extend(iset.seqs)
+            interned.update((s, s) for s in seqs)
+            children: dict[Sequence, list[Infoset]] = {s: [] for s in seqs}
+            by_last: dict[Sequence, list[int]] = {s: [] for s in seqs}
+            for iset in isets:
+                iset.parent_seq = interned.get(iset.parent_seq, iset.parent_seq)
+                children.setdefault(iset.parent_seq, []).append(iset)
                 for j, _a in iset.chain:
-                    self.infosets[i][j].subtree.append(iset)
+                    isets[j].subtree.append(iset)
                 iset.subtree.append(iset)
-            by_last: dict[Sequence, list[int]] = {}
             for z in self.terminals:
                 by_last.setdefault(z.last_seq[i], []).append(z.index)
+            for iset in isets:
+                iset.after = tuple((by_last[s], children[s]) for s in iset.seqs)
             self._sequences.append(seqs)
             self._children_infosets.append(children)
             self._terminals_by_lastseq.append(by_last)
         for z in self.terminals:
+            z.last_seq = tuple(interned.get(s, s) for s in z.last_seq)
             for i in range(self.n):
                 for offset, (idx, _a) in enumerate(z.own_pairs[i]):
                     self.infosets[i][idx].terminals_below.append((z.index, offset))

@@ -266,11 +266,14 @@ class _Tableau:
             raise InternalCheckError(f"phase 1 ended {status}, not optimal")
         if sum(c[bv] * row[-1] for bv, row in zip(self.basis, self.rows)) != 0:
             return False
-        # drive remaining artificials out of the basis; drop redundant rows
+        # drive remaining artificials out of the basis, on any nonzero column
+        # but an artificial (a slack or surplus too: the row still binds
+        # through it); a row with none is redundant and is dropped
         for r in range(len(self.rows) - 1, -1, -1):
             if self.basis[r] in self.artificial:
                 prow = self.rows[r]
-                pivot_col = next((j for j in range(self.n_structural) if prow[j]), None)
+                pivot_col = next((j for j in range(self.ncols)
+                                  if prow[j] and j not in self.artificial), None)
                 if pivot_col is None:
                     del self.rows[r]
                     del self.basis[r]

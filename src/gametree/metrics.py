@@ -172,7 +172,7 @@ def _plan_sequences(game: Game, i: int, ps: PureStrategy) -> set[Sequence]:
     reached = {Sequence.empty(i)}
     for iset in game.infosets[i]:  # discovery order: parents before children
         if iset.parent_seq in reached:
-            reached.add(Sequence(i, iset.id, ps.actions[iset.index]))
+            reached.add(iset.seqs[iset.actions.index(ps.actions[iset.index])])
     return reached
 
 
@@ -447,23 +447,28 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
     for i in range(game.n):
         units = _payoff_units(reach, i)
 
-        def walk(seq: Sequence, at: Optional[Infoset]) -> tuple[int, list]:
+        def walk(seq: Sequence, at: Optional[Infoset], after: tuple) -> tuple[int, list]:
+            """The trigger ``seq`` at ``at``; ``after`` is its ``(terminals,
+            children)`` entry of :attr:`Infoset.after`."""
             w = _trigger_weights(reach, units, seq, at)
             if w is None:
                 return 0, []
             t_val, t_strat = best_response(game, i, w, at)
-            obey = sum(w[z] for z in game.terminals_by_last_sequence(seq))
+            terminals, children = after
+            obey = sum(w[z] for z in terminals)
             commits: list = []
-            for child in game.children_infosets(seq):
-                for b in child.actions:
-                    v, c = walk(Sequence(i, child.id, b), child)
+            for child in children:
+                for child_seq, child_after in zip(child.seqs, child.after):
+                    v, c = walk(child_seq, child, child_after)
                     obey += v
                     commits.extend(c)
             if t_val > obey:
                 return t_val, [(seq, t_strat)]
             return obey, commits
 
-        value, commits = walk(Sequence.empty(i), None)
+        empty = Sequence.empty(i)
+        value, commits = walk(empty, None, (game.terminals_by_last_sequence(empty),
+                                            game.top_infosets(i)))
         gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
         witnesses.append(TriggerCommitWitness(i, tuple(commits)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
@@ -521,8 +526,8 @@ def _support_steps(reach: ProfileReach) -> tuple[list, list]:
             low = least[j]
             per_player.append([
                 [(m, (low[seq] - low[iset.parent_seq]) * stride[j])
-                 for m, seq in enumerate(Sequence(j, iset.id, a) for a in iset.actions)
-                 if seq in low] if iset.parent_seq in low else []
+                 for m, seq in enumerate(iset.seqs) if seq in low]
+                if iset.parent_seq in low else []
                 for iset in game.infosets[j]])
         steps.append(per_player)
         base += prod(sizes)

@@ -3,9 +3,10 @@
 Every number this package reads or reports is a ``fractions.Fraction``:
 probabilities, payoffs, LP solutions, gaps. Fractions are always stored in
 lowest terms with a positive denominator, and arithmetic is exact. The gap
-dynamic programs, best responses and the off-path rewrite work instead on
-Python ints over one known positive scale (see
-:class:`gametree.metrics.ProfileReach`), from
+dynamic programs, best responses, the off-path rewrite and the greedy
+decomposition work instead on Python ints over one known positive scale (see
+:class:`gametree.metrics.ProfileReach` and
+:func:`gametree.strategy.decompose`), from
 :func:`over_common_denominator`, and the simplex pivots an int tableau whose
 rows share one determinant (see :mod:`gametree.lp`): ints are exact too,
 keep every comparison and tie at a common scale, and need no gcd per

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence as Seq, Union
 
 from .errors import InternalCheckError, ProfileError, ProfileParseError
 from .game import Game, Sequence, TerminalNode
-from .rational import format_rational, parse_rational
+from .rational import format_rational, over_common_denominator, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,8 +114,7 @@ class SequenceFormVector:
                 raise ProfileError(f"negative reach at {seq.label()}")
         for iset in game.infosets[i]:
             inflow = self.reach.get(iset.parent_seq, ZERO)
-            outflow = sum((self.reach.get(Sequence(i, iset.id, a), ZERO)
-                           for a in iset.actions), ZERO)
+            outflow = sum((self.reach.get(seq, ZERO) for seq in iset.seqs), ZERO)
             if inflow != outflow:
                 raise ProfileError(
                     f"flow violated at infoset {iset.id!r}: in {format_rational(inflow)}, "
@@ -204,12 +203,12 @@ def sequence_form(game: Game,
     reach: dict[Sequence, Fraction] = {Sequence.empty(i): ONE}
     for iset in game.infosets[i]:
         inflow = reach[iset.parent_seq]
-        for a in iset.actions:
+        for a, seq in zip(iset.actions, iset.seqs):
             if isinstance(strategy, PureStrategy):
                 p = ONE if strategy.action_at(iset.index) == a else ZERO
             else:
                 p = strategy.local(iset.id).get(a, ZERO)
-            reach[Sequence(i, iset.id, a)] = inflow * p
+            reach[seq] = inflow * p
     return SequenceFormVector(i, reach)
 
 
@@ -223,37 +222,52 @@ def decompose(game: Game, v: SequenceFormVector,
     the largest feasible coefficient, repeat. Each round zeroes at least one
     residual coordinate, so k <= |sequences| and the output is deterministic.
 
+    The residuals are ints over the lcm of ``v``'s denominators, one per
+    position in ``game.sequences(v.player)``; each beta is built once, as
+    ``Fraction(beta, lcm)``.
+
     ``_trace``, when a list, collects the residual nonzero-coordinate count
     after each round (used by tests as a termination certificate).
     """
     game.require_valid()
     v.validate(game)
     i = v.player
-    empty = Sequence.empty(i)
-    residual = {seq: v.reach.get(seq, ZERO) for seq in game.sequences(i)}
+    seqs = game.sequences(i)
+    den, residual = over_common_denominator([v.reach.get(seq, ZERO) for seq in seqs])
+    residual = list(residual)
+    position = {seq: k for k, seq in enumerate(seqs)}
+    # per infoset: its parent sequence's position, and (position, action)
+    # per action in label order
+    steps = [(position[iset.parent_seq],
+              sorted(((position[seq], a) for a, seq in zip(iset.actions, iset.seqs)),
+                     key=lambda option: option[1]))
+             for iset in game.infosets[i]]
     out: list[tuple[Fraction, PureStrategy]] = []
     rounds = 0
-    while residual[empty] > 0:
+    while residual[0] > 0:
         rounds += 1
         if rounds > len(residual) + 1:
             raise InternalCheckError("greedy decomposition failed to terminate")
-        chosen = {empty}
+        chosen = {0}
         actions: list[str] = []
-        for iset in game.infosets[i]:
-            if iset.parent_seq in chosen:
-                a = min(a for a in iset.actions
-                        if residual[Sequence(i, iset.id, a)] > 0)
-                chosen.add(Sequence(i, iset.id, a))
+        for parent, options in steps:
+            if parent in chosen:
+                for k, a in options:
+                    if residual[k] > 0:
+                        break
+                else:
+                    raise InternalCheckError("greedy decomposition lost flow conservation")
+                chosen.add(k)
             else:
-                a = min(iset.actions)
+                a = options[0][1]
             actions.append(a)
-        beta = min(residual[s] for s in chosen)
-        for s in chosen:
-            residual[s] -= beta
-        out.append((beta, PureStrategy(i, tuple(actions))))
+        beta = min(residual[k] for k in chosen)
+        for k in chosen:
+            residual[k] -= beta
+        out.append((Fraction(beta, den), PureStrategy(i, tuple(actions))))
         if _trace is not None:
-            _trace.append(sum(1 for q in residual.values() if q != 0))
-    if any(q != 0 for q in residual.values()):
+            _trace.append(sum(1 for q in residual if q != 0))
+    if any(q != 0 for q in residual):
         raise InternalCheckError("greedy decomposition left residual mass off the root")
     return out
 

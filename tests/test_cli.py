@@ -402,3 +402,43 @@ def test_solve_reports_the_gap_of_its_profile(tmp_path, capsys):
                 gap(game, parse_profile(game, out), notion).overall)
             positive += reported != "0"
     assert positive > 0
+
+
+def test_solve_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch):
+    # each LP round's profile gets one reach, which its causal gap reads and,
+    # for the last round, the rewrite or the printed utilities; bce adds one
+    # for the rewritten profile, if the rewrite changed it, which its bce gap
+    # and the utilities read
+    from gametree import equilibrium, metrics
+    built, solves = [], []
+    init, lp_solve = metrics.ProfileReach.__init__, equilibrium.lp_solve
+
+    def counting(self, game, pi):
+        built.append(pi)
+        init(self, game, pi)
+
+    def recording(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(metrics.ProfileReach, "__init__", counting)
+    monkeypatch.setattr(equilibrium, "lp_solve", recording)
+    rng = random.Random(3)
+    games = [fixtures.load_game(name) for name in fixtures.GAMES]
+    games += [random_game(rng, max_players=2, max_nodes=20, max_pure_product=64,
+                          max_pure_per_player=16) for _ in range(8)]
+    for k, game in enumerate(games):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(serialize_game(game))
+        for notion, extra in (("efce", ()), ("efce", ("--epsilon", "1/4")), ("bce", ())):
+            built.clear()
+            solves.clear()
+            code, out, _ = run(capsys, "solve", str(path), "--notion", notion, *extra)
+            assert code == 0
+            printed = parse_profile(game, out)
+            rounds, rewritten = built[:len(solves)], built[len(solves):]
+            assert len(set(rounds)) == len(rounds)
+            if notion == "efce" or printed == rounds[-1]:
+                assert rewritten == [] and rounds[-1] == printed
+            else:
+                assert rewritten == [printed]

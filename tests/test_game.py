@@ -223,3 +223,42 @@ def test_serialize_round_trip_random_games():
         assert g2.validate().ok
         assert [z.terminal_id for z in g2.terminals] == \
             [z.terminal_id for z in g.terminals]
+
+
+def test_sequence_is_a_named_tuple_of_its_fields():
+    # hashing and equality are the tuple's, so a sequence equals its fields
+    s = Sequence(0, "I", "a")
+    assert (s.player, s.infoset, s.action) == (0, "I", "a")
+    assert s == (0, "I", "a") and hash(s) == hash((0, "I", "a"))
+    assert s.label() == "I:a" and str(s) == "I:a" and not s.is_empty
+    with pytest.raises(AttributeError):
+        s.player = 1
+    empty = Sequence.empty(0)
+    assert empty == Sequence(0, None, None) and empty.is_empty
+    assert empty.label() == "empty"
+    assert empty != Sequence.empty(1) and len({empty, Sequence.empty(1)}) == 2
+
+
+def test_infoset_tables_match_the_sequence_lookups(ebos, lrr, surj):
+    # per action position: the interned sequence, the terminals it is the
+    # last own sequence of and the infosets it leads to, read off the tree
+    rng = random.Random(11)
+    games = [ebos, lrr, surj] + [random_game(rng, max_nodes=24, max_depth=5)
+                                 for _ in range(40)]
+    for game in games:
+        for i in range(game.n):
+            for iset in game.infosets[i]:
+                assert len(iset.seqs) == len(iset.after) == len(iset.actions)
+                for m, a in enumerate(iset.actions):
+                    seq = iset.seqs[m]
+                    assert type(seq) is Sequence and seq == Sequence(i, iset.id, a)
+                    terminals, children = iset.after[m]
+                    assert terminals == game.terminals_by_last_sequence(seq) == [
+                        z.index for z in game.terminals
+                        if z.own_pairs[i][-1:] == ((iset.index, a),)]
+                    assert children == game.children_infosets(seq) == [
+                        j for j in game.infosets[i] if j.chain[-1:] == ((iset.index, a),)]
+                    assert all(j.parent_seq is seq for j in children)
+                    assert all(game.terminals[z].last_seq[i] is seq for z in terminals)
+            assert game.sequences(i) == [Sequence.empty(i)] + [
+                s for iset in game.infosets[i] for s in iset.seqs]

@@ -221,7 +221,8 @@ class _FractionTableau:
             return False
         for r in range(len(self.rows) - 1, -1, -1):
             if self.basis[r] in self.artificial:
-                col = next((j for j in range(self.n_structural) if self.rows[r][j]), None)
+                col = next((j for j in range(self.ncols)
+                            if self.rows[r][j] and j not in self.artificial), None)
                 if col is None:
                     del self.rows[r], self.basis[r]
                 else:
@@ -335,8 +336,8 @@ def _hand_built_programs():
                          bounds=[(None, None), (None, None)])
     free.add({0: F(1), 1: F(1)}, EQ, F(-3, 5))
     free.add({0: F(-1), 1: F(1)}, LE, F(2))
-    # x <= 1 and x >= 1: phase 1 drops the second row, which is zero on x but
-    # not on the first row's slack, so the optimum breaks it; the kernels agree
+    # x <= 1 and x >= 1: after phase 1 the second row is zero on x but not on
+    # the first row's slack, so the artificial leaves on that slack
     tight = LinearProgram(num_vars=1, objective={0: F(1)}, maximize=False)
     tight.add({0: F(1)}, LE, F(1))
     tight.add({0: F(1)}, GE, F(1))
@@ -400,6 +401,20 @@ def test_integer_kernel_pivots_like_the_fraction_tableau(monkeypatch):
         assert got == _reference_solve(lp)
         outcomes.add(got[0] if isinstance(got[0], str) else got[0].status)
     assert {"optimal", "infeasible", "unbounded"} <= outcomes
+
+
+@pytest.mark.parametrize("rels", [(LE, GE), (LE, EQ), (GE, LE), (EQ, LE)])
+@pytest.mark.parametrize("maximize", [False, True])
+def test_phase_one_keeps_a_row_bound_through_a_slack(rels, maximize):
+    # after phase 1 the second row of x <= 1, x >= 1 (or x == 1) is zero on x
+    # but not on the first row's slack; the artificial leaves on that slack
+    # instead of the row being dropped, in both kernels
+    lp = LinearProgram(num_vars=1, objective={0: F(1)}, maximize=maximize)
+    for rel in rels:
+        lp.add({0: F(1)}, rel, F(1))
+    want = LPResult("optimal", (F(1),), F(1))
+    assert lp_solve(lp) == want
+    assert _reference_solve(lp)[0] == want
 
 
 # -- the dual certificate ---------------------------------------------------------

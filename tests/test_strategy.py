@@ -1,15 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from gametree import (ProfileError, ProfileParseError, Sequence, decompose,
-                      mixture_from_behavior_products, parse_profile,
+                      mixture_from_behavior_products, parse_game, parse_profile,
                       profile_support, pure_strategy, sequence_form,
-                      serialize_profile)
+                      serialize_game, serialize_profile)
 from gametree.randgen import random_behavior_strategy, random_game
-from gametree.strategy import (BehaviorStrategy, behavior_product_expansion,
-                               expand_behavior_products)
+from gametree.strategy import (BehaviorStrategy, PureStrategy,
+                               behavior_product_expansion, expand_behavior_products)
 
 F = Fraction
 
@@ -260,3 +261,73 @@ def test_decomposition_preserves_causal_and_commit_blind_gaps():
         assert outcome_equivalent(g, literal, small)
         assert gap(g, literal, "efce").overall == gap(g, small, "efce").overall
         assert gap(g, literal, "nfcce").overall == gap(g, small, "nfcce").overall
+
+
+def _fraction_decompose(game, v, trace):
+    """The greedy loop on Fraction residuals keyed by sequence that the int
+    residuals replaced, kept as the reference they must match."""
+    i = v.player
+    empty = Sequence.empty(i)
+    residual = {seq: v.reach.get(seq, F(0)) for seq in game.sequences(i)}
+    out = []
+    while residual[empty] > 0:
+        chosen = {empty}
+        actions = []
+        for iset in game.infosets[i]:
+            if iset.parent_seq in chosen:
+                a = min(a for a in iset.actions if residual[Sequence(i, iset.id, a)] > 0)
+                chosen.add(Sequence(i, iset.id, a))
+            else:
+                a = min(iset.actions)
+            actions.append(a)
+        beta = min(residual[s] for s in chosen)
+        for s in chosen:
+            residual[s] -= beta
+        out.append((beta, PureStrategy(i, tuple(actions))))
+        trace.append(sum(1 for q in residual.values() if q != 0))
+    assert not any(residual.values())
+    return out
+
+
+def _relabeled(game):
+    """``game`` with every decision node's labels reversed, so that label
+    order and action position disagree."""
+    doc = json.loads(serialize_game(game))
+
+    def walk(node):
+        if node["kind"] == "terminal":
+            return
+        if node["kind"] == "decision":
+            labels = [item["label"] for item in node["actions"]]
+            for item, label in zip(node["actions"], reversed(labels)):
+                item["label"] = label
+        for item in node["actions"]:
+            walk(item["child"])
+
+    walk(doc["root"])
+    return parse_game(json.dumps(doc))
+
+
+def test_int_decompose_matches_the_fraction_loop(ebos, lrr, surj):
+    # identical (beta, plan) lists and traces, on behavior strategies with
+    # zero-probability actions, own chains three actions deep, and action
+    # labels out of position order
+    rng = random.Random(17)
+    games = [ebos, lrr, surj] + [random_game(rng, max_players=2, max_nodes=30, max_depth=6)
+                                 for _ in range(24)]
+    games += [_relabeled(game) for game in games]
+    depth = zeros = 0
+    for game in games:
+        for i in range(game.n):
+            isets = game.infosets[i]
+            depth = max([depth] + [len(iset.chain) + 1 for iset in isets])
+            for _ in range(6):
+                v = sequence_form(game, random_behavior_strategy(rng, game, i))
+                trace, want = [], []
+                assert decompose(game, v, _trace=trace) == _fraction_decompose(game, v, want)
+                assert trace == want
+                zeros += any(v.reach[iset.parent_seq] > 0 and v.reach[s] == 0
+                             for iset in isets for s in iset.seqs)
+    assert depth >= 3 and zeros > 0
+    assert any(list(iset.actions) != sorted(iset.actions)
+               for game in games for isets in game.infosets for iset in isets)
