@@ -18,17 +18,14 @@ from .strategy import (BehaviorStrategy, MixtureOfProducts, PureProfile,
                        mixture_from_behavior_products, parse_profile,
                        profile_support, pure_mixture, pure_strategy,
                        sequence_form, serialize_profile)
-from .metrics import (ConditionalReach, GapReport, OutcomeDistribution,
-                      ProfileReach, conditional_node_utility, conditional_reach,
-                      counterfactual_utility, counterfactually_outcome_equivalent,
-                      expected_utility, gap, outcome_distribution,
-                      outcome_equivalent, pure_utility)
+from .metrics import (GapReport, OutcomeDistribution, ProfileReach,
+                      conditional_node_utility, counterfactual_utility,
+                      counterfactually_outcome_equivalent, expected_utility, gap,
+                      outcome_distribution, outcome_equivalent, pure_utility)
 from .oracles import (DeviationTable, brute_force_gap, deviation_tables,
                       enumerate_pure, is_behavioral, is_causal,
                       oracle_player_gap)
-from .convert import (CbrEntry, CbrTable, build_cbr_table,
-                      counterfactual_best_response, deviation_point,
-                      efce_to_bce, restricted_deviation_value)
+from .convert import counterfactual_best_response, deviation_point, efce_to_bce
 from .lp import Constraint, LinearProgram, LPResult, lp_solve
 from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence as Seq, Union
 
-from .game import Game, Infoset, Sequence
+from .game import Game, Infoset
 from .strategy import PureStrategy
 
 Weight = Union[int, Fraction]
@@ -54,7 +54,7 @@ def best_response(game: Game, player: int, weights: Seq[Weight],
                     for iset in game.infosets[player])
     if at_infoset is not None:
         return f_value[at_infoset.index], PureStrategy(player, actions)
-    empty = Sequence.empty(player)
-    value = sum(weights[z] for z in game.terminals_by_last_sequence(empty))
-    value += sum(f_value[j.index] for j in game.top_infosets(player))
+    terminals, children = game.root_after[player]
+    value = sum(weights[z] for z in terminals)
+    value += sum(f_value[j.index] for j in children)
     return value, PureStrategy(player, actions)

@@ -133,7 +133,16 @@ def _sequence_arg(game: Game, player: int, text: str) -> Sequence:
         return Sequence.empty(player)
     if ":" not in text:
         raise ValueError(f'sequence must be "INFOSET:ACTION" or "empty", got {text!r}')
-    infoset_id, action = text.split(":", 1)
+    # ids and labels may hold ":" too: take the one split naming an
+    # (infoset, action) of the player; with none, the first split's lookup
+    # reports what is missing
+    splits = [(text[:k], text[k + 1:]) for k, c in enumerate(text) if c == ":"]
+    isets = {iset.id: iset for iset in game.infosets[player]}
+    named = [(j, a) for j, a in splits if j in isets and a in isets[j].actions]
+    if len(named) > 1:
+        raise ValueError(f"sequence {text!r} is ambiguous: it names "
+                         + " and ".join(f"infoset {j!r} action {a!r}" for j, a in named))
+    infoset_id, action = named[0] if named else splits[0]
     return game.sequence(player, infoset_id, action)
 
 

@@ -12,37 +12,14 @@ what pushes the worst-case counterfactual regret down to the causal gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .bestresponse import best_response
 from .errors import InternalCheckError
 from .game import Game, Infoset, Sequence
-from .metrics import (ConditionalReach, ProfileReach, _payoff_units, _trigger_weights,
-                      conditional_reach, pure_utility)
-from .strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
-                       PureStrategy, profile_support)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class CbrEntry:
-    strategy: PureStrategy
-    value: Fraction  # conditional expectation at the sequence's infoset
-    reach: ConditionalReach
-
-
-@dataclass(frozen=True)
-class CbrTable:
-    """Counterfactual best responses of one player, one per sequence
-    (including the empty sequence), with the conditional reach evidence each
-    was computed against."""
-
-    player: int
-    entries: dict[Sequence, CbrEntry]
+from .metrics import ProfileReach, _payoff_units, _trigger_weights
+from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy
 
 
 def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
@@ -64,10 +41,10 @@ def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
     :class:`ValueError`.
     """
     i = game.player_index(player)
-    reach = ProfileReach.of(game, pi, reach)
-    at = None if seq.is_empty else game.infoset(i, seq.infoset)
     if seq.player != i:
         raise ValueError(f"sequence {seq.label()} is not player {game.players[i]}'s")
+    reach = ProfileReach.of(game, pi, reach)
+    at = None if seq.is_empty else game.infoset(i, seq.infoset)
     return _cbr(reach, _payoff_units(reach, i), seq, at)[:2]
 
 
@@ -85,25 +62,6 @@ def _cbr(reach: ProfileReach, units: list[list[int]], seq: Sequence,
     value = Fraction(value, reach.value_scale(i))
     mass = reach.event_mass(i, seq)
     return strategy, value / mass if mass != 0 else value, mass
-
-
-def build_cbr_table(game: Game, pi: MixtureOfProducts,
-                    player: Union[int, str]) -> CbrTable:
-    game.require_valid()
-    pi.validate(game)
-    i = game.player_index(player)
-    reach = ProfileReach(game, pi)
-    units = _payoff_units(reach, i)
-    empty = Sequence.empty(i)
-    entries = {}
-    for seq in game.sequences(i):
-        at = None if seq.is_empty else game.infoset(i, seq.infoset)
-        strategy, value, _mass = _cbr(reach, units, seq, at)
-        cr = conditional_reach(game, pi, i, seq, reach)
-        if cr.event_mass == 0:  # the law the response was computed against
-            cr = conditional_reach(game, pi, i, empty, reach)
-        entries[seq] = CbrEntry(strategy, value, cr)
-    return CbrTable(i, entries)
 
 
 def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
@@ -174,24 +132,3 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     out = MixtureOfProducts(tuple(new_components))
     out.validate(game)
     return out
-
-
-def restricted_deviation_value(game: Game, pi: MixtureOfProducts,
-                               player: Union[int, str], witness,
-                               infoset_id: str) -> Fraction:
-    """Ordinary regret of the witness deviation applied only at infosets
-    weakly after the given one (play elsewhere stays obedient)."""
-    game.require_valid()
-    i = game.player_index(player)
-    start = game.infoset(i, infoset_id)
-    total = ZERO
-    for w, profile in profile_support(pi):
-        deviated = witness.apply(game, profile.strategies[i])
-        actions = list(profile.strategies[i].actions)
-        for iset in start.subtree:
-            actions[iset.index] = deviated.actions[iset.index]
-        strategies = list(profile.strategies)
-        strategies[i] = PureStrategy(i, tuple(actions))
-        total += w * (pure_utility(game, PureProfile(tuple(strategies)), i)
-                      - pure_utility(game, profile, i))
-    return total

@@ -137,10 +137,10 @@ class Infoset:
     Per action position ``m``, ``seqs[m]`` is the interned :class:`Sequence`
     of (this infoset, ``actions[m]``), and ``after[m]`` the pair
     ``(terminals, children)``: the indices of the terminals whose last own
-    sequence it is, and the infosets whose parent sequence it is
-    (:meth:`Game.terminals_by_last_sequence` and
-    :meth:`Game.children_infosets` of ``seqs[m]``). Kernels read these
-    instead of building a sequence and looking it up.
+    sequence it is, and the infosets whose parent sequence it is.
+    :attr:`Game.root_after` holds the same pair for each player's empty
+    sequence. Kernels read these instead of building a sequence and looking
+    it up.
     """
 
     __slots__ = ("player", "id", "index", "actions", "nodes", "own_history",
@@ -163,7 +163,12 @@ class Infoset:
 
 
 class Game:
-    """Immutable indexed view of a parsed game tree."""
+    """Immutable indexed view of a parsed game tree.
+
+    ``root_after[i]`` is player ``i``'s ``(terminals, children)`` pair of
+    the empty sequence, in the shape of :attr:`Infoset.after`: the
+    terminals the player never acts on, and the player's first infosets.
+    """
 
     def __init__(self, players: tuple[str, ...], root: Node):
         self.players = players
@@ -177,8 +182,7 @@ class Game:
         self.num_chance_nodes = 0
         self._build()
         self._sequences: list[list[Sequence]] = []
-        self._children_infosets: list[dict[Sequence, list[Infoset]]] = []
-        self._terminals_by_lastseq: list[dict[Sequence, list[int]]] = []
+        self.root_after: list[tuple[list[int], list[Infoset]]] = []
         self._index_sequences()
         self._validation = ValidationReport(
             ok=not self._violations, violations=tuple(self._violations)
@@ -285,8 +289,7 @@ class Game:
             for iset in isets:
                 iset.after = tuple((by_last[s], children[s]) for s in iset.seqs)
             self._sequences.append(seqs)
-            self._children_infosets.append(children)
-            self._terminals_by_lastseq.append(by_last)
+            self.root_after.append((by_last[seqs[0]], children[seqs[0]]))
         for z in self.terminals:
             z.last_seq = tuple(interned.get(s, s) for s in z.last_seq)
             for i in range(self.n):
@@ -329,7 +332,8 @@ class Game:
 
     def sequences(self, player: Union[int, str]) -> list[Sequence]:
         """The empty sequence followed by one sequence per (infoset, action),
-        infosets in discovery order. Use :meth:`precedes` for order queries."""
+        infosets in discovery order. Order among them is read off the
+        infosets' ``chain`` and ``subtree``."""
         self.require_valid()
         return list(self._sequences[self.player_index(player)])
 
@@ -342,18 +346,6 @@ class Game:
         if action not in iset.actions:
             raise KeyError(f"infoset {infoset_id!r} has no action {action!r}")
         return Sequence(i, infoset_id, action)
-
-    def children_infosets(self, seq: Sequence) -> list[Infoset]:
-        """Infosets whose parent sequence is ``seq``."""
-        return self._children_infosets[seq.player].get(seq, [])
-
-    def top_infosets(self, player: Union[int, str]) -> list[Infoset]:
-        i = self.player_index(player)
-        return self._children_infosets[i][Sequence.empty(i)]
-
-    def terminals_by_last_sequence(self, seq: Sequence) -> list[int]:
-        """Indices of terminals whose last own pair of ``seq.player`` is ``seq``."""
-        return self._terminals_by_lastseq[seq.player].get(seq, [])
 
     def terminal(self, terminal_id: str) -> TerminalNode:
         for z in self.terminals:
@@ -373,60 +365,6 @@ class Game:
             else:
                 raise KeyError(f"no action {label!r} at node {'/'.join(node.path) or '.'}")
         return node
-
-    # -- the partial order over sequences, infosets and nodes ------------
-
-    def precedes(self, a, b) -> bool:
-        """The game's ancestry order: ``a`` precedes-or-equals ``b``.
-
-        Accepts :class:`Sequence`, :class:`Infoset` and :class:`Node`
-        arguments in any combination (sequences and infosets must belong to
-        the same player). Order among a player's sequences and infosets is
-        read off the infosets' ``chain``.
-        """
-        if isinstance(a, Node):
-            if isinstance(b, Node):
-                while b is not None:
-                    if b is a:
-                        return True
-                    b = b.parent
-                return False
-            # node vs infoset/sequence: a must be an ancestor of a witness node
-            if isinstance(b, Sequence):
-                if b.is_empty:
-                    return a is self.root
-                b = self.infoset(b.player, b.infoset)
-            return any(self.precedes(a, h) for h in b.nodes)
-        if not isinstance(b, Node) and a.player != b.player:
-            raise ValueError("sequences/infosets of different players are unordered")
-        chain, at = self._own_chain(b, a.player)
-        if isinstance(a, Sequence):
-            return a.is_empty or \
-                (self.infoset(a.player, a.infoset).index, a.action) in chain
-        return a is at or any(j == a.index for j, _ in chain)
-
-    def _own_chain(self, x, player: int):
-        """The own (infoset index, action) pairs of ``player`` up to ``x``,
-        its own pair included for a sequence, and the infoset ``x`` is or
-        sits at (None if neither)."""
-        if isinstance(x, Sequence):
-            if x.is_empty:
-                return (), None
-            iset = self.infoset(player, x.infoset)
-            return iset.chain + ((iset.index, x.action),), None
-        if isinstance(x, Infoset):
-            return x.chain, x
-        if x.kind == "terminal":
-            return x.own_pairs[player], None
-        # climb to the nearest own decision node at or above x
-        child, h = None, x
-        while h is not None and (h.kind != "decision" or h.player != player):
-            child, h = h, h.parent
-        if h is None:
-            return (), None
-        if child is None:
-            return h.infoset.chain, h.infoset
-        return h.infoset.chain + ((h.infoset.index, child.path[-1]),), None
 
     # -- chance ----------------------------------------------------------
 

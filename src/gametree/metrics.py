@@ -267,40 +267,6 @@ def _cf_values(reach: ProfileReach, i: int) -> list[int]:
     return [sum(pc[z] * r for z, r in cf.items()) for cf in _cf_reach_profiles(reach, i)]
 
 
-@dataclass(frozen=True)
-class ConditionalReach:
-    """Opponent reach joint with the event that the recommendation plays to a
-    sequence: event_mass = P[x_i(sigma) = 1] and, per terminal,
-    E[x_{-i}(z) * 1[x_i(sigma) = 1]] (unnormalized, no chance factor)."""
-
-    player: int
-    sequence: Sequence
-    event_mass: Fraction
-    reach: tuple[Fraction, ...]  # indexed by terminal index
-
-    def as_dict(self, game: Game) -> dict[str, Fraction]:
-        return {z.terminal_id: self.reach[z.index] for z in game.terminals}
-
-
-def conditional_reach(game: Game, pi: MixtureOfProducts, player: Union[int, str],
-                      seq: Sequence, reach: Optional[ProfileReach] = None) -> ConditionalReach:
-    """Factorized computation from ``reach`` (built from ``pi`` when not
-    given); the empty sequence gives the unconditional opponent marginal
-    (event mass 1)."""
-    i = game.player_index(player)
-    if not seq.is_empty:
-        game.infoset(i, seq.infoset)  # an unknown infoset raises KeyError
-    reach = ProfileReach.of(game, pi, reach)
-    out = [0] * len(game.terminals)
-    for masses, other in zip(reach.masses[i], reach.others[i]):
-        m = masses.get(seq)
-        if m:
-            for z, o in enumerate(other):
-                out[z] += m * o
-    return ConditionalReach(i, seq, reach.event_mass(i, seq),
-                            tuple(Fraction(r, reach.scale) for r in out))
-
-
 def conditional_node_utility(game: Game, pi: MixtureOfProducts,
                              player: Union[int, str], path) -> Fraction:
     """Expected utility of restarting play at the node addressed by ``path``,
@@ -466,9 +432,7 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
                 return t_val, [(seq, t_strat)]
             return obey, commits
 
-        empty = Sequence.empty(i)
-        value, commits = walk(empty, None, (game.terminals_by_last_sequence(empty),
-                                            game.top_infosets(i)))
+        value, commits = walk(Sequence.empty(i), None, game.root_after[i])
         gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
         witnesses.append(TriggerCommitWitness(i, tuple(commits)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))

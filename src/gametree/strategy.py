@@ -47,11 +47,6 @@ class PureStrategy:
     def assignment(self, game: Game) -> dict[str, str]:
         return {iset.id: a for iset, a in zip(game.infosets[self.player], self.actions)}
 
-    def replace(self, infoset_index: int, action: str) -> "PureStrategy":
-        acts = list(self.actions)
-        acts[infoset_index] = action
-        return PureStrategy(self.player, tuple(acts))
-
 
 @dataclass(frozen=True)
 class PureProfile:
@@ -172,10 +167,6 @@ def pure_reaches_sequence(game: Game, ps: PureStrategy, seq: Sequence) -> bool:
         return True
     iset = game.infoset(seq.player, seq.infoset)
     return ps.actions[iset.index] == seq.action and _plays_chain(ps, iset.chain)
-
-
-def pure_reaches_infoset(game: Game, ps: PureStrategy, infoset_id: str) -> bool:
-    return _plays_chain(ps, game.infoset(ps.player, infoset_id).chain)
 
 
 def _plays_chain(ps: PureStrategy, chain) -> bool:

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gametree import fixtures
+from gametree import Sequence, fixtures
+from gametree.bestresponse import best_response
+from gametree.metrics import pure_utility
 from gametree.randgen import (random_behavior_strategy, random_game, random_mixture,
                               random_pure_profile_mixture, random_pure_strategy)
 from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
-                               expand_behavior_products, profile_support)
+                               PureStrategy, expand_behavior_products, profile_support,
+                               pure_reaches_sequence, pure_terminal_reach)
 
 F = Fraction
 
@@ -96,3 +99,66 @@ def _replayed_regret(game, pi, witness, utility):
         regret += w * (utility(game, PureProfile(tuple(strategies)), i)
                        - utility(game, profile, i))
     return regret
+
+
+@pytest.fixture(scope="session")
+def expanded_conditional_reach():
+    """``expanded_conditional_reach(game, pi, i, seq)``: the event mass
+    ``P[x_i(seq) = 1]`` and, per terminal index, ``E[x_{-i}(z) 1[x_i(seq) =
+    1]]`` (chance left out), summed over the expanded support."""
+    return _expanded_conditional_reach
+
+
+def _expanded_conditional_reach(game, pi, i, seq):
+    mass, reach = F(0), [F(0)] * len(game.terminals)
+    for w, profile in profile_support(pi):
+        if not pure_reaches_sequence(game, profile.strategies[i], seq):
+            continue
+        mass += w
+        for z in game.terminals:
+            if all(pure_terminal_reach(game, profile.strategies[j], z)
+                   for j in range(game.n) if j != i):
+                reach[z.index] += w
+    return mass, tuple(reach)
+
+
+@pytest.fixture(scope="session")
+def reference_cbr():
+    """``reference_cbr(game, pi, i, seq)``: the counterfactual best response
+    at ``seq`` against the expanded conditional reach, as ``(strategy,
+    value, mass)``. A zero-mass event falls back to the unconditional law;
+    ``mass`` is that of the law the response was computed against."""
+    return _reference_cbr
+
+
+def _reference_cbr(game, pi, i, seq):
+    mass, reach = _expanded_conditional_reach(game, pi, i, seq)
+    if mass == 0:
+        mass, reach = _expanded_conditional_reach(game, pi, i, Sequence.empty(i))
+    weights = [z.payoffs[i] * z.chance_reach * reach[z.index] for z in game.terminals]
+    at = None if seq.is_empty else game.infoset(i, seq.infoset)
+    value, strategy = best_response(game, i, weights, at)
+    return strategy, value / mass, mass
+
+
+@pytest.fixture(scope="session")
+def restricted_deviation_value():
+    """``restricted_deviation_value(game, pi, i, witness, infoset_id)``: the
+    ordinary regret of ``witness`` applied only at infosets weakly after the
+    given one (play elsewhere stays obedient)."""
+    return _restricted_deviation_value
+
+
+def _restricted_deviation_value(game, pi, i, witness, infoset_id):
+    start = game.infoset(i, infoset_id)
+    total = F(0)
+    for w, profile in profile_support(pi):
+        deviated = witness.apply(game, profile.strategies[i])
+        actions = list(profile.strategies[i].actions)
+        for iset in start.subtree:
+            actions[iset.index] = deviated.actions[iset.index]
+        strategies = list(profile.strategies)
+        strategies[i] = PureStrategy(i, tuple(actions))
+        total += w * (pure_utility(game, PureProfile(tuple(strategies)), i)
+                      - pure_utility(game, profile, i))
+    return total

@@ -2,7 +2,9 @@
 
 Every check compares the index with a reference built only from the
 infosets' ``own_history`` ids and from walking a node's parent chain, on
-seeded random 2- and 3-player games with chance nodes.
+seeded random 2- and 3-player games with chance nodes. The ancestry order
+is read off the index alone: sequences and nodes by their own chains,
+infosets by their subtrees.
 """
 
 import random
@@ -79,6 +81,32 @@ def _ref_precedes_node(a, node):
     return a.id == at or any(j == a.id for j, _ in pairs)
 
 
+def _index_chain(game, x, player):
+    """Own (infoset index, action) pairs of ``player`` weakly above ``x``
+    from the index, a sequence's own pair included, and the infoset ``x`` is
+    or sits at (None if neither); ``x`` is a point or a terminal of any
+    player, or a decision node of ``player``."""
+    if isinstance(x, Infoset):
+        return x.chain, x
+    if isinstance(x, Sequence):
+        if x.is_empty:
+            return (), None
+        iset = game.infoset(x.player, x.infoset)
+        return iset.chain + ((iset.index, x.action),), None
+    if x.kind == "terminal":
+        return x.own_pairs[player], None
+    return x.infoset.chain, x.infoset
+
+
+def _index_precedes(game, a, b):
+    chain, at = _index_chain(game, b, a.player)
+    if isinstance(a, Sequence):
+        return a.is_empty or (game.infoset(a.player, a.infoset).index, a.action) in chain
+    if isinstance(b, Infoset):
+        return b in a.subtree
+    return a is at or any(j == a.index for j, _ in chain)
+
+
 def _nodes(game):
     stack, out = [game.root], []
     while stack:
@@ -125,24 +153,21 @@ def test_precedes_between_same_player_points_matches_the_reference():
             points = _points(game, i)
             for a in points:
                 for b in points:
-                    assert game.precedes(a, b) == _ref_precedes(game, a, b), (a, b)
+                    assert _index_precedes(game, a, b) == _ref_precedes(game, a, b), (a, b)
 
 
 def test_precedes_from_points_to_nodes_matches_the_parent_chain():
-    # terminals read their own pairs; other nodes climb to an own node
+    # terminals read their own pairs and the player's decision nodes their
+    # infoset's chain; other nodes carry no own chain of that player
     for game in GAMES:
         nodes = _nodes(game)
         for i in range(game.n):
+            own = [node for node in nodes if node.kind == "terminal"
+                   or (node.kind == "decision" and node.player == i)]
             for a in _points(game, i):
-                for node in nodes:
-                    assert game.precedes(a, node) == _ref_precedes_node(a, node), \
+                for node in own:
+                    assert _index_precedes(game, a, node) == _ref_precedes_node(a, node), \
                         (a, node.path)
-
-
-def test_precedes_rejects_points_of_different_players():
-    game = GAMES[0]
-    with pytest.raises(ValueError):
-        game.precedes(Sequence.empty(0), Sequence.empty(1))
 
 
 def test_best_response_reaches_the_brute_force_maximum():

@@ -183,24 +183,71 @@ def test_cbr_empty_sequence(paths, capsys):
     assert doc["value"] == "2"
 
 
-def test_cbr_event_mass_matches_the_cbr_table(paths, capsys):
+def test_cbr_event_mass_matches_the_cbr_table(paths, capsys, reference_cbr):
     # every sequence, zero-mass fallbacks included, reports the mass of the
     # law its response was computed against
-    from gametree import build_cbr_table, parse_game, parse_profile
+    from gametree import parse_game, parse_profile
     for name, profile in (("ebos", "ebos.profile"), ("lrr", "lrr.behavior")):
         with open(paths[name], encoding="utf-8") as fh:
             game = parse_game(fh.read())
         with open(paths[profile], encoding="utf-8") as fh:
             pi = parse_profile(game, fh.read())
         for i in range(game.n):
-            table = build_cbr_table(game, pi, i)
-            for seq, entry in table.entries.items():
+            for seq in game.sequences(i):
+                strategy, value, mass = reference_cbr(game, pi, i, seq)
                 code, out, _ = run(capsys, "cbr", paths[name], paths[profile],
                                    "--player", str(i), "--sequence", seq.label())
                 assert code == 0
-                assert json.loads(out)["event_mass"] == format_rational(
-                    entry.reach.event_mass)
-                assert json.loads(out)["value"] == format_rational(entry.value)
+                doc = json.loads(out)
+                assert doc["event_mass"] == format_rational(mass)
+                assert doc["value"] == format_rational(value)
+                assert doc["strategy"] == strategy.assignment(game)
+
+
+def _colon_game(tmp_path, infosets):
+    """A one-player chain of decision nodes, ``infosets`` listing each
+    node's (infoset id, action labels); every action but the last of a
+    node ends the game."""
+    node = {"kind": "terminal", "payoffs": ["0"]}
+    for k, (iset, labels) in reversed(list(enumerate(infosets))):
+        node = {"kind": "decision", "player": 0, "infoset": iset, "actions": [
+            {"label": a, "child": {"kind": "terminal", "payoffs": [str(k + m)]}}
+            for m, a in enumerate(labels)] + [{"label": "on", "child": node}]}
+    path = tmp_path / "colon.game.json"
+    path.write_text(json.dumps({"players": ["A"], "root": node}))
+    return str(path)
+
+
+def test_cbr_sequence_accepts_infoset_ids_with_a_colon(paths, capsys):
+    # the label gt cbr prints for a sequence is accepted back as --sequence
+    game = _colon_game(paths["tmp"], [("a:b", ["x"]), ("c", ["d:e"])])
+    profile = paths["tmp"] / "colon.profile.json"
+    profile.write_text(json.dumps({"components": [{"alpha": "1", "strategies": [
+        [{"beta": "1", "actions": {"a:b": "on", "c": "d:e"}}]]}]}))
+    for label in ("a:b:x", "a:b:on", "c:d:e", "c:on"):
+        code, out, err = run(capsys, "cbr", game, str(profile),
+                             "--player", "A", "--sequence", label)
+        assert code == 0, err
+        assert json.loads(out)["sequence"] == label
+    # a label naming no sequence keeps the first split's message
+    code, _, err = run(capsys, "cbr", game, str(profile), "--player", "A",
+                       "--sequence", "a:b:z")
+    assert code == 1 and "has no infoset 'a'" in err
+
+
+def test_cbr_sequence_refuses_an_ambiguous_label(paths, capsys):
+    # "a:b:x" names infoset "a" action "b:x" and infoset "a:b" action "x"
+    game = _colon_game(paths["tmp"], [("a", ["b:x"]), ("a:b", ["x"])])
+    profile = paths["tmp"] / "colon.profile.json"
+    profile.write_text(json.dumps({"components": [{"alpha": "1", "strategies": [
+        [{"beta": "1", "actions": {"a": "on", "a:b": "x"}}]]}]}))
+    code, out, err = run(capsys, "cbr", game, str(profile), "--player", "A",
+                         "--sequence", "a:b:x")
+    assert (code, out) == (1, "")
+    assert "ambiguous" in err and "'a:b' action 'x'" in err and "'a' action 'b:x'" in err
+    code, out, _ = run(capsys, "cbr", game, str(profile), "--player", "A",
+                       "--sequence", "a:on")
+    assert code == 0 and json.loads(out)["sequence"] == "a:on"
 
 
 def test_cbr_builds_one_reach(paths, capsys, monkeypatch):

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from gametree import (Sequence, build_cbr_table, counterfactual_best_response,
+from gametree import (ProfileReach, Sequence, counterfactual_best_response,
                       deviation_point, efce_to_bce, gap, outcome_equivalent,
                       outcome_distribution, profile_support, pure_mixture,
-                      pure_strategy, restricted_deviation_value)
+                      pure_strategy)
+from gametree.convert import _deviation_infoset
 from gametree.randgen import random_game, random_mixture
 from gametree.strategy import PureProfile, sequence_form
 from gametree.witnesses import HistoryPolicyWitness, TriggerCommitWitness
@@ -32,6 +33,9 @@ def test_cbr_lrr_after_l(lrr, lrr_small):
 def test_cbr_rejects_another_players_sequence(ebos, ebos_pi):
     with pytest.raises(ValueError, match="is not player"):
         counterfactual_best_response(ebos, ebos_pi, 1, Sequence.empty(0))
+    # P1 has no infoset "Event"; the player check comes before that lookup
+    with pytest.raises(ValueError, match="is not player"):
+        counterfactual_best_response(ebos, ebos_pi, 0, ebos.sequence(1, "Event", "X2"))
 
 
 def test_cbr_all_zero_subtree_ties_lexicographically():
@@ -52,25 +56,28 @@ def test_cbr_all_zero_subtree_ties_lexicographically():
     assert strategy.assignment(g) == {"top": "go", "mid": "z1"}
 
 
-def test_cbr_table_covers_every_sequence(ebos, ebos_pi):
-    table = build_cbr_table(ebos, ebos_pi, 0)
-    assert set(table.entries) == set(ebos.sequences(0))
-    empty = table.entries[Sequence.empty(0)]
-    assert empty.reach.event_mass == 1
-    # the recorded value is the optimum against the recorded reach
-    assert empty.value == F(3, 2)
+def test_cbr_table_covers_every_sequence(ebos, ebos_pi, reference_cbr):
+    # every sequence, the empty one included, has a response: the optimum
+    # against its conditional law, recomputed by support expansion
+    for seq in ebos.sequences(0):
+        assert counterfactual_best_response(ebos, ebos_pi, 0, seq) == \
+            reference_cbr(ebos, ebos_pi, 0, seq)[:2]
+    _strategy, value, mass = reference_cbr(ebos, ebos_pi, 0, Sequence.empty(0))
+    assert mass == 1
+    assert value == F(3, 2)
 
 
-def test_cbr_zero_mass_falls_back_to_unconditional(lrr, lrr_small):
-    from gametree import conditional_reach
+def test_cbr_zero_mass_falls_back_to_unconditional(lrr, lrr_small, expanded_conditional_reach,
+                                                   reference_cbr):
     # the recommendation never plays B:L', so the event has zero mass and
-    # the response is computed (and recorded) against the unconditional law
+    # the response is computed against the unconditional law
     seq = lrr.sequence(0, "B", "L'")
-    assert conditional_reach(lrr, lrr_small, 0, seq).event_mass == 0
-    table = build_cbr_table(lrr, lrr_small, 0)
-    assert table.entries[seq].reach.event_mass == 1
-    assert table.entries[seq].reach.sequence.is_empty
+    assert expanded_conditional_reach(lrr, lrr_small, 0, seq)[0] == 0
+    assert ProfileReach(lrr, lrr_small).event_mass(0, seq) == 0
+    ref_strategy, ref_value, mass = reference_cbr(lrr, lrr_small, 0, seq)
+    assert mass == 1
     strategy, value = counterfactual_best_response(lrr, lrr_small, 0, seq)
+    assert (strategy, value) == (ref_strategy, ref_value)
     assert strategy.assignment(lrr)["B"] == "L'"
     assert value == 1  # value measured at B under the fallback law
 
@@ -128,8 +135,7 @@ def test_conversion_changes_only_off_path_actions(surj, surj_pi):
                 assert sequence_form(surj, ps_b).reach == \
                     sequence_form(surj, ps_a).reach
                 for iset in surj.infosets[i]:
-                    from gametree.strategy import pure_reaches_infoset
-                    if pure_reaches_infoset(surj, ps_b, iset.id):
+                    if _deviation_infoset(surj, ps_b, iset) is None:  # ps_b reaches iset
                         assert ps_b.action_at(iset.index) == ps_a.action_at(iset.index)
 
 
@@ -151,7 +157,7 @@ def test_conversion_bound_on_random_profiles():
         assert gap(game, out, "bce").overall <= eps
 
 
-def test_restricted_deviation_ebos_upgrade(ebos, ebos_pi):
+def test_restricted_deviation_ebos_upgrade(ebos, ebos_pi, restricted_deviation_value):
     # "upgrade, then obey" applied from the root loses its edge after the
     # rewrite: the upgraded recommendation is always X1
     converted = efce_to_bce(ebos, ebos_pi)
@@ -165,12 +171,12 @@ def test_restricted_deviation_ebos_upgrade(ebos, ebos_pi):
     assert restricted_deviation_value(ebos, ebos_pi, 0, witness, "Root") == 1
 
 
-def test_restricted_deviation_identity_is_zero(ebos, ebos_pi):
+def test_restricted_deviation_identity_is_zero(ebos, ebos_pi, restricted_deviation_value):
     witness = TriggerCommitWitness(0, ())
     assert restricted_deviation_value(ebos, ebos_pi, 0, witness, "Root") == 0
 
 
-def test_restricted_deviation_lrr_at_b(lrr, lrr_small):
+def test_restricted_deviation_lrr_at_b(lrr, lrr_small, restricted_deviation_value):
     converted = efce_to_bce(lrr, lrr_small)
     policy = []
     for root_rec in ("L", "R"):
@@ -186,22 +192,21 @@ def test_conversion_keeps_support_conditioning_positive(ebos, ebos_pi):
     assert outcome_distribution(ebos, out).probs["NotU/X1/X2"] == F(1, 2)
 
 
-def test_cbr_table_values_recompute_from_recorded_reach(ebos, ebos_pi):
-    # the stored value is the optimum against the stored conditional law
-    from gametree.bestresponse import best_response
-    table = build_cbr_table(ebos, ebos_pi, 0)
-    for seq, entry in table.entries.items():
-        weights = [z.payoffs[0] * z.chance_reach * entry.reach.reach[z.index]
-                   for z in ebos.terminals]
-        at = None if seq.is_empty else ebos.infoset(0, seq.infoset)
-        value, strategy = best_response(ebos, 0, weights, at)
-        if entry.reach.event_mass:
-            value /= entry.reach.event_mass
-        assert value == entry.value
-        assert strategy == entry.strategy
+def test_cbr_table_values_recompute_from_recorded_reach(ebos, ebos_pi, lrr, lrr_small,
+                                                        games_and_profiles, reference_cbr):
+    # every response and value is the optimum against the conditional law
+    # recomputed by support expansion (the unconditional law at zero mass)
+    cases = [(ebos, ebos_pi), (lrr, lrr_small)] + games_and_profiles(38)
+    for game, pi in cases:
+        reach = ProfileReach(game, pi)
+        for i in range(game.n):
+            for seq in game.sequences(i):
+                assert counterfactual_best_response(game, pi, i, seq, reach) == \
+                    reference_cbr(game, pi, i, seq)[:2]
 
 
-def test_regret_chain_on_converted_profiles(ebos, ebos_pi, lrr, lrr_pi, lrr_small):
+def test_regret_chain_on_converted_profiles(ebos, ebos_pi, lrr, lrr_pi, lrr_small,
+                                            restricted_deviation_value):
     # on a rewritten profile, counterfactual regret at an infoset is bounded
     # by the ordinary regret of the deviation restricted to that infoset's
     # subtree, which in turn is bounded by the source profile's causal gap

@@ -123,9 +123,10 @@ def test_fixture_games_validate(ebos, lrr, surj):
 def test_sequences_lrr(lrr):
     labels = [s.label() for s in lrr.sequences(0)]
     assert labels == ["empty", "R0:L", "R0:R", "B:L'", "B:R'"]
-    rr = lrr.sequence(0, "R0", "R")
-    assert lrr.precedes(rr, lrr.sequence(0, "B", "L'"))
-    assert not lrr.precedes(lrr.sequence(0, "R0", "L"), lrr.sequence(0, "B", "L'"))
+    # R0:R leads to B, and so precedes B:L'; R0:L does not
+    r0, b = lrr.infoset(0, "R0"), lrr.infoset(0, "B")
+    assert _seq_chain(lrr, lrr.sequence(0, "B", "L'")) == ((r0.index, "R"), (b.index, "L'"))
+    assert (r0.index, "L") not in b.chain
 
 
 def test_sequences_ebos_p2_single_infoset(ebos):
@@ -133,39 +134,60 @@ def test_sequences_ebos_p2_single_infoset(ebos):
     assert labels == ["empty", "Event:X2", "Event:Y2"]
 
 
+def _seq_chain(game, seq):
+    """The own (infoset index, action) pairs up to ``seq``, its own pair
+    included, read off the infosets' ``chain``."""
+    if seq.is_empty:
+        return ()
+    iset = game.infoset(seq.player, seq.infoset)
+    return iset.chain + ((iset.index, seq.action),)
+
+
+def _seq_precedes(game, a, b):
+    return _seq_chain(game, b)[:len(_seq_chain(game, a))] == _seq_chain(game, a)
+
+
 def test_empty_sequence_precedes_everything(ebos, lrr, surj):
+    # every infoset lies below exactly one of the player's first infosets,
+    # the children of the empty sequence in the root entry
     for game in (ebos, lrr, surj):
         for i in range(game.n):
-            empty = Sequence.empty(i)
+            _terminals, top = game.root_after[i]
+            assert top and all(iset.chain == () for iset in top)
+            below = sorted(j.index for start in top for j in start.subtree)
+            assert below == list(range(len(game.infosets[i])))
             for s in game.sequences(i):
-                assert game.precedes(empty, s)
+                assert _seq_precedes(game, Sequence.empty(i), s)
 
 
 def test_precedes_is_a_partial_order(ebos, lrr, surj):
+    # the order among a player's sequences read off the chains, and among
+    # its infosets read off the subtrees
     for game in (ebos, lrr, surj):
         for i in range(game.n):
-            seqs = game.sequences(i)
-            for a in seqs:
-                assert game.precedes(a, a)
-                for b in seqs:
-                    if game.precedes(a, b) and game.precedes(b, a):
-                        assert a == b
-                    for c in seqs:
-                        if game.precedes(a, b) and game.precedes(b, c):
-                            assert game.precedes(a, c)
+            for points, precedes in ((game.sequences(i), lambda a, b: _seq_precedes(game, a, b)),
+                                     (game.infosets[i], lambda a, b: b in a.subtree)):
+                for a in points:
+                    assert precedes(a, a)
+                    for b in points:
+                        if precedes(a, b) and precedes(b, a):
+                            assert a == b
+                        for c in points:
+                            if precedes(a, b) and precedes(b, c):
+                                assert precedes(a, c)
 
 
 def test_precedes_between_infosets_and_nodes(surj):
     ht = surj.infoset(0, "HT")
     coop = surj.infoset(1, "CoopChoice")
     sguess = surj.infoset(1, "SGuess")
-    assert surj.precedes(coop, sguess)
-    assert not surj.precedes(sguess, coop)
-    assert not surj.precedes(surj.infoset(1, "MPGuess"), sguess)
+    assert sguess in coop.subtree
+    assert coop not in sguess.subtree
+    assert sguess not in surj.infoset(1, "MPGuess").subtree
     z = surj.terminal("Coop/P/H1/H2'")
-    assert surj.precedes(ht, z)
-    assert surj.precedes(surj.sequence(1, "CoopChoice", "P"), z)
-    assert not surj.precedes(surj.sequence(1, "CoopChoice", "E"), z)
+    assert ht.index in {j for j, _ in z.own_pairs[0]}
+    assert (coop.index, "P") in z.own_pairs[1]
+    assert (coop.index, "E") not in z.own_pairs[1]
 
 
 def test_chance_reach_surj(surj):
@@ -253,12 +275,17 @@ def test_infoset_tables_match_the_sequence_lookups(ebos, lrr, surj):
                     seq = iset.seqs[m]
                     assert type(seq) is Sequence and seq == Sequence(i, iset.id, a)
                     terminals, children = iset.after[m]
-                    assert terminals == game.terminals_by_last_sequence(seq) == [
-                        z.index for z in game.terminals
-                        if z.own_pairs[i][-1:] == ((iset.index, a),)]
-                    assert children == game.children_infosets(seq) == [
-                        j for j in game.infosets[i] if j.chain[-1:] == ((iset.index, a),)]
+                    assert terminals == [z.index for z in game.terminals
+                                         if z.own_pairs[i][-1:] == ((iset.index, a),)]
+                    assert children == [j for j in game.infosets[i]
+                                        if j.chain[-1:] == ((iset.index, a),)]
                     assert all(j.parent_seq is seq for j in children)
                     assert all(game.terminals[z].last_seq[i] is seq for z in terminals)
+            # the root entry: the same pair for the empty sequence
+            terminals, children = game.root_after[i]
+            assert terminals == [z.index for z in game.terminals if not z.own_pairs[i]]
+            assert children == [j for j in game.infosets[i] if not j.chain]
+            assert all(j.parent_seq == Sequence.empty(i) for j in children)
+            assert all(game.terminals[z].last_seq[i].is_empty for z in terminals)
             assert game.sequences(i) == [Sequence.empty(i)] + [
                 s for iset in game.infosets[i] for s in iset.seqs]

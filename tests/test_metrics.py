@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gametree import (InternalCheckError, ProfileReach, ResourceGuardError,
-                      Sequence, conditional_reach, parse_game, serialize_game,
+                      Sequence, counterfactual_best_response, parse_game, serialize_game,
                       counterfactual_utility, counterfactually_outcome_equivalent,
                       expected_utility, gap, outcome_distribution,
                       outcome_equivalent, profile_support, pure_mixture,
@@ -112,40 +112,60 @@ def test_counterfactual_includes_chance(surj, surj_pi):
 # -- conditional reach --------------------------------------------------------
 
 
-def test_conditional_reach_ebos_after_notu(ebos, ebos_pi):
-    cr = conditional_reach(ebos, ebos_pi, 0, ebos.sequence(0, "Root", "NotU"))
-    assert cr.event_mass == 1
-    table = cr.as_dict(ebos)
+def _conditional_reach(game, pi, i, seq, expanded):
+    """The event mass and per-terminal conditional reach of ``seq`` read off
+    the factorized ``ProfileReach`` (``sum_t masses[t][seq] * others[t]``),
+    after checking them against the ``expanded`` support sum."""
+    reach = ProfileReach(game, pi)
+    row = [0] * len(game.terminals)
+    for masses, others in zip(reach.masses[i], reach.others[i]):
+        for z, o in enumerate(others):
+            row[z] += masses.get(seq, 0) * o
+    got = reach.event_mass(i, seq), tuple(F(r, reach.scale) for r in row)
+    assert got == expanded(game, pi, i, seq)
+    return got
+
+
+def test_conditional_reach_ebos_after_notu(ebos, ebos_pi, expanded_conditional_reach):
+    mass, reach = _conditional_reach(ebos, ebos_pi, 0, ebos.sequence(0, "Root", "NotU"),
+                                     expanded_conditional_reach)
+    assert mass == 1
     for z in ebos.terminals:
         want = F(1, 2)  # each terminal sits under exactly one of X2/Y2
-        assert table[z.terminal_id] == want
+        assert reach[z.index] == want
 
 
-def test_conditional_reach_lrr_small(lrr, lrr_small):
-    cr = conditional_reach(lrr, lrr_small, 0, lrr.sequence(0, "R0", "R"))
-    assert cr.event_mass == F(1, 10)
+def test_conditional_reach_lrr_small(lrr, lrr_small, expanded_conditional_reach):
+    mass, reach = _conditional_reach(lrr, lrr_small, 0, lrr.sequence(0, "R0", "R"),
+                                     expanded_conditional_reach)
+    assert mass == F(1, 10)
     for z in lrr.terminals:
         if z.terminal_id.startswith("R/"):
-            assert cr.reach[z.index] == F(1, 10)
+            assert reach[z.index] == F(1, 10)
 
 
-def test_conditional_reach_empty_sequence_mass_one(ebos, ebos_pi, lrr, lrr_pi):
+def test_conditional_reach_empty_sequence_mass_one(ebos, ebos_pi, lrr, lrr_pi,
+                                                   expanded_conditional_reach):
     for game, pi in ((ebos, ebos_pi), (lrr, lrr_pi)):
         for i in range(game.n):
-            assert conditional_reach(game, pi, i, Sequence.empty(i)).event_mass == 1
+            mass, _reach = _conditional_reach(game, pi, i, Sequence.empty(i),
+                                              expanded_conditional_reach)
+            assert mass == 1
 
 
-def test_conditional_reach_bounded_by_mass(surj, surj_pi):
+def test_conditional_reach_bounded_by_mass(surj, surj_pi, expanded_conditional_reach):
     for i in range(surj.n):
         for seq in surj.sequences(i):
-            cr = conditional_reach(surj, surj_pi, i, seq)
-            assert 0 <= cr.event_mass <= 1
-            assert all(0 <= r <= cr.event_mass for r in cr.reach)
+            mass, reach = _conditional_reach(surj, surj_pi, i, seq,
+                                             expanded_conditional_reach)
+            assert 0 <= mass <= 1
+            assert all(0 <= r <= mass for r in reach)
 
 
 def test_conditional_reach_unknown_infoset_raises(lrr, lrr_pi):
+    # conditioning on a sequence of an infoset the player does not have
     with pytest.raises(KeyError, match="nope"):
-        conditional_reach(lrr, lrr_pi, 0, Sequence(0, "nope", "x"))
+        counterfactual_best_response(lrr, lrr_pi, 0, Sequence(0, "nope", "x"))
 
 
 # -- gaps ----------------------------------------------------------------------
@@ -359,7 +379,6 @@ def test_profile_reach_masses_and_rows_match_support_expansion(games_and_profile
                 expanded = sum((w for w, p in support
                                 if pure_reaches_sequence(game, p.strategies[i], seq)), F(0))
                 assert reach.event_mass(i, seq) == expanded
-                assert conditional_reach(game, pi, i, seq, reach).event_mass == expanded
 
 
 def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
@@ -421,7 +440,8 @@ def test_efce_to_bce_refuses_a_corrupted_mass_table(ebos, ebos_pi, monkeypatch):
 # -- trigger weights and a shared reach ----------------------------------------
 
 
-def test_trigger_weights_match_conditional_reach_below_each_trigger(games_and_profiles):
+def test_trigger_weights_match_conditional_reach_below_each_trigger(
+        games_and_profiles, expanded_conditional_reach):
     # a trigger's weights are payoff * chance * conditional reach on every
     # terminal below its infoset (all terminals for the empty trigger), and
     # None exactly when the trigger has no mass
@@ -435,15 +455,15 @@ def test_trigger_weights_match_conditional_reach_below_each_trigger(games_and_pr
                 below = (range(len(game.terminals)) if at is None
                          else [z for z, _ in at.terminals_below])
                 w = _trigger_weights(reach, units, seq, at)
-                cr = conditional_reach(game, pi, i, seq, reach)
-                if cr.event_mass == 0:
+                mass, cond = expanded_conditional_reach(game, pi, i, seq)
+                if mass == 0:
                     assert w is None
                     zero_mass += 1
                     continue
                 for z in below:
                     t = game.terminals[z]
                     assert F(w[z], reach.value_scale(i)) == \
-                        t.payoffs[i] * t.chance_reach * cr.reach[z]
+                        t.payoffs[i] * t.chance_reach * cond[z]
     assert zero_mass > 0
 
 
@@ -475,7 +495,8 @@ def test_reach_built_for_another_profile_or_game_raises(games_and_profiles):
             for call in (lambda: outcome_distribution(game, pi, reach),
                          lambda: efce_to_bce(game, pi, reach),
                          lambda: expected_utility(game, pi, 0, reach),
-                         lambda: conditional_reach(game, pi, 0, Sequence.empty(0), reach)):
+                         lambda: counterfactual_best_response(game, pi, 0, Sequence.empty(0),
+                                                              reach)):
                 with pytest.raises(ValueError, match="another game or profile"):
                     call()
             checked += 1

@@ -31,3 +31,46 @@ def test_no_raise_assertion_error_in_the_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"raise AssertionError in the package: {found}"
+
+
+# Definitions the package itself never names, each kept for a reason
+CALLER_ALLOWLIST = {
+    "serialize_game": "the documented round trip of parse_game",
+    "deviation_point": "the paper's definition of a deviation point, public API",
+}
+
+
+def test_every_package_definition_has_a_package_caller():
+    # each top-level function or class and each method must be named in the
+    # package outside its own body and __init__.py, so that no public path
+    # is left that only the tests keep alive; oracles.py holds the reference
+    # implementations and is exempt, and dunder methods are called by Python
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert "oracles.py" in trees
+    mentions = {}  # name -> (file, line) of every Name or Attribute naming it
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                mentions.setdefault(name, []).append((fname, node.lineno))
+    definitions = []
+    for fname, tree in trees.items():
+        if fname == "oracles.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((fname, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(fname, sub) for sub in node.body
+                                if isinstance(sub, ast.FunctionDef)
+                                and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    unnamed = [f"{fname}:{d.name}" for fname, d in definitions
+               if d.name not in CALLER_ALLOWLIST
+               and not any(f != fname or not d.lineno <= line <= d.end_lineno
+                           for f, line in mentions.get(d.name, ()))]
+    assert not unnamed, f"definitions no package code names: {unnamed}"
+    stale = [name for name in CALLER_ALLOWLIST
+             if not any(d.name == name for _f, d in definitions)]
+    assert not stale, f"allowlisted names the package no longer defines: {stale}"
