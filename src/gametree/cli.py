@@ -1,7 +1,8 @@
 """The ``gt`` command line.
 
-Exit codes: 0 success, 1 semantic/validation failure, 2 resource refusal or
-infeasibility, 3 parse error, 4 failed internal self-check (a bug).
+Exit codes: 0 success, 1 semantic/validation failure or a file that cannot be
+read or written, 2 resource refusal or infeasibility, 3 parse error (of a
+game, profile or objective document), 4 failed internal self-check (a bug).
 Machine-readable JSON goes to stdout (or the -o file) and is byte-identical
 across runs on identical inputs; run summaries, timings and decimal
 approximations go to stderr.
@@ -15,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .convert import counterfactual_best_response, efce_to_bce
@@ -22,6 +24,7 @@ from .equilibrium import _solve_bce, _solve_program
 from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, parse_game
+from .jsonout import dumps
 from .metrics import (NOTIONS, ProfileReach, expected_utility, gap,
                       outcome_distribution)
 from .oracles import brute_force_gap
@@ -39,7 +42,7 @@ def main(argv=None) -> int:
     except (GameParseError, ProfileParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ProfileError, KeyError, ValueError) as e:
+    except (ProfileError, KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
     except ResourceGuardError as e:
@@ -110,8 +113,36 @@ def _load_profile(game: Game, path: str, behavior_mode="expand"):
         return parse_profile(game, fh.read(), behavior_mode)
 
 
+def _load_objective(game: Game, path: str) -> dict[str, Fraction]:
+    """The ``{"c": {terminal id: "p/q"}}`` document at ``path``. A schema
+    defect raises :class:`ProfileParseError` with its path in the document,
+    a terminal id the game lacks :class:`KeyError`; a missing ``"c"`` is the
+    zero objective."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ProfileParseError(
+            f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from e
+    if not isinstance(doc, dict):
+        raise ProfileParseError("objective must be an object with a \"c\" object")
+    c = doc.get("c", {})
+    if not isinstance(c, dict):
+        raise ProfileParseError("must map terminal ids to rationals", "c")
+    objective = {}
+    for zid, value in c.items():
+        try:
+            objective[zid] = parse_rational(value)
+        except ValueError as e:
+            raise ProfileParseError(str(e), f"c/{zid}") from e
+    for zid in objective:
+        game.terminal(zid)  # unknown terminals are semantic errors
+    return objective
+
+
 def _emit(doc, args=None):
-    _write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args)
+    _write(dumps(doc, ensure_ascii=False) + "\n", args)
 
 
 def _write(text: str, args=None):
@@ -237,13 +268,7 @@ def cmd_cbr(args) -> int:
 def cmd_solve(args) -> int:
     started = time.time()
     game = _load_game(args.game)
-    objective = None
-    if args.objective:
-        with open(args.objective, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        objective = {zid: parse_rational(v) for zid, v in doc.get("c", {}).items()}
-        for zid in objective:
-            game.terminal(zid)  # unknown terminals are semantic errors
+    objective = _load_objective(game, args.objective) if args.objective else None
     epsilon = parse_rational(args.epsilon)
     if args.notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
@@ -271,7 +296,7 @@ def cmd_solve(args) -> int:
                                          "sha256": _sha256(args.objective)}
     if objective is not None:
         report["outputs"]["objective_value"] = format_rational(value)
-    print(json.dumps(report, indent=2), file=sys.stderr)
+    print(dumps(report), file=sys.stderr)
     return EXIT_OK
 
 

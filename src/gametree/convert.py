@@ -98,9 +98,7 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     :class:`ValueError`. Each deviation point's response is weighted over
     the terminals below its infoset only.
     """
-    game.require_valid()
-    pi.validate(game)
-    reach = ProfileReach.of(game, pi, reach)
+    reach = ProfileReach.of(game, pi, reach)  # validates a new reach's profile
     units: dict[int, list] = {}  # player -> its payoff rows, built on first use
     cbr_cache: dict[Sequence, tuple] = {}  # a sequence names its player
     new_components = []

@@ -15,7 +15,8 @@ class GameParseError(ValueError):
 
 
 class ProfileParseError(ValueError):
-    """A profile document is malformed (bad JSON or wrong schema shape)."""
+    """A profile document, or a ``gt solve --objective`` document, is
+    malformed (bad JSON or wrong schema shape)."""
 
     def __init__(self, message, where=None):
         self.where = where

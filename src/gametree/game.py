@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import GameParseError, InvalidGameError
-from .rational import format_rational, parse_rational
+from .jsonout import dumps
+from .rational import format_rational, rational_reader
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -157,6 +158,8 @@ class Infoset:
         self.chain = chain
         self.subtree = []
         self.terminals_below = []  # (terminal index, offset into own_pairs[player])
+        self.seqs = tuple(Sequence(player, id_, a) for a in actions)
+        self.after = tuple(([], []) for _ in actions)
 
     def __repr__(self):  # pragma: no cover
         return f"Infoset(P{self.player}, {self.id!r}, actions={list(self.actions)})"
@@ -180,10 +183,10 @@ class Game:
         self._violations: list[Violation] = []
         self.num_nodes = 0
         self.num_chance_nodes = 0
-        self._build()
+        self.root_after: list[tuple[list[int], list[Infoset]]] = [
+            ([], []) for _ in players]
         self._sequences: list[list[Sequence]] = []
-        self.root_after: list[tuple[list[int], list[Infoset]]] = []
-        self._index_sequences()
+        self._build()
         self._validation = ValidationReport(
             ok=not self._violations, violations=tuple(self._violations)
         )
@@ -191,110 +194,115 @@ class Game:
     # -- construction ---------------------------------------------------
 
     def _build(self):
+        """Walk the tree once in preorder, indexing it as it goes.
+
+        Each stack entry carries, per player, the own (infoset index,
+        action) pairs on the path, the last own :class:`Sequence` (the
+        object interned in :attr:`Infoset.seqs`, or the player's one empty
+        sequence) and that sequence's ``(terminals, children)`` entry of
+        :attr:`Infoset.after`, so no sequence is built or looked up per
+        node."""
         n = self.n
-        # stack entries: (node, parent, path, chance, pairs) where
-        #   pairs[i] = tuple of (infoset index, action) for player i on the path
-        stack = [(self.root, None, (), ONE, tuple(() for _ in range(n)))]
+        empties = tuple(Sequence.empty(i) for i in range(n))
+        terminals, infosets, by_key = self.terminals, self.infosets, self._infoset_by_key
+        stack = [(self.root, None, (), ONE, ((),) * n, empties, tuple(self.root_after))]
+        count = 0
         while stack:
-            node, parent, path, chance, pairs = stack.pop()
+            node, parent, path, chance, pairs, lasts, afters = stack.pop()
             node.parent = parent
             node.path = path
-            self.num_nodes += 1
-            loc = "/".join(path) or "."
-            if node.kind == "terminal":
-                node.index = len(self.terminals)
-                node.terminal_id = loc
+            count += 1
+            kind = node.kind
+            if kind == "terminal":
+                node.index = z = len(terminals)
+                node.terminal_id = "/".join(path) or "."
                 node.chance_reach = chance
                 node.own_pairs = pairs
-                node.last_seq = tuple(self._sequence_after(i, pairs[i]) for i in range(n))
-                self.terminals.append(node)
+                node.last_seq = lasts
+                for i in range(n):
+                    afters[i][0].append(z)
+                    if pairs[i]:
+                        isets = infosets[i]
+                        for offset, (idx, _a) in enumerate(pairs[i]):
+                            isets[idx].terminals_below.append((z, offset))
+                terminals.append(node)
                 continue
-            labels = [m[0] for m in node.moves]
+            moves = node.moves
+            labels = [m[0] for m in moves]
             if not labels:
-                self._violations.append(
-                    Violation("tree-shape", loc, "node has no actions"))
+                self._violate("tree-shape", path, "node has no actions")
             if len(set(labels)) != len(labels):
-                self._violations.append(
-                    Violation("tree-shape", loc, "duplicate action labels at one node"))
-            if node.kind == "chance":
+                self._violate("tree-shape", path, "duplicate action labels at one node")
+            if kind == "chance":
                 self.num_chance_nodes += 1
-                total = sum((m[1] for m in node.moves), ZERO)
-                if node.moves and total != 1:
-                    self._violations.append(Violation(
-                        "chance-sum", loc,
-                        f"chance probabilities sum to {format_rational(total)}, not 1"))
-                for label, prob, child in reversed(node.moves):
+                total = sum((m[1] for m in moves), ZERO)
+                if moves and total != 1:
+                    self._violate("chance-sum", path, f"chance probabilities sum to "
+                                                      f"{format_rational(total)}, not 1")
+                for label, prob, child in reversed(moves):
                     if prob < 0:
-                        self._violations.append(Violation(
-                            "chance-sum", loc, f"negative probability on action {label!r}"))
-                    stack.append((child, node, path + (label,), chance * prob, pairs))
+                        self._violate("chance-sum", path,
+                                      f"negative probability on action {label!r}")
+                    stack.append((child, node, path + (label,), chance * prob,
+                                  pairs, lasts, afters))
                 continue
             # decision node
-            node.order = self.num_nodes  # preorder rank: stack pops in preorder
+            node.order = count  # preorder rank: stack pops in preorder
             i = node.player
-            iset = self._infoset_by_key.get((i, node.infoset_id))
+            labels = tuple(labels)
+            iset = by_key.get((i, node.infoset_id))
             if iset is None:
-                iset = Infoset(i, node.infoset_id, len(self.infosets[i]),
-                               tuple(labels), self._ids(i, pairs[i]),
-                               self._sequence_after(i, pairs[i]), pairs[i])
-                self._infoset_by_key[(i, node.infoset_id)] = iset
-                self.infosets[i].append(iset)
+                iset = self._add_infoset(i, node.infoset_id, labels, pairs[i],
+                                         lasts[i], afters[i])
             else:
-                if iset.actions != tuple(labels):
-                    self._violations.append(Violation(
-                        "infoset-action-mismatch", loc,
-                        f"infoset {node.infoset_id!r} lists actions {labels}, "
-                        f"first seen with {list(iset.actions)}"))
+                if iset.actions != labels:
+                    self._violate("infoset-action-mismatch", path,
+                                  f"infoset {node.infoset_id!r} lists actions {list(labels)}, "
+                                  f"first seen with {list(iset.actions)}")
                 if iset.chain != pairs[i]:
-                    self._violations.append(Violation(
-                        "perfect-recall", loc,
-                        f"infoset {node.infoset_id!r} mixes own histories "
-                        f"{list(iset.own_history)} and {list(self._ids(i, pairs[i]))}"))
+                    self._violate("perfect-recall", path,
+                                  f"infoset {node.infoset_id!r} mixes own histories "
+                                  f"{list(iset.own_history)} and {list(self._ids(i, pairs[i]))}")
             iset.nodes.append(node)
             node.infoset = iset
-            for label, child in reversed(node.moves):
-                new_pairs = list(pairs)
-                new_pairs[i] = pairs[i] + ((iset.index, label),)
-                stack.append((child, node, path + (label,), chance, tuple(new_pairs)))
+            actions, index = iset.actions, iset.index
+            head, own, tail = pairs[:i], pairs[i], pairs[i + 1:]
+            lhead, ltail, ahead, atail = lasts[:i], lasts[i + 1:], afters[:i], afters[i + 1:]
+            for m in range(len(labels) - 1, -1, -1):
+                label, child = moves[m]
+                if m < len(actions) and actions[m] == label:
+                    seq, after = iset.seqs[m], iset.after[m]
+                elif label in actions:  # a node listing the infoset's actions reordered
+                    k = actions.index(label)
+                    seq, after = iset.seqs[k], iset.after[k]
+                else:  # an action the infoset lacks: the game is invalid anyway
+                    seq, after = Sequence(i, iset.id, label), ([], [])
+                stack.append((child, node, path + (label,), chance,
+                              head + (own + ((index, label),),) + tail,
+                              lhead + (seq,) + ltail, ahead + (after,) + atail))
+        self.num_nodes = count
+        self._sequences = [[empties[i]] + [s for iset in self.infosets[i] for s in iset.seqs]
+                           for i in range(n)]
+
+    def _add_infoset(self, i: int, id_: str, actions: tuple, chain: tuple,
+                     parent_seq: Sequence, parent_after: tuple) -> Infoset:
+        """Index player ``i``'s infoset ``id_`` where the walk first meets it."""
+        isets = self.infosets[i]
+        iset = Infoset(i, id_, len(isets), actions, self._ids(i, chain), parent_seq, chain)
+        parent_after[1].append(iset)
+        for j, _a in chain:
+            isets[j].subtree.append(iset)
+        iset.subtree.append(iset)
+        self._infoset_by_key[(i, id_)] = iset
+        isets.append(iset)
+        return iset
+
+    def _violate(self, kind: str, path: tuple, message: str):
+        self._violations.append(Violation(kind, "/".join(path) or ".", message))
 
     def _ids(self, i: int, chain: tuple) -> tuple:
         """An own chain of player ``i`` with infoset ids in place of indices."""
         return tuple((self.infosets[i][j].id, a) for j, a in chain)
-
-    def _sequence_after(self, i: int, chain: tuple) -> Sequence:
-        if not chain:
-            return Sequence.empty(i)
-        j, a = chain[-1]
-        return Sequence(i, self.infosets[i][j].id, a)
-
-    def _index_sequences(self):
-        interned: dict[Sequence, Sequence] = {}  # one object per sequence
-        for i in range(self.n):
-            isets = self.infosets[i]
-            seqs = [Sequence.empty(i)]
-            for iset in isets:
-                iset.seqs = tuple(Sequence(i, iset.id, a) for a in iset.actions)
-                seqs.extend(iset.seqs)
-            interned.update((s, s) for s in seqs)
-            children: dict[Sequence, list[Infoset]] = {s: [] for s in seqs}
-            by_last: dict[Sequence, list[int]] = {s: [] for s in seqs}
-            for iset in isets:
-                iset.parent_seq = interned.get(iset.parent_seq, iset.parent_seq)
-                children.setdefault(iset.parent_seq, []).append(iset)
-                for j, _a in iset.chain:
-                    isets[j].subtree.append(iset)
-                iset.subtree.append(iset)
-            for z in self.terminals:
-                by_last.setdefault(z.last_seq[i], []).append(z.index)
-            for iset in isets:
-                iset.after = tuple((by_last[s], children[s]) for s in iset.seqs)
-            self._sequences.append(seqs)
-            self.root_after.append((by_last[seqs[0]], children[seqs[0]]))
-        for z in self.terminals:
-            z.last_seq = tuple(interned.get(s, s) for s in z.last_seq)
-            for i in range(self.n):
-                for offset, (idx, _a) in enumerate(z.own_pairs[i]):
-                    self.infosets[i][idx].terminals_below.append((z.index, offset))
 
     # -- validation -----------------------------------------------------
 
@@ -395,83 +403,103 @@ def parse_game(text: str) -> Game:
         raise GameParseError("player names must be distinct", "players")
     if "root" not in doc:
         raise GameParseError("missing \"root\"")
-    root = _parse_node(doc["root"], "root", len(players))
+    try:
+        root = _parse_node(doc["root"], len(players), rational_reader())
+    except _Defect as e:
+        raise GameParseError(e.message, "root" + (f"/{e.where}" if e.where else "")) from None
     return Game(tuple(players), root)
 
 
-def _parse_node(spec, where: str, n: int) -> Node:
+class _Defect(Exception):
+    """A schema defect at ``where``, a path relative to the node being
+    parsed; each enclosing level prefixes its own part while the defect
+    unwinds, so the happy path builds no path strings."""
+
+    def __init__(self, message: str, where: str = ""):
+        super().__init__(message)
+        self.message = message
+        self.where = where
+
+    def within(self, part: str) -> "_Defect":
+        self.where = f"{part}/{self.where}" if self.where else part
+        return self
+
+
+def _parse_node(spec, n: int, rational) -> Node:
     if not isinstance(spec, dict):
-        raise GameParseError("node must be an object", where)
+        raise _Defect("node must be an object")
     kind = spec.get("kind")
     if kind == "terminal":
         payoffs = spec.get("payoffs")
         if not isinstance(payoffs, list):
-            raise GameParseError("terminal needs a \"payoffs\" list", where)
+            raise _Defect("terminal needs a \"payoffs\" list")
         if len(payoffs) != n:
-            raise GameParseError(
-                f"payoff vector has {len(payoffs)} entries for {n} players", where)
+            raise _Defect(f"payoff vector has {len(payoffs)} entries for {n} players")
         try:
-            values = tuple(parse_rational(p) for p in payoffs)
+            return TerminalNode(tuple(map(rational, payoffs)))
         except ValueError as e:
-            raise GameParseError(str(e), f"{where}/payoffs") from e
-        return TerminalNode(values)
+            raise _Defect(str(e), "payoffs") from e
     if kind == "chance":
         moves = []
-        for k, item in enumerate(_actions_of(spec, where)):
-            sub = f"{where}/actions/{k}"
-            label = _label_of(item, sub)
-            if "prob" not in item:
-                raise GameParseError("chance action needs \"prob\"", sub)
+        for k, item in enumerate(_actions_of(spec)):
             try:
-                prob = parse_rational(item["prob"])
-            except ValueError as e:
-                raise GameParseError(str(e), f"{sub}/prob") from e
-            moves.append((label, prob, _parse_node(_child_of(item, sub), f"{sub}/child", n)))
+                label = _label_of(item)
+                if "prob" not in item:
+                    raise _Defect("chance action needs \"prob\"")
+                try:
+                    prob = rational(item["prob"])
+                except ValueError as e:
+                    raise _Defect(str(e), "prob") from e
+                moves.append((label, prob, _child_of(item, n, rational)))
+            except _Defect as e:
+                raise e.within(f"actions/{k}")
         return ChanceNode(moves)
     if kind == "decision":
         player = spec.get("player")
         if not isinstance(player, int) or isinstance(player, bool) or not 0 <= player < n:
-            raise GameParseError(
-                f"\"player\" must be an integer in [0, {n}), got {player!r}", where)
+            raise _Defect(f"\"player\" must be an integer in [0, {n}), got {player!r}")
         infoset = spec.get("infoset")
         if not isinstance(infoset, str) or not infoset:
-            raise GameParseError("\"infoset\" must be a non-empty string", where)
+            raise _Defect("\"infoset\" must be a non-empty string")
         moves = []
-        for k, item in enumerate(_actions_of(spec, where)):
-            sub = f"{where}/actions/{k}"
-            label = _label_of(item, sub)
-            moves.append((label, _parse_node(_child_of(item, sub), f"{sub}/child", n)))
+        for k, item in enumerate(_actions_of(spec)):
+            try:
+                moves.append((_label_of(item), _child_of(item, n, rational)))
+            except _Defect as e:
+                raise e.within(f"actions/{k}")
         return DecisionNode(player, infoset, moves)
-    raise GameParseError(f"unknown node kind {kind!r}", where)
+    raise _Defect(f"unknown node kind {kind!r}")
 
 
-def _actions_of(spec, where):
+def _actions_of(spec):
     actions = spec.get("actions")
     if not isinstance(actions, list):
-        raise GameParseError("node needs an \"actions\" list", where)
+        raise _Defect("node needs an \"actions\" list")
     return actions
 
 
-def _label_of(item, where):
+def _label_of(item):
     if not isinstance(item, dict):
-        raise GameParseError("action must be an object", where)
+        raise _Defect("action must be an object")
     label = item.get("label")
     if not isinstance(label, str) or not label:
-        raise GameParseError("action needs a non-empty string \"label\"", where)
+        raise _Defect("action needs a non-empty string \"label\"")
     return label
 
 
-def _child_of(item, where):
+def _child_of(item, n: int, rational) -> Node:
     if "child" not in item:
-        raise GameParseError("action needs a \"child\" node", where)
-    return item["child"]
+        raise _Defect("action needs a \"child\" node")
+    try:
+        return _parse_node(item["child"], n, rational)
+    except _Defect as e:
+        raise e.within("child")
 
 
 def serialize_game(game: Game) -> str:
     """Canonical document for a game: stable key order, rationals as "p/q"."""
-    return json.dumps(
-        {"players": list(game.players), "root": _node_dict(game.root)},
-        indent=2, ensure_ascii=False) + "\n"
+    return dumps({"players": list(game.players), "root": _node_dict(game.root)},
+                 ensure_ascii=False) + "\n"
 
 
 def _node_dict(node: Node) -> dict:

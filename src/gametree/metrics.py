@@ -91,13 +91,20 @@ class ProfileReach:
     ``alpha_den``) and player ``i``: ``plans[i][t]`` holds the ``(beta,
     plan)`` pairs, ``masses[i][t]`` maps each sequence to the beta of the
     plans reaching it and ``rows[i][t][z]`` is ``x_ti(z) = sum_k beta_tik
-    x_tik(z)``, all over ``den[i]``; ``others[i][t][z]`` is ``alpha_t *
-    prod_{j != i} x_tj(z)``, over ``scale // den[i]``. ``joint[z]`` is the
-    profile's reach of each terminal, chance left out, over ``scale``.
+    x_tik(z)``, all over ``den[i]``; ``walks[i][t][k]`` is the set of
+    sequences plan ``k`` plays to (empty for a zero beta);
+    ``others[i][t][z]`` is ``alpha_t * prod_{j != i} x_tj(z)``, over ``scale
+    // den[i]``. ``joint[z]`` is the profile's reach of each terminal,
+    chance left out, over ``scale``.
+
+    The profile is validated here (:meth:`MixtureOfProducts.validate`), so
+    a reach always stands for a valid profile, and a function handed one
+    through ``reach=`` (see :meth:`of`) need not validate again.
     """
 
     def __init__(self, game: Game, pi: MixtureOfProducts):
         game.require_valid()  # the factorization rests on perfect recall
+        pi.validate(game)
         self.game = game
         self.pi = pi
         live = [comp for comp in pi.components if comp.alpha != 0]
@@ -111,20 +118,24 @@ class ProfileReach:
             den, payoffs = over_common_denominator([z.payoffs[i] for z in game.terminals])
             self.payoffs.append((den * chance_den, [u * c for u, c in zip(payoffs, chances)]))
         self.joint = [0] * len(game.terminals)
-        self.plans, self.rows, self.masses, self.others = (
-            [[] for _ in range(game.n)] for _ in range(4))
+        self.plans, self.rows, self.masses, self.others, self.walks = (
+            [[] for _ in range(game.n)] for _ in range(5))
         for comp, alpha in zip(live, self.alphas):
             rows = []
             for i, mix in enumerate(comp.strategies):
                 d = self.den[i]
                 plans = tuple((beta.numerator * (d // beta.denominator), ps)
                               for beta, ps in mix)
-                masses = _sequence_masses(game, i, plans)
+                walks = [_plan_sequences(game, i, ps) if beta else frozenset()
+                         for beta, ps in plans]
+                masses = _sequence_masses(game, i, [(beta, walk) for (beta, _), walk
+                                                    in zip(plans, walks)])
                 # a plan reaches z exactly when it reaches z's last own sequence
                 rows.append([masses.get(z.last_seq[i], 0) for z in game.terminals])
                 self.plans[i].append(plans)
                 self.rows[i].append(rows[i])
                 self.masses[i].append(masses)
+                self.walks[i].append(walks)
             for i in range(game.n):
                 other = [alpha] * len(game.terminals)
                 for row in rows[:i] + rows[i + 1:]:
@@ -158,12 +169,13 @@ class ProfileReach:
         return self.payoffs[i][0] * self.scale
 
 
-def _sequence_masses(game: Game, i: int, mix) -> dict[Sequence, int]:
+def _sequence_masses(game: Game, i: int, walks) -> dict[Sequence, int]:
+    """Per sequence of player ``i``: the beta of the plans playing to it,
+    from ``(beta, sequences the plan plays to)`` pairs."""
     masses: dict[Sequence, int] = {}
-    for beta, ps in mix:
-        if beta:
-            for seq in _plan_sequences(game, i, ps):
-                masses[seq] = masses.get(seq, 0) + beta
+    for beta, walk in walks:
+        for seq in walk:
+            masses[seq] = masses.get(seq, 0) + beta
     return masses
 
 
@@ -337,13 +349,11 @@ def gap(game: Game, pi: MixtureOfProducts, notion: str,
     (raising :class:`ResourceGuardError`) rather than truncate. The cap
     defaults to the GT_STATE_CAP environment variable or 1e6.
     """
-    game.require_valid()
-    pi.validate(game)
+    reach = ProfileReach.of(game, pi, reach)  # validates a new reach's profile
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}; choose from {NOTIONS}")
     if state_cap is None:
         state_cap = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
-    reach = ProfileReach.of(game, pi, reach)
     if notion == "efce":
         return _gap_efce(reach)
     if notion == "nfcce":
@@ -476,10 +486,9 @@ def _support_steps(reach: ProfileReach) -> tuple[list, list]:
         least = []  # per player: sequence -> lowest positive-beta plan index reaching it
         for j in range(game.n):
             low: dict[Sequence, int] = {}
-            for q, (beta, ps) in enumerate(reach.plans[j][t]):
-                if beta:
-                    for seq in _plan_sequences(game, j, ps):
-                        low.setdefault(seq, q)
+            for q, walk in enumerate(reach.walks[j][t]):  # empty for a zero beta
+                for seq in walk:
+                    low.setdefault(seq, q)
             least.append(low)
         top = base + sum(least[j][Sequence.empty(j)] * stride[j] for j in range(game.n))
         roots.append([{p: top + (p - least[i][Sequence.empty(i)]) * stride[i]

@@ -49,6 +49,24 @@ def parse_rational(value) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
+def rational_reader():
+    """:func:`parse_rational` that parses each distinct string once: one
+    reader per document, where the same few rationals recur. Other values
+    (ints, and the booleans it rejects) are never cached, since ``True ==
+    1``."""
+    cache: dict[str, Fraction] = {}
+
+    def read(value) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        q = cache.get(value)
+        if q is None:
+            q = cache[value] = parse_rational(value)
+        return q
+
+    return read
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical serialization: "p" when integral, else "p/q"."""
     q = Fraction(q)
@@ -60,8 +78,9 @@ def format_rational(q: Fraction) -> str:
 def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     """``(den, ints)`` with ``values[k] == Fraction(ints[k], den)``, where
     ``den`` is the lcm of the values' denominators (1 for no values)."""
-    den = lcm(*(q.denominator for q in values))
-    return den, tuple(q.numerator * (den // q.denominator) for q in values)
+    dens = [q.denominator for q in values]
+    den = lcm(*dens)
+    return den, tuple([q.numerator * (den // d) for q, d in zip(values, dens)])
 
 
 def decimal_repr(q: Fraction, digits: int = 20) -> str:

@@ -23,11 +23,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import contains
 from typing import Iterator, Optional, Sequence as Seq, Union
 
 from .errors import InternalCheckError, ProfileError, ProfileParseError
 from .game import Game, Sequence, TerminalNode
-from .rational import format_rational, over_common_denominator, parse_rational
+from .jsonout import dumps
+from .rational import format_rational, over_common_denominator, rational_reader
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -100,20 +102,27 @@ class SequenceFormVector:
     reach: dict[Sequence, Fraction]
 
     def validate(self, game: Game):
+        """Reach 1 at the empty sequence, no negative reach, and flow kept
+        at every infoset, summed as ints over one common denominator."""
         i = self.player
         empty = Sequence.empty(i)
         if self.reach.get(empty) != 1:
             raise ProfileError("sequence-form vector must have reach 1 at the empty sequence")
-        for seq in game.sequences(i):
-            if self.reach.get(seq, ZERO) < 0:
+        seqs = game.sequences(i)
+        den, values = over_common_denominator([self.reach.get(seq, ZERO) for seq in seqs])
+        for seq, q in zip(seqs, values):
+            if q < 0:
                 raise ProfileError(f"negative reach at {seq.label()}")
+        position = {seq: k for k, seq in enumerate(seqs)}
         for iset in game.infosets[i]:
-            inflow = self.reach.get(iset.parent_seq, ZERO)
-            outflow = sum((self.reach.get(seq, ZERO) for seq in iset.seqs), ZERO)
+            inflow = values[position[iset.parent_seq]]
+            first = position[iset.seqs[0]]  # an infoset's sequences are listed together
+            outflow = sum(values[first:first + len(iset.seqs)])
             if inflow != outflow:
                 raise ProfileError(
-                    f"flow violated at infoset {iset.id!r}: in {format_rational(inflow)}, "
-                    f"out {format_rational(outflow)}")
+                    f"flow violated at infoset {iset.id!r}: in "
+                    f"{format_rational(Fraction(inflow, den))}, "
+                    f"out {format_rational(Fraction(outflow, den))}")
 
 
 @dataclass(frozen=True)
@@ -130,32 +139,37 @@ class MixtureOfProducts:
     components: tuple[MixtureComponent, ...]
 
     def validate(self, game: Game):
-        total = sum((c.alpha for c in self.components), ZERO)
-        if total != 1:
-            raise ProfileError(f"component weights sum to {format_rational(total)}, not 1")
+        """Weights that sum to 1 and are not negative, and total plans of
+        the game's players; each sum is taken as ints over the lcm of its
+        terms' denominators."""
+        den, alphas = over_common_denominator([c.alpha for c in self.components])
+        if sum(alphas) != den:
+            raise ProfileError(f"component weights sum to "
+                               f"{format_rational(Fraction(sum(alphas), den))}, not 1")
+        options = [[iset.actions for iset in isets] for isets in game.infosets]
         for t, c in enumerate(self.components):
-            if c.alpha < 0:
+            if alphas[t] < 0:
                 raise ProfileError(f"component {t} has negative weight")
             if len(c.strategies) != game.n:
                 raise ProfileError(f"component {t} covers {len(c.strategies)} players, "
                                    f"game has {game.n}")
             for i, mix in enumerate(c.strategies):
-                bsum = sum((b for b, _ in mix), ZERO)
-                if bsum != 1:
+                bden, betas = over_common_denominator([b for b, _ in mix])
+                if sum(betas) != bden:
                     raise ProfileError(
                         f"component {t}, player {game.players[i]}: strategy weights sum "
-                        f"to {format_rational(bsum)}")
-                for b, ps in mix:
+                        f"to {format_rational(Fraction(sum(betas), bden))}")
+                for b, (_, ps) in zip(betas, mix):
                     if b < 0:
                         raise ProfileError(f"component {t} has a negative strategy weight")
-                    if ps.player != i or len(ps.actions) != len(game.infosets[i]):
+                    if ps.player != i or len(ps.actions) != len(options[i]):
                         raise ProfileError(
                             f"component {t} holds a strategy that is not a total plan "
                             f"for player {game.players[i]}")
-                    for iset, a in zip(game.infosets[i], ps.actions):
-                        if a not in iset.actions:
-                            raise ProfileError(
-                                f"infoset {iset.id!r} has no action {a!r}")
+                    if not all(map(contains, options[i], ps.actions)):
+                        iset, a = next((iset, a) for iset, a in zip(game.infosets[i], ps.actions)
+                                       if a not in iset.actions)
+                        raise ProfileError(f"infoset {iset.id!r} has no action {a!r}")
 
 
 # -- reach indicators --------------------------------------------------------
@@ -414,20 +428,21 @@ def parse_profile(game: Game, text: str,
                             "(not a mix)")
 
 
-def _rat(value, where):
+def _rat(read, value, where):
     try:
-        return parse_rational(value)
+        return read(value)
     except ValueError as e:
         raise ProfileParseError(str(e), where) from e
 
 
 def _parse_mixture_profile(game: Game, doc) -> MixtureOfProducts:
+    read = rational_reader()
     comps = []
     for t, c in enumerate(doc["components"]):
         where = f"components/{t}"
         if not isinstance(c, dict) or "alpha" not in c:
             raise ProfileParseError("component needs \"alpha\"", where)
-        alpha = _rat(c["alpha"], f"{where}/alpha")
+        alpha = _rat(read, c["alpha"], f"{where}/alpha")
         strategies = c.get("strategies")
         if not isinstance(strategies, list) or len(strategies) != game.n:
             raise ProfileParseError(
@@ -443,7 +458,7 @@ def _parse_mixture_profile(game: Game, doc) -> MixtureOfProducts:
                 if not isinstance(item, dict) or "beta" not in item \
                         or not isinstance(item.get("actions"), dict):
                     raise ProfileParseError("entry needs \"beta\" and \"actions\"", sub)
-                beta = _rat(item["beta"], f"{sub}/beta")
+                beta = _rat(read, item["beta"], f"{sub}/beta")
                 pairs.append((beta, _pure_from_mapping(game, i, item["actions"])))
             per_player.append(tuple(pairs))
         comps.append(MixtureComponent(alpha, tuple(per_player)))
@@ -453,12 +468,13 @@ def _parse_mixture_profile(game: Game, doc) -> MixtureOfProducts:
 
 
 def _parse_behavior_profile(game: Game, doc, behavior_mode: str) -> MixtureOfProducts:
+    read = rational_reader()
     items = []
     for t, c in enumerate(doc["components"]):
         where = f"components/{t}"
         if not isinstance(c, dict) or "alpha" not in c:
             raise ProfileParseError("component needs \"alpha\"", where)
-        alpha = _rat(c["alpha"], f"{where}/alpha")
+        alpha = _rat(read, c["alpha"], f"{where}/alpha")
         behaviors = c.get("behaviors")
         if not isinstance(behaviors, list) or len(behaviors) != game.n:
             raise ProfileParseError(
@@ -473,7 +489,7 @@ def _parse_behavior_profile(game: Game, doc, behavior_mode: str) -> MixtureOfPro
                 if not isinstance(dist, dict):
                     raise ProfileParseError("distribution must be an object",
                                             f"{where}/behaviors/{i}/{iset_id}")
-                locals_[iset_id] = {a: _rat(p, f"{where}/behaviors/{i}/{iset_id}/{a}")
+                locals_[iset_id] = {a: _rat(read, p, f"{where}/behaviors/{i}/{iset_id}/{a}")
                                     for a, p in dist.items()}
             per_player.append(BehaviorStrategy(i, locals_))
         items.append((alpha, per_player))
@@ -514,4 +530,4 @@ def serialize_profile(game: Game, pi: MixtureOfProducts) -> str:
               for beta, ps in mix]
              for mix in c.strategies]}
         for c in pi.components]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dumps(doc, ensure_ascii=False) + "\n"

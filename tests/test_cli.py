@@ -489,3 +489,83 @@ def test_solve_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch):
                 assert rewritten == [] and rounds[-1] == printed
             else:
                 assert rewritten == [printed]
+
+
+RATIONAL = "(expected 'p' or 'p/q' with q > 0)"
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"c": ', "error: invalid JSON: Expecting value (line 1, column 7)"),
+    ("[]", 'error: objective must be an object with a "c" object'),
+    ('{"c": []}', "error: c: must map terminal ids to rationals"),
+    ('{"c": {"L": "x"}}', f"error: c/L: malformed rational 'x' {RATIONAL}"),
+    ('{"c": {"L": 1.5}}', "error: c/L: expected rational string, got float"),
+    ('{"c": {"L": true}}', "error: c/L: booleans are not rationals"),
+])
+def test_solve_objective_schema_errors_are_parse_errors(paths, capsys, text, message):
+    obj = paths["tmp"] / "obj.json"
+    obj.write_text(text)
+    code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "efce",
+                         "--objective", str(obj))
+    assert (code, out, err) == (3, "", message + "\n")
+
+
+def test_missing_input_files_are_errors_not_crashes(paths, capsys):
+    missing = str(paths["tmp"] / "nonexistent.json")
+    for argv in (("gap", missing, paths["ebos.profile"], "--notion", "efce"),
+                 ("gap", paths["ebos"], missing, "--notion", "efce"),
+                 ("validate", missing),
+                 ("solve", paths["lrr"], "--notion", "efce", "--objective", missing),
+                 ("decompose", paths["lrr"], paths["lrr.behavior"],
+                  "-o", str(paths["tmp"] / "no" / "such" / "dir.json"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.count("\n") == 1
+
+
+def test_validations_per_op(paths, capsys, monkeypatch):
+    # a profile is validated where it is parsed or built and where its reach
+    # is built, and nowhere else: gap 2 (parse, reach); convert 4 (parse,
+    # input reach, rewrite output, output reach); solve 2 per LP round
+    # (pure_mixture, reach), and for bce 1 for the rewrite's output and 1
+    # for the rewritten profile's reach, if the rewrite changed it
+    from gametree import equilibrium, metrics, strategy
+    validated, built, solves = [], [], []
+    validate, init, lp_solve = (strategy.MixtureOfProducts.validate,
+                                metrics.ProfileReach.__init__, equilibrium.lp_solve)
+
+    def counting(self, game):
+        validated.append(self)
+        validate(self, game)
+
+    def building(self, game, pi):
+        built.append(pi)
+        init(self, game, pi)
+
+    def solving(lp):
+        solves.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(strategy.MixtureOfProducts, "validate", counting)
+    monkeypatch.setattr(metrics.ProfileReach, "__init__", building)
+    monkeypatch.setattr(equilibrium, "lp_solve", solving)
+    ops = [(("gap", paths["ebos"], paths["ebos.profile"], "--notion", notion), 2)
+           for notion in ("efce", "bce", "full-efce", "nfcce")]
+    ops += [(("gap", paths["lrr"], paths["lrr.behavior"], "--notion", "bce"), 2),
+            (("convert", paths["lrr"], paths["lrr.behavior"]), 4),
+            (("convert", paths["ebos"], paths["ebos.profile"]), 4),
+            (("convert", paths["surj"], paths["surj.profile"]), 4)]
+    for argv, want in ops:
+        validated.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(validated) == want, argv
+    counts = []
+    for name in ("ebos", "lrr", "surj"):
+        for notion in ("efce", "bce"):
+            validated.clear(), built.clear(), solves.clear()
+            assert run(capsys, "solve", paths[name], "--notion", notion)[0] == 0
+            rewritten = len(built) - len(solves)
+            assert len(validated) == 2 * len(solves) + (notion == "bce") + rewritten
+            counts.append(len(validated))
+    assert counts == [6, 7, 2, 3, 10, 11]

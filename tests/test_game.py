@@ -289,3 +289,154 @@ def test_infoset_tables_match_the_sequence_lookups(ebos, lrr, surj):
             assert all(game.terminals[z].last_seq[i].is_empty for z in terminals)
             assert game.sequences(i) == [Sequence.empty(i)] + [
                 s for iset in game.infosets[i] for s in iset.seqs]
+
+
+# -- the parser's messages and the validator's reports, pinned ----------------
+
+
+def decision(player, infoset, *actions):
+    return {"kind": "decision", "player": player, "infoset": infoset,
+            "actions": [{"label": label, "child": child} for label, child in actions]}
+
+
+def chance(*actions):
+    return {"kind": "chance",
+            "actions": [{"label": label, "prob": prob, "child": child}
+                        for label, prob, child in actions]}
+
+
+RAT = "(expected 'p' or 'p/q' with q > 0)"
+
+MALFORMED_GAMES = [
+    ('{"players": ["A"], ',
+     "invalid JSON: Expecting property name enclosed in double quotes (line 1, column 20)"),
+    ([], "top level must be an object"),
+    ({"root": terminal("0")}, 'players: "players" must be a non-empty list of strings'),
+    ({"players": ["A", "A"], "root": terminal("0", "0")},
+     "players: player names must be distinct"),
+    ({"players": ["A"]}, 'missing "root"'),
+    ({"players": ["A"], "root": 3}, "root: node must be an object"),
+    ({"players": ["A"], "root": {"kind": "leaf"}}, "root: unknown node kind 'leaf'"),
+    ({"players": ["A"], "root": {"kind": "terminal"}}, 'root: terminal needs a "payoffs" list'),
+    ({"players": ["A"], "root": terminal("0", "1")},
+     "root: payoff vector has 2 entries for 1 players"),
+    ({"players": ["A"], "root": decision(0, "i", ("a", terminal("1/2")), ("b", terminal("1.5")))},
+     f"root/actions/1/child/payoffs: malformed rational '1.5' {RAT}"),
+    # a rational met before is no licence for a boolean equal to it
+    ({"players": ["A", "B"],
+      "root": decision(0, "i", ("a", terminal("1", 1)), ("b", terminal(1, True)))},
+     "root/actions/1/child/payoffs: booleans are not rationals"),
+    ({"players": ["A"], "root": {"kind": "chance", "actions": [
+        {"label": "l", "child": terminal("0")}]}},
+     'root/actions/0: chance action needs "prob"'),
+    ({"players": ["A"], "root": chance(("l", "1/0", terminal("0")))},
+     f"root/actions/0/prob: malformed rational '1/0' {RAT}"),
+    ({"players": ["A"], "root": decision(1, "i", ("a", terminal("0")))},
+     'root: "player" must be an integer in [0, 1), got 1'),
+    ({"players": ["A"], "root": decision(True, "i", ("a", terminal("0")))},
+     'root: "player" must be an integer in [0, 1), got True'),
+    ({"players": ["A"], "root": decision(0, "", ("a", terminal("0")))},
+     'root: "infoset" must be a non-empty string'),
+    ({"players": ["A"], "root": decision(0, "i", ("a", {"kind": "chance", "actions": {}}))},
+     'root/actions/0/child: node needs an "actions" list'),
+    ({"players": ["A"], "root": {"kind": "decision", "player": 0, "infoset": "i",
+                                 "actions": [{"label": "a", "child": terminal("0")}, "b"]}},
+     "root/actions/1: action must be an object"),
+    ({"players": ["A"], "root": decision(0, "i", ("", terminal("0")))},
+     'root/actions/0: action needs a non-empty string "label"'),
+    ({"players": ["A"], "root": {"kind": "decision", "player": 0, "infoset": "i",
+                                 "actions": [{"label": "a"}]}},
+     'root/actions/0: action needs a "child" node'),
+    # two defects each: the first in document preorder is reported, so a
+    # child's defect before a later sibling's, and an action's own
+    # probability before its child's
+    ({"players": ["A"], "root": decision(0, "i", ("a", {"kind": "leaf"}), ("", terminal("0")))},
+     "root/actions/0/child: unknown node kind 'leaf'"),
+    ({"players": ["A"], "root": chance(("l", "x", {"kind": "leaf"}))},
+     f"root/actions/0/prob: malformed rational 'x' {RAT}"),
+]
+
+
+@pytest.mark.parametrize("doc,message", MALFORMED_GAMES,
+                         ids=[f"doc{k}" for k in range(len(MALFORMED_GAMES))])
+def test_parse_error_names_the_first_defect_and_its_path(doc, message):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(GameParseError) as info:
+        parse_game(text)
+    assert str(info.value) == message
+    where = info.value.where
+    assert (where is None and ": " not in message.split(" ")[0]) or \
+        message.startswith(f"{where}: ")
+
+
+INVALID_GAMES = [
+    ({"players": ["A", "B"], "root": chance(
+        ("l", "1/2", decision(1, "j", ("x", terminal("0", "0")))),
+        ("r", "1/2", decision(1, "j", ("y", terminal("0", "0")))))},
+     [("infoset-action-mismatch", "r", "infoset 'j' lists actions ['y'], first seen with ['x']")]),
+    ({"players": ["A"], "root": decision(
+        0, "i1",
+        ("a", decision(0, "i2", ("x", terminal("0")))),
+        ("b", decision(0, "i2", ("x", terminal("0")))))},
+     [("perfect-recall", "b",
+       "infoset 'i2' mixes own histories [('i1', 'a')] and [('i1', 'b')]")]),
+    ({"players": ["A"], "root": chance(("l", "1/2", terminal("0")), ("r", "1/3", terminal("1")))},
+     [("chance-sum", ".", "chance probabilities sum to 5/6, not 1")]),
+    # negative probabilities are reported last action first
+    ({"players": ["A"], "root": chance(("l", "-1/2", terminal("0")), ("m", "2", terminal("1")),
+                                      ("r", "-1/2", terminal("1")))},
+     [("chance-sum", ".", "negative probability on action 'r'"),
+      ("chance-sum", ".", "negative probability on action 'l'")]),
+    ({"players": ["A"], "root": decision(0, "i", ("a", terminal("0")), ("a", terminal("1")))},
+     [("tree-shape", ".", "duplicate action labels at one node")]),
+    ({"players": ["A"], "root": decision(0, "i")},
+     [("tree-shape", ".", "node has no actions")]),
+    # several at once, in node preorder and per node in the order above
+    ({"players": ["A", "B"], "root": decision(
+        0, "i",
+        ("a", chance(("u", "1/2", decision(1, "j", ("x", terminal("0", "0")))),
+                     ("d", "1/3", decision(1, "j", ("y", terminal("0", "0")),
+                                           ("y", terminal("0", "0")))))),
+        ("b", decision(0, "k", ("x", terminal("0", "0")))),
+        ("c", decision(0, "k", ("z", terminal("0", "0")))))},
+     [("chance-sum", "a", "chance probabilities sum to 5/6, not 1"),
+      ("tree-shape", "a/d", "duplicate action labels at one node"),
+      ("infoset-action-mismatch", "a/d",
+       "infoset 'j' lists actions ['y', 'y'], first seen with ['x']"),
+      ("infoset-action-mismatch", "c", "infoset 'k' lists actions ['z'], first seen with ['x']"),
+      ("perfect-recall", "c", "infoset 'k' mixes own histories [('i', 'b')] and [('i', 'c')]")]),
+]
+
+
+@pytest.mark.parametrize("doc,violations", INVALID_GAMES,
+                         ids=[f"doc{k}" for k in range(len(INVALID_GAMES))])
+def test_invalid_games_build_and_report_their_violations_in_order(doc, violations):
+    report = game_of(doc).validate()
+    assert not report.ok
+    assert [(v.kind, v.location, v.message) for v in report.violations] == violations
+
+
+def test_sequences_are_interned_once_per_game(ebos, lrr, surj):
+    # a terminal's last own sequence and an infoset's parent sequence are the
+    # very objects of the infoset tables, the empty one included
+    rng = random.Random(12)
+    games = [ebos, lrr, surj] + [random_game(rng, max_nodes=24, max_depth=5)
+                                 for _ in range(30)]
+    for game in games:
+        for i in range(game.n):
+            empty = game.sequences(i)[0]
+            assert empty.is_empty and empty.player == i
+            for z in game.terminals:
+                if z.own_pairs[i]:
+                    idx, a = z.own_pairs[i][-1]
+                    iset = game.infosets[i][idx]
+                    assert z.last_seq[i] is iset.seqs[iset.actions.index(a)]
+                else:
+                    assert z.last_seq[i] is empty
+            for iset in game.infosets[i]:
+                if iset.chain:
+                    idx, a = iset.chain[-1]
+                    parent = game.infosets[i][idx]
+                    assert iset.parent_seq is parent.seqs[parent.actions.index(a)]
+                else:
+                    assert iset.parent_seq is empty

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gametree import (InternalCheckError, ProfileReach, ResourceGuardError,
+from gametree import (InternalCheckError, ProfileError, ProfileReach, ResourceGuardError,
                       Sequence, counterfactual_best_response, parse_game, serialize_game,
                       counterfactual_utility, counterfactually_outcome_equivalent,
                       expected_utility, gap, outcome_distribution,
@@ -13,8 +13,8 @@ from gametree import (InternalCheckError, ProfileReach, ResourceGuardError,
 from gametree.metrics import (NOTIONS, _cf_reach_profiles, _cf_values, _payoff_units,
                               _trigger_weights, conditional_node_utility, pure_utility)
 from gametree.randgen import random_game, random_mixture, random_pure_profile_mixture
-from gametree.strategy import (MixtureOfProducts, PureProfile, pure_reaches_sequence,
-                               pure_terminal_reach)
+from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
+                               pure_reaches_sequence, pure_terminal_reach)
 from gametree.convert import efce_to_bce
 from gametree.witnesses import recommendation_history
 
@@ -501,3 +501,66 @@ def test_reach_built_for_another_profile_or_game_raises(games_and_profiles):
                     call()
             checked += 1
     assert checked >= 12
+
+
+# -- a profile is validated where its reach is built ----------------------------
+
+
+def _invalid_profiles(game, pi):
+    """``pi`` with its alphas summing to 2/3, and with a negative beta."""
+    comp = pi.components[0]
+    (_beta, plan), *_rest = comp.strategies[0]
+    negative = ((F(3, 2), plan), (F(-1, 2), plan))
+    return [
+        (MixtureOfProducts((MixtureComponent(F(2, 3), comp.strategies),)),
+         "component weights sum to 2/3, not 1"),
+        (MixtureOfProducts((MixtureComponent(F(1), (negative,) + comp.strategies[1:]),)),
+         "component 0 has a negative strategy weight"),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["alphas sum to 2/3", "negative beta"])
+def test_every_entry_point_refuses_an_invalid_profile_alike(ebos, ebos_pi, case):
+    # gap and efce_to_bce no longer validate on their own: every entry point
+    # reaches the profile through ProfileReach, which validates it
+    bad, message = _invalid_profiles(ebos, ebos_pi)[case]
+    calls = [lambda: ProfileReach(ebos, bad),
+             lambda: efce_to_bce(ebos, bad),
+             lambda: outcome_distribution(ebos, bad),
+             lambda: expected_utility(ebos, bad, 0),
+             lambda: counterfactual_best_response(ebos, bad, 0, Sequence.empty(0))]
+    calls += [lambda notion=notion: gap(ebos, bad, notion) for notion in NOTIONS]
+    for call in calls:
+        with pytest.raises(ProfileError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_a_reach_passed_in_stands_for_a_validated_profile(ebos, ebos_pi):
+    # reach= is accepted only for the profile it was built from, and it
+    # cannot be built from an invalid one, so nothing downstream trusts an
+    # unvalidated profile
+    bad, _message = _invalid_profiles(ebos, ebos_pi)[0]
+    reach = ProfileReach(ebos, ebos_pi)
+    with pytest.raises(ValueError, match="another game or profile"):
+        gap(ebos, bad, "efce", reach=reach)
+    with pytest.raises(ValueError, match="another game or profile"):
+        efce_to_bce(ebos, bad, reach)
+
+
+def test_reach_keeps_the_sequences_each_plan_plays_to(games_and_profiles):
+    # the walks the history tables read are the plan walks themselves, and
+    # the masses are their beta sums
+    for game, pi in games_and_profiles(36):
+        reach = ProfileReach(game, pi)
+        for i in range(game.n):
+            for plans, walks, masses in zip(reach.plans[i], reach.walks[i], reach.masses[i]):
+                assert len(walks) == len(plans)
+                summed = {}
+                for (beta, plan), walk in zip(plans, walks):
+                    want = {s for s in game.sequences(i)
+                            if pure_reaches_sequence(game, plan, s)} if beta else set()
+                    assert walk == want
+                    for s in walk:
+                        summed[s] = summed.get(s, 0) + beta
+                assert masses == summed

@@ -74,3 +74,19 @@ def test_every_package_definition_has_a_package_caller():
     stale = [name for name in CALLER_ALLOWLIST
              if not any(d.name == name for _f, d in definitions)]
     assert not stale, f"allowlisted names the package no longer defines: {stale}"
+
+
+def test_no_indented_json_dumps():
+    # json.dump(s) with indent= always runs the json module's pure-Python
+    # encoder; indented documents go through gametree.jsonout.dumps, which
+    # writes the same text with the C string encoder
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("dump", "dumps") \
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json" \
+                    and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"indented json.dumps in the package: {found}"

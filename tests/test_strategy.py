@@ -331,3 +331,65 @@ def test_int_decompose_matches_the_fraction_loop(ebos, lrr, surj):
     assert depth >= 3 and zeros > 0
     assert any(list(iset.actions) != sorted(iset.actions)
                for game in games for isets in game.infosets for iset in isets)
+
+
+# -- the validators' checks, order and messages, pinned --------------------------
+
+
+def _mixture_defects(ebos, pi):
+    from gametree.strategy import MixtureComponent, MixtureOfProducts
+    comp = pi.components[0]
+    (_beta, plan), *_rest = comp.strategies[0]
+    rest = comp.strategies[1:]
+
+    def one(*strategies, alpha=F(1)):
+        return MixtureOfProducts((MixtureComponent(alpha, tuple(strategies)),))
+
+    iset = ebos.infosets[0][-1]
+    bad_action = PureStrategy(0, plan.actions[:-1] + ("nope",))
+    return [
+        (one(comp.strategies[0], *rest, alpha=F(2, 3)), "component weights sum to 2/3, not 1"),
+        (MixtureOfProducts((MixtureComponent(F(3, 2), comp.strategies),
+                            MixtureComponent(F(-1, 2), comp.strategies))),
+         "component 1 has negative weight"),
+        (one(comp.strategies[0]), "component 0 covers 1 players, game has 2"),
+        (one(((F(1, 2), plan),), *rest),
+         "component 0, player P1: strategy weights sum to 1/2"),
+        (one(((F(3, 2), plan), (F(-1, 2), plan)), *rest),
+         "component 0 has a negative strategy weight"),
+        (one(((F(1), PureStrategy(0, plan.actions[:-1])),), *rest),
+         "component 0 holds a strategy that is not a total plan for player P1"),
+        (one(((F(1), PureStrategy(1, plan.actions)),), *rest),
+         "component 0 holds a strategy that is not a total plan for player P1"),
+        (one(((F(1), bad_action),), *rest), f"infoset {iset.id!r} has no action 'nope'"),
+        # two defects: the weight sum is checked before the plans
+        (one(((F(1, 3), bad_action),), *rest),
+         "component 0, player P1: strategy weights sum to 1/3"),
+    ]
+
+
+def test_mixture_validation_messages(ebos, ebos_pi):
+    for pi, message in _mixture_defects(ebos, ebos_pi):
+        with pytest.raises(ProfileError) as info:
+            pi.validate(ebos)
+        assert str(info.value) == message
+
+
+def test_sequence_form_validation_messages(lrr):
+    from gametree.strategy import SequenceFormVector
+    seq = {s.label(): s for s in lrr.sequences(0)}
+    good = {"empty": F(1), "R0:L": F(1, 2), "R0:R": F(1, 2), "B:L'": F(1, 6), "B:R'": F(1, 3)}
+    cases = [
+        ({"empty": F(1, 2)}, "sequence-form vector must have reach 1 at the empty sequence"),
+        ({"R0:L": F(3, 2), "R0:R": F(-1, 2)}, "negative reach at R0:R"),
+        ({"B:R'": F(1, 4)}, "flow violated at infoset 'B': in 1/2, out 5/12"),
+        ({"R0:L": F(2, 3)}, "flow violated at infoset 'R0': in 1, out 7/6"),
+    ]
+    SequenceFormVector(0, {seq[k]: q for k, q in good.items()}).validate(lrr)
+    for change, message in cases:
+        v = SequenceFormVector(0, {seq[k]: q for k, q in {**good, **change}.items()})
+        with pytest.raises(ProfileError) as info:
+            v.validate(lrr)
+        assert str(info.value) == message
+    with pytest.raises(ProfileError, match="reach 1 at the empty"):
+        SequenceFormVector(0, {}).validate(lrr)
