@@ -25,7 +25,7 @@ from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, parse_game
 from .jsonout import dumps
-from .metrics import (NOTIONS, ProfileReach, expected_utility, gap,
+from .metrics import (NOTIONS, ProfileReach, _same_outcomes, expected_utility, gap,
                       outcome_distribution)
 from .oracles import brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
@@ -231,8 +231,7 @@ def cmd_convert(args) -> int:
     out = efce_to_bce(game, pi, reach_in)
     reach_out = ProfileReach(game, out)
     gap_out = gap(game, out, "bce", reach=reach_out).overall
-    same = (outcome_distribution(game, pi, reach_in).probs
-            == outcome_distribution(game, out, reach_out).probs)
+    same = _same_outcomes(reach_in, reach_out)
     _write(serialize_profile(game, out), args)
     print(f"efce gap in:  {format_rational(gap_in)}\n"
           f"bce gap out:  {format_rational(gap_out)}\n"

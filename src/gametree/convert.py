@@ -45,23 +45,22 @@ def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
         raise ValueError(f"sequence {seq.label()} is not player {game.players[i]}'s")
     reach = ProfileReach.of(game, pi, reach)
     at = None if seq.is_empty else game.infoset(i, seq.infoset)
-    return _cbr(reach, _payoff_units(reach, i), seq, at)[:2]
+    value, strategy = _cbr(reach, _payoff_units(reach, i), seq, at)
+    value = Fraction(value, reach.value_scale(i))
+    mass = reach.event_mass(i, seq)
+    return strategy, value / mass if mass != 0 else value
 
 
 def _cbr(reach: ProfileReach, units: list[list[int]], seq: Sequence,
-         at: Optional[Infoset]) -> tuple[PureStrategy, Fraction, Fraction]:
+         at: Optional[Infoset]) -> tuple[int, PureStrategy]:
     """The response at ``seq`` (infoset ``at``) against ``units``, the
-    player's :func:`gametree.metrics._payoff_units`, its conditional value
-    and the event's mass. The response is found over ints; the value is
-    divided out once, here."""
+    player's :func:`gametree.metrics._payoff_units`, and its unconditioned
+    value over ``reach.value_scale(i)``."""
     i = seq.player
     w = _trigger_weights(reach, units, seq, at)
     if w is None:  # a zero-mass event: the unconditional law, of mass 1
         w = _trigger_weights(reach, units, Sequence.empty(i), at)
-    value, strategy = best_response(reach.game, i, w, at)
-    value = Fraction(value, reach.value_scale(i))
-    mass = reach.event_mass(i, seq)
-    return strategy, value / mass if mass != 0 else value, mass
+    return best_response(reach.game, i, w, at)
 
 
 def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
@@ -102,12 +101,17 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     units: dict[int, list] = {}  # player -> its payoff rows, built on first use
     cbr_cache: dict[Sequence, tuple] = {}  # a sequence names its player
     new_components = []
+    t = -1  # the component's position in the reach, which skips alpha == 0
     for comp in pi.components:
+        if comp.alpha != 0:
+            t += 1
         per_player = []
         for i, mix in enumerate(comp.strategies):
+            # alpha * beta, over alpha_den * den[i] as reach.mass is
+            weights = ([reach.alphas[t] * beta for beta, _ in reach.plans[i][t]]
+                       if comp.alpha != 0 else [0] * len(mix))
             new_mix = []
-            for beta, ps in mix:
-                weight = comp.alpha * beta
+            for (beta, ps), weight in zip(mix, weights):
                 actions = list(ps.actions)
                 for iset in game.infosets[i]:
                     at = _deviation_infoset(game, ps, iset)
@@ -117,12 +121,14 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
                     if dev not in cbr_cache:
                         if i not in units:
                             units[i] = _payoff_units(reach, i)
-                        cbr_cache[dev] = _cbr(reach, units[i], dev, at)
-                    response, _value, mass = cbr_cache[dev]
+                        cbr_cache[dev] = (_cbr(reach, units[i], dev, at)[1],
+                                          reach.mass(i, dev))
+                    response, mass = cbr_cache[dev]
                     # support strategies condition on positive-mass events
                     if weight > 0 and not mass >= weight:
-                        raise InternalCheckError(f"deviation point {dev.label()} of a "
-                                                 f"support strategy has mass below {weight}")
+                        raise InternalCheckError(
+                            f"deviation point {dev.label()} of a support strategy "
+                            f"has mass below {comp.alpha * beta}")
                     actions[iset.index] = response.action_at(iset.index)
                 new_mix.append((beta, PureStrategy(i, tuple(actions))))
             per_player.append(tuple(new_mix))

@@ -82,10 +82,11 @@ class ProfileReach:
     it add, multiply and compare ints only and build each reported value
     once, as ``Fraction(value, scale)``. ``den[i]`` is the lcm of player
     ``i``'s live beta denominators, ``alpha_den`` that of the live alphas,
-    and ``scale`` is ``alpha_den * prod_i den[i]``. ``payoffs[i] = (den,
-    ints)`` holds ``payoff_i(z) * chance(z) == ints[z] / den``, where ``den``
-    is the lcm of the player's payoff denominators times that of the chance
-    reaches.
+    and ``scale`` is ``alpha_den * prod_i den[i]``. ``chance = (den, ints)``
+    holds each terminal's chance reach, ``chance(z) == ints[z] / den``, and
+    ``payoffs[i] = (den, ints)`` holds ``payoff_i(z) * chance(z) == ints[z] /
+    den``, where ``den`` is the lcm of the player's payoff denominators times
+    the chance row's.
 
     Per component ``t`` with ``alpha != 0`` (``alphas[t]``, over
     ``alpha_den``) and player ``i``: ``plans[i][t]`` holds the ``(beta,
@@ -112,7 +113,8 @@ class ProfileReach:
         self.den = [lcm(*(beta.denominator for comp in live for beta, _ in comp.strategies[i]))
                     for i in range(game.n)]
         self.scale = self.alpha_den * prod(self.den)
-        chance_den, chances = over_common_denominator([z.chance_reach for z in game.terminals])
+        self.chance = chance_den, chances = over_common_denominator(
+            [z.chance_reach for z in game.terminals])
         self.payoffs = []
         for i in range(game.n):
             den, payoffs = over_common_denominator([z.payoffs[i] for z in game.terminals])
@@ -158,9 +160,12 @@ class ProfileReach:
 
     def event_mass(self, i: int, seq: Sequence) -> Fraction:
         """P[x_i(seq) = 1]: the mass of the recommendations playing to ``seq``."""
-        return Fraction(sum(alpha * masses.get(seq, 0)
-                            for alpha, masses in zip(self.alphas, self.masses[i])),
-                        self.alpha_den * self.den[i])
+        return Fraction(self.mass(i, seq), self.alpha_den * self.den[i])
+
+    def mass(self, i: int, seq: Sequence) -> int:
+        """:meth:`event_mass` over ``alpha_den * den[i]``."""
+        return sum(alpha * masses.get(seq, 0)
+                   for alpha, masses in zip(self.alphas, self.masses[i]))
 
     def value_scale(self, i: int) -> int:
         """The scale of player ``i``'s payoff-weighted sums: the row
@@ -214,18 +219,35 @@ def outcome_distribution(game: Game, pi: MixtureOfProducts,
                          reach: Optional[ProfileReach] = None) -> OutcomeDistribution:
     """The probability of each terminal under ``pi``; ``reach``, when given,
     must be built from ``(game, pi)``."""
-    reach = ProfileReach.of(game, pi, reach)
-    probs = {z.terminal_id: z.chance_reach * Fraction(reach.joint[z.index], reach.scale)
-             for z in game.terminals}
-    total = sum(probs.values(), ZERO)
-    if total != 1:
-        raise InternalCheckError(f"outcome probabilities sum to {total}, not 1")
-    return OutcomeDistribution(probs)
+    den, ints = _outcome_ints(ProfileReach.of(game, pi, reach))
+    return OutcomeDistribution({z.terminal_id: Fraction(p, den)
+                                for z, p in zip(game.terminals, ints)})
+
+
+def _outcome_ints(reach: ProfileReach) -> tuple[int, list[int]]:
+    """``(den, ints)`` with ``P(z) == ints[z] / den`` for every terminal:
+    the chance row times ``joint``; raises :class:`InternalCheckError` unless
+    the probabilities sum to 1."""
+    chance_den, chances = reach.chance
+    den = chance_den * reach.scale
+    ints = [c * j for c, j in zip(chances, reach.joint)]
+    if sum(ints) != den:
+        raise InternalCheckError(
+            f"outcome probabilities sum to {Fraction(sum(ints), den)}, not 1")
+    return den, ints
 
 
 def outcome_equivalent(game: Game, a: MixtureOfProducts, b: MixtureOfProducts) -> bool:
     """Exact equality of the induced terminal distributions."""
-    return outcome_distribution(game, a).probs == outcome_distribution(game, b).probs
+    return _same_outcomes(ProfileReach(game, a), ProfileReach(game, b))
+
+
+def _same_outcomes(a: ProfileReach, b: ProfileReach) -> bool:
+    """Whether two reaches of one game induce the same terminal
+    distribution, compared as cross-multiplied ints."""
+    den_a, ints_a = _outcome_ints(a)
+    den_b, ints_b = _outcome_ints(b)
+    return all(p * den_b == q * den_a for p, q in zip(ints_a, ints_b))
 
 
 def counterfactually_outcome_equivalent(game: Game, a: MixtureOfProducts,
@@ -507,6 +529,33 @@ def _support_steps(reach: ProfileReach) -> tuple[list, list]:
     return roots, steps
 
 
+def _descent(node: Node, i: int, unit: list[int], steps: list, stops: list,
+             dk: int = 0) -> int:
+    """The walk from ``node`` down to player ``i``'s next own nodes within
+    one component: the opponents take the actions ``steps`` (that
+    component's entry of :func:`_support_steps`) lists, chance every move of
+    positive probability. It depends on the node and the component only, not
+    on the deviator's plan, so :func:`_history_table` walks it once per
+    (node, component).
+
+    Returns the sum of ``unit`` over the terminals on the way and appends
+    the ``(own node, change of k)`` stops to ``stops`` in depth-first order;
+    ``dk`` is the change of k down to ``node``."""
+    if node.kind == "terminal":
+        return unit[node.index]
+    total = 0
+    if node.kind == "chance":
+        for _label, prob, child in node.moves:
+            if prob:
+                total += _descent(child, i, unit, steps, stops, dk)
+    elif node.player != i:
+        for m, d in steps[node.player][node.infoset.index]:
+            total += _descent(node.moves[m][1], i, unit, steps, stops, dk + d)
+    else:
+        stops.append((node, dk))
+    return total
+
+
 def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBudget):
     """Player ``i``'s (infoset index, recommendation history) states, each
     valued once for a deviator who tells support elements apart only by
@@ -538,32 +587,34 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
     betas = [[beta for beta, _ in plans] for plans in reach.plans[i]]
     histories: dict = {}
     table: dict = {}
+    # per component: node -> the units and the stops of its _descent
+    totals: list[dict] = [{} for _ in units]
+    stops: list[dict] = [{} for _ in units]
 
     def descend(node: Node, t: int, p: int, k: int, sink: dict) -> int:
         """Route entry ``(t, p)``, ranked ``k`` here, down to the deviator's
         next nodes, filed in ``sink`` by state; returns the units of the
         terminals on the way."""
-        if node.kind == "terminal":
+        if node.kind == "terminal":  # nothing to share: keep no walk for it
             return units[t][node.index]
-        if node.kind == "chance":
-            return sum(descend(child, t, p, k, sink)
-                       for _label, prob, child in node.moves if prob)
-        iset = node.infoset
-        if node.player != i:
-            return sum(descend(node.moves[m][1], t, p, k + dk, sink)
-                       for m, dk in steps[t][node.player][iset.index])
-        hist = histories.get((t, p, iset.index))
-        if hist is None:
-            hist = histories[(t, p, iset.index)] = recommendation_history(
-                game, reach.plans[i][t][p][1], iset)
-        first = k * game.num_nodes + node.order
-        state = sink.get((iset.index, hist))
-        if state is None:
-            sink[(iset.index, hist)] = [first, [(node, t, p, k)]]
-        else:
-            state[0] = min(state[0], first)
-            state[1].append((node, t, p, k))
-        return 0
+        total = totals[t].get(node)
+        if total is None:
+            stops[t][node] = found = []
+            total = totals[t][node] = _descent(node, i, units[t], steps[t], found)
+        for own, dk in stops[t][node]:
+            iset = own.infoset
+            hist = histories.get((t, p, iset.index))
+            if hist is None:
+                hist = histories[(t, p, iset.index)] = recommendation_history(
+                    game, reach.plans[i][t][p][1], iset)
+            first = (k + dk) * game.num_nodes + own.order
+            state = sink.get((iset.index, hist))
+            if state is None:
+                sink[(iset.index, hist)] = [first, [(own, t, p, k + dk)]]
+            else:
+                state[0] = min(state[0], first)
+                state[1].append((own, t, p, k + dk))
+        return total
 
     def settle(sink: dict) -> tuple[int, tuple]:
         """Solve the states in ``sink``; their value and keys by ``first``."""

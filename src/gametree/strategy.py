@@ -23,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import contains
 from typing import Iterator, Optional, Sequence as Seq, Union
 
@@ -72,6 +73,9 @@ class BehaviorStrategy:
         return self.locals[infoset_id]
 
     def validate(self, game: Game):
+        """Every infoset of the player covered, with a distribution over its
+        actions that sums to 1, as ints over its denominators' lcm, and has
+        no negative probability."""
         i = self.player
         expected = {iset.id for iset in game.infosets[i]}
         if set(self.locals) != expected:
@@ -86,11 +90,11 @@ class BehaviorStrategy:
             bad = set(dist) - set(iset.actions)
             if bad:
                 raise ProfileError(f"infoset {iset.id!r} has no action {sorted(bad)}")
-            total = sum(dist.values(), ZERO)
-            if total != 1:
-                raise ProfileError(
-                    f"local distribution at {iset.id!r} sums to {format_rational(total)}")
-            if any(p < 0 for p in dist.values()):
+            den, probs = over_common_denominator(list(dist.values()))
+            if sum(probs) != den:
+                raise ProfileError(f"local distribution at {iset.id!r} sums to "
+                                   f"{format_rational(Fraction(sum(probs), den))}")
+            if any(p < 0 for p in probs):
                 raise ProfileError(f"negative probability at {iset.id!r}")
 
 
@@ -236,10 +240,18 @@ def decompose(game: Game, v: SequenceFormVector,
     """
     game.require_valid()
     v.validate(game)
-    i = v.player
+    den, residual = over_common_denominator(
+        [v.reach.get(seq, ZERO) for seq in game.sequences(v.player)])
+    return _decompose(game, v.player, den, list(residual), _trace)
+
+
+def _decompose(game: Game, i: int, den: int, residual: list[int],
+               _trace: Optional[list] = None) -> list[tuple[Fraction, PureStrategy]]:
+    """:func:`decompose` of the valid sequence-form vector ``residual[k] /
+    den`` over ``game.sequences(i)``, which it uses up. The greedy choices
+    compare and subtract residuals only, so any common ``den`` gives the
+    same plans and betas."""
     seqs = game.sequences(i)
-    den, residual = over_common_denominator([v.reach.get(seq, ZERO) for seq in seqs])
-    residual = list(residual)
     position = {seq: k for k, seq in enumerate(seqs)}
     # per infoset: its parent sequence's position, and (position, action)
     # per action in label order
@@ -340,8 +352,27 @@ def mixture_from_behavior_products(
     counterfactual gaps may differ from the literal product profile - use
     :func:`expand_behavior_products` for the faithful distribution.
     """
-    return _behavior_components(
-        game, components, lambda b: decompose(game, sequence_form(game, b)))
+    return _behavior_components(game, components, lambda b: _decompose(
+        game, b.player, *_behavior_sequence_form(game, b)))
+
+
+def _behavior_sequence_form(game: Game, b: BehaviorStrategy) -> tuple[int, list[int]]:
+    """The sequence form of the validated ``b`` as ``(den, ints)`` over
+    ``game.sequences(b.player)``: each sequence's reach has its chain's
+    product of local denominators as denominator, and ``den`` is their lcm."""
+    game.require_valid()
+    i = b.player
+    reach = {Sequence.empty(i): (1, 1)}  # sequence -> (numerator, denominator)
+    for iset in game.infosets[i]:
+        num, d = reach[iset.parent_seq]
+        dist = b.locals[iset.id]
+        local, probs = over_common_denominator([dist.get(a, ZERO) for a in iset.actions])
+        d *= local
+        for seq, p in zip(iset.seqs, probs):
+            reach[seq] = (num * p, d)
+    pairs = [reach[seq] for seq in game.sequences(i)]
+    den = lcm(*(d for _, d in pairs))
+    return den, [num * (den // d) for num, d in pairs]
 
 
 def expand_behavior_products(
@@ -355,13 +386,16 @@ def expand_behavior_products(
 
 def pure_mixture(game: Game,
                  entries: Seq[tuple[Fraction, PureProfile]]) -> MixtureOfProducts:
-    """The K = 1 special case: a plain distribution over pure profiles."""
-    comps = tuple(
+    """The K = 1 special case: a plain distribution over pure profiles.
+
+    It builds the mixture without validating it: the
+    :class:`gametree.metrics.ProfileReach` that :func:`gametree.metrics.gap`,
+    :func:`gametree.convert.efce_to_bce` and the solver build from it does
+    that. Call :meth:`MixtureOfProducts.validate` to check one used
+    otherwise."""
+    return MixtureOfProducts(tuple(
         MixtureComponent(w, tuple(((ONE, ps),) for ps in profile.strategies))
-        for w, profile in entries)
-    mixture = MixtureOfProducts(comps)
-    mixture.validate(game)
-    return mixture
+        for w, profile in entries))
 
 
 def profile_support(pi: MixtureOfProducts) -> Iterator[tuple[Fraction, PureProfile]]:

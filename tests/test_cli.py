@@ -527,8 +527,8 @@ def test_missing_input_files_are_errors_not_crashes(paths, capsys):
 def test_validations_per_op(paths, capsys, monkeypatch):
     # a profile is validated where it is parsed or built and where its reach
     # is built, and nowhere else: gap 2 (parse, reach); convert 4 (parse,
-    # input reach, rewrite output, output reach); solve 2 per LP round
-    # (pure_mixture, reach), and for bce 1 for the rewrite's output and 1
+    # input reach, rewrite output, output reach); solve 1 per LP round
+    # (its reach), and for bce 1 for the rewrite's output and 1
     # for the rewritten profile's reach, if the rewrite changed it
     from gametree import equilibrium, metrics, strategy
     validated, built, solves = [], [], []
@@ -566,6 +566,6 @@ def test_validations_per_op(paths, capsys, monkeypatch):
             validated.clear(), built.clear(), solves.clear()
             assert run(capsys, "solve", paths[name], "--notion", notion)[0] == 0
             rewritten = len(built) - len(solves)
-            assert len(validated) == 2 * len(solves) + (notion == "bce") + rewritten
+            assert len(validated) == len(solves) + (notion == "bce") + rewritten
             counts.append(len(validated))
-    assert counts == [6, 7, 2, 3, 10, 11]
+    assert counts == [3, 4, 1, 2, 5, 6]

@@ -76,6 +76,71 @@ def test_history_tables_on_three_player_mixtures_match_the_oracle(replayed_regre
     assert positive >= 8
 
 
+def _meeting_plan_cases(seed, count):
+    """Seeded 2-player games with two-component decomposed behavior
+    mixtures, kept when some component gives a player at least three
+    positive-beta plans that all reach one of its nodes: there the history
+    table holds several entries per (node, component), whose walks below
+    are shared."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        game = random_game(rng, max_players=2, max_nodes=14, max_depth=4,
+                           max_pure_product=32, max_pure_per_player=4)
+        if game.n != 2 or not all(game.infosets):
+            continue
+        pi = mixture_from_behavior_products(game, [
+            (F(k, 3), [random_behavior_strategy(rng, game, i) for i in range(2)])
+            for k in (1, 2)])
+        meeting = max(sum(1 for beta, plan in c.strategies[i]
+                          if beta and all(plan.actions[j] == a for j, a in iset.chain))
+                      for c in pi.components for i in range(2) for iset in game.infosets[i])
+        if meeting >= 3:
+            cases.append((game, pi))
+    return cases
+
+
+def test_history_tables_on_plans_meeting_at_one_node_match_the_oracle(replayed_regret):
+    positive = 0
+    for game, pi in _meeting_plan_cases(909, 16):
+        for notion in ("bce", "full-efce"):
+            assert _agrees_with_oracle(game, pi, notion), notion
+        full = gap(game, pi, "full-efce")
+        assert replayed_regret(game, pi, full.witness, pure_utility) == \
+            full.per_player[full.witness.player]
+        bce = gap(game, pi, "bce")
+        if bce.overall > 0:
+            positive += 1
+            w = bce.witness
+            regret = replayed_regret(
+                game, pi, w, lambda g, p, i: counterfactual_utility(g, p, i, w.at_infoset))
+            assert regret == bce.per_infoset[(w.player, w.at_infoset)] == bce.overall
+    assert positive >= 12
+
+
+def test_each_walk_below_a_node_is_taken_once_per_table(monkeypatch, games_and_profiles):
+    # per history table, each (node, component) is walked once, however many
+    # entries (own plans, ranks) pass through the node
+    from gametree import metrics
+    descent, history_table = metrics._descent, metrics._history_table
+    walks = []  # per table: the (node, component) of every step of a descent
+
+    def counted_descent(node, i, unit, steps, *rest):
+        walks[-1].append((node, id(steps)))
+        return descent(node, i, unit, steps, *rest)
+
+    def counted_table(reach, i, support, budget):
+        walks.append([])
+        return history_table(reach, i, support, budget)
+
+    monkeypatch.setattr(metrics, "_descent", counted_descent)
+    monkeypatch.setattr(metrics, "_history_table", counted_table)
+    for game, pi in games_and_profiles(42) + _meeting_plan_cases(910, 8):
+        for notion in ("bce", "full-efce"):
+            gap(game, pi, notion)
+    assert walks and all(len(per_table) == len(set(per_table)) for per_table in walks)
+
+
 def _expanded_history_table(game, i, support):
     """The reference table: one bundle entry per (node, support element),
     descended element by element in support order, in Fractions."""

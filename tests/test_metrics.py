@@ -69,6 +69,65 @@ def test_outcome_equivalence_lrr(lrr, lrr_pi, lrr_small):
     assert not outcome_equivalent(lrr, lrr_pi, point_mass(lrr, [{"R0": "L", "B": "L'"}]))
 
 
+def test_outcome_equivalent_agrees_with_the_distributions(ebos, ebos_pi, lrr, lrr_pi,
+                                                         lrr_small, surj, surj_pi):
+    # the int comparison says what comparing the Fraction distributions says,
+    # on the fixtures, their rewrites, each split into two half-weight
+    # components (the same distribution over a larger scale) and a point
+    # mass of each game
+    seen = set()
+    for game, profiles in ((ebos, [ebos_pi]), (lrr, [lrr_pi, lrr_small]), (surj, [surj_pi])):
+        first = {i: {iset.id: iset.actions[0] for iset in game.infosets[i]}
+                 for i in range(game.n)}
+        profiles = profiles + [efce_to_bce(game, pi) for pi in profiles]
+        profiles += [MixtureOfProducts(tuple(MixtureComponent(c.alpha / 2, c.strategies)
+                                             for c in pi.components for _ in "ab"))
+                     for pi in profiles] + [point_mass(game, first)]
+        for a in profiles:
+            for b in profiles:
+                same = outcome_equivalent(game, a, b)
+                assert same == (outcome_distribution(game, a).probs
+                                == outcome_distribution(game, b).probs)
+                seen.add(same)
+    assert seen == {True, False}
+
+
+def test_outcome_equivalent_ignores_play_below_a_probability_0_chance_move():
+    game = parse_game(json.dumps({"players": ["A"], "root": {
+        "kind": "chance", "actions": [
+            {"label": label, "prob": prob, "child": {
+                "kind": "decision", "player": 0, "infoset": label, "actions": [
+                    {"label": a, "child": {"kind": "terminal", "payoffs": [u]}}
+                    for a, u in (("x", "1"), ("y", "0"))]}}
+            for label, prob in (("seen", "1"), ("unseen", "0"))]}}))
+    a, b, c = (point_mass(game, [{"seen": s, "unseen": u}])
+               for s, u in (("x", "x"), ("x", "y"), ("y", "x")))
+    assert outcome_equivalent(game, a, b)
+    assert outcome_distribution(game, a).probs == outcome_distribution(game, b).probs
+    assert not outcome_equivalent(game, a, c)
+
+
+def test_a_corrupted_joint_fails_the_outcome_check(ebos, ebos_pi, monkeypatch, tmp_path):
+    from gametree import fixtures, metrics
+    from gametree.cli import main
+    init = metrics.ProfileReach.__init__
+
+    def corrupted(self, game, pi):
+        init(self, game, pi)
+        self.joint[:] = [j + 1 for j in self.joint]  # adds the chance row's sum
+
+    monkeypatch.setattr(metrics.ProfileReach, "__init__", corrupted)
+    with pytest.raises(InternalCheckError, match="outcome probabilities sum to"):
+        outcome_distribution(ebos, ebos_pi)
+    with pytest.raises(InternalCheckError, match="outcome probabilities sum to"):
+        outcome_equivalent(ebos, ebos_pi, ebos_pi)
+    paths = []
+    for name in ("ebos.game.json", "ebos.profile.json"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(fixtures.fixture_text(name))
+    assert main(["convert"] + [str(p) for p in paths]) == 4
+
+
 # -- counterfactual utility ---------------------------------------------------
 
 

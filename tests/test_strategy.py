@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gametree import (ProfileError, ProfileParseError, Sequence, decompose,
                       mixture_from_behavior_products, parse_game, parse_profile,
@@ -393,3 +394,42 @@ def test_sequence_form_validation_messages(lrr):
         assert str(info.value) == message
     with pytest.raises(ProfileError, match="reach 1 at the empty"):
         SequenceFormVector(0, {}).validate(lrr)
+
+
+def test_behavior_validation_messages(lrr):
+    # the same text from the validator and from the decomposition entry point
+    good = {"R0": {"L": F(9, 10), "R": F(1, 10)}, "B": {"R'": F(1)}}
+    cases = [
+        ({"R0": {"L": F(2, 3)}}, "local distribution at 'R0' sums to 2/3"),
+        ({"R0": {"L": F(3, 2), "R": F(-1, 2)}}, "negative probability at 'R0'"),
+        ({"B": {"R'": F(1), "X": F(0)}}, "infoset 'B' has no action ['X']"),
+        ({"B": None}, "behavior strategy for P1 must cover every infoset; missing ['B']"),
+        ({"Z": {"L": F(1)}}, "behavior strategy for P1 must cover every infoset; "
+                             "unknown ['Z']"),
+    ]
+    BehaviorStrategy(0, good).validate(lrr)
+    for change, message in cases:
+        locals_ = {k: v for k, v in {**good, **change}.items() if v is not None}
+        b = BehaviorStrategy(0, locals_)
+        with pytest.raises(ProfileError) as info:
+            b.validate(lrr)
+        assert str(info.value) == message
+        with pytest.raises(ProfileError) as info:
+            mixture_from_behavior_products(lrr, [(F(1), [b])])
+        assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_int_behavior_decomposition_matches_the_sequence_form_route(rng, count):
+    # the int path from behavior to mixture gives exactly the (beta, plan)
+    # lists of decomposing the Fraction sequence form, per player
+    game = random_game(rng, max_players=3, max_nodes=24, max_depth=6)
+    weights = [rng.randint(1, 4) for _ in range(count)]
+    components = [(F(w, sum(weights)), [random_behavior_strategy(rng, game, i)
+                                         for i in range(game.n)]) for w in weights]
+    pi = mixture_from_behavior_products(game, components)
+    assert [c.alpha for c in pi.components] == [alpha for alpha, _ in components]
+    for comp, (_alpha, behaviors) in zip(pi.components, components):
+        assert [list(mix) for mix in comp.strategies] == \
+            [decompose(game, sequence_form(game, b)) for b in behaviors]
