@@ -18,7 +18,8 @@ from typing import Optional, Union
 from .bestresponse import best_response
 from .errors import InternalCheckError
 from .game import Game, Infoset, Sequence
-from .metrics import ProfileReach, _payoff_units, _trigger_weights
+from .metrics import ProfileReach, _payoff_units, _same_outcomes, _trigger_weights, gap
+from .rational import format_rational
 from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy
 
 
@@ -67,19 +68,10 @@ def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
     """The unique own sequence Ja with x(Ja) = 1, J preceding the infoset,
     and Ja not leading to it - defined exactly when ``ps`` does not reach the
     infoset (perfect recall makes it unique)."""
-    dev = _deviation_infoset(game, ps, game.infoset(ps.player, infoset_id))
-    if dev is None:
-        raise ValueError(f"strategy reaches infoset {infoset_id!r}; no deviation point")
-    return Sequence(ps.player, dev.id, ps.actions[dev.index])
-
-
-def _deviation_infoset(game: Game, ps: PureStrategy, iset: Infoset) -> Optional[Infoset]:
-    """The infoset J of :func:`deviation_point`, or None when ``ps`` reaches
-    ``iset``."""
-    for j, a in iset.chain:
+    for j, a in game.infoset(ps.player, infoset_id).chain:
         if ps.actions[j] != a:
-            return game.infosets[ps.player][j]
-    return None
+            return Sequence(ps.player, game.infosets[ps.player][j].id, ps.actions[j])
+    raise ValueError(f"strategy reaches infoset {infoset_id!r}; no deviation point")
 
 
 def efce_to_bce(game: Game, pi: MixtureOfProducts,
@@ -87,10 +79,10 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     """Rewrite off-path recommendations with counterfactual best responses.
 
     Preserves T, every K_i(t), and all weights; only local actions at
-    infosets a support strategy does not reach are changed. The output is
-    outcome-equivalent to the input, and its worst-case counterfactual
-    (history-seeing) gap is at most the input's causal gap - both facts are
-    verified by the callers and the test suite rather than assumed.
+    infosets a support strategy does not reach are changed, each to a best
+    response's, so the output is valid. It is outcome-equivalent to the
+    input, and its worst-case counterfactual (history-seeing) gap is at most
+    the input's causal gap: :func:`_checked_rewrite` checks both facts.
 
     ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
     pi)``; one built from another game or profile raises
@@ -113,8 +105,15 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
             new_mix = []
             for (beta, ps), weight in zip(mix, weights):
                 actions = list(ps.actions)
-                for iset in game.infosets[i]:
-                    at = _deviation_infoset(game, ps, iset)
+                left: list[Optional[Infoset]] = []  # per infoset: where ps left its chain
+                for iset in game.infosets[i]:  # discovery order: parents first
+                    at = None  # None when ps reaches iset
+                    if iset.chain:
+                        j, a = iset.chain[-1]
+                        at = left[j]
+                        if at is None and ps.actions[j] != a:
+                            at = game.infosets[i][j]
+                    left.append(at)
                     if at is None:
                         continue
                     dev = at.seqs[at.actions.index(ps.actions[at.index])]
@@ -133,6 +132,22 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
                 new_mix.append((beta, PureStrategy(i, tuple(actions))))
             per_player.append(tuple(new_mix))
         new_components.append(MixtureComponent(comp.alpha, tuple(per_player)))
-    out = MixtureOfProducts(tuple(new_components))
-    out.validate(game)
-    return out
+    return MixtureOfProducts(tuple(new_components))
+
+
+def _checked_rewrite(game: Game, pi: MixtureOfProducts, reach: ProfileReach,
+                     causal_gap: Fraction) -> tuple[MixtureOfProducts, ProfileReach, Fraction]:
+    """:func:`efce_to_bce` of ``pi``, whose reach is ``reach``, with its
+    output's reach (a new one, which validates it, only if the output
+    differs) and bce gap; raises :class:`InternalCheckError` unless the
+    output keeps ``pi``'s outcomes and its bce gap is at most ``causal_gap``."""
+    out = efce_to_bce(game, pi, reach)
+    reach_out = reach if out == pi else ProfileReach(game, out)
+    if not _same_outcomes(reach, reach_out):
+        raise InternalCheckError("the rewrite changed the outcome distribution")
+    bce_gap = gap(game, out, "bce", reach=reach_out).overall
+    if bce_gap > causal_gap:
+        raise InternalCheckError(
+            f"the rewrite's bce gap {format_rational(bce_gap)} exceeds the "
+            f"causal gap {format_rational(causal_gap)}")
+    return out, reach_out, bce_gap

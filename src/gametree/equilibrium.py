@@ -25,14 +25,13 @@ import itertools
 from fractions import Fraction
 from typing import Optional
 
-from .convert import efce_to_bce
+from .convert import _checked_rewrite
 from .errors import InternalCheckError, ResourceGuardError
 from .game import Game
 from .lp import LE, LinearProgram, lp_solve
 from .metrics import ProfileReach, _play_from, gap, pure_utility
 from .rational import format_rational
-from .strategy import (MixtureOfProducts, PureProfile, PureStrategy,
-                       profile_support, pure_mixture)
+from .strategy import MixtureOfProducts, PureProfile, PureStrategy, pure_mixture
 from .witnesses import TriggerCommitWitness
 
 ZERO = Fraction(0)
@@ -152,32 +151,19 @@ def optimal_efce(game: Game, objective: dict[str, Fraction],
 def _solve_bce(game: Game, objective: Optional[dict[str, Fraction]],
                profile_cap: int = DEFAULT_PROFILE_CAP
                ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
-    """The exact causal solve with its off-path recommendations rewritten:
-    the profile, the program's optimal value, the profile's measured bce
-    gap, which must be 0, and the :class:`ProfileReach` it was measured
-    with. The rewrite preserves the outcome distribution, so the value
-    equals the causal optimum; both facts are re-checked."""
-    pi, value, _, reach = _solve_program(game, ZERO, objective, profile_cap)
-    out = efce_to_bce(game, pi, reach)
-    if out != pi:  # the rewrite changed an off-path action
-        reach = ProfileReach(game, out)
-    measured = gap(game, out, "bce", reach=reach).overall
-    if measured != 0:
-        raise InternalCheckError(
-            f"converted profile has bce gap {format_rational(measured)}, expected 0")
-    if objective is not None:
-        out_value = sum((w * _objective_value(game, objective, profile)
-                         for w, profile in profile_support(out)), ZERO)
-        if out_value != value:
-            raise InternalCheckError(
-                f"conversion changed the objective value from {format_rational(value)} "
-                f"to {format_rational(out_value)}")
+    """The exact causal solve with its off-path recommendations rewritten by
+    :func:`gametree.convert._checked_rewrite`: the profile, the program's
+    optimal value (the rewrite keeps the outcomes, on which the objective is
+    linear), the profile's bce gap (0) and the reach it was measured with."""
+    pi, value, causal_gap, reach = _solve_program(game, ZERO, objective, profile_cap)
+    out, reach, measured = _checked_rewrite(game, pi, reach, causal_gap)
     return out, value, measured, reach
 
 
 def compute_bce(game: Game, profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:
     """An exact (gap-0) history-seeing equilibrium: solve for the causal one
-    and rewrite its off-path recommendations. Verified at gap 0 exactly."""
+    and rewrite its off-path recommendations, which
+    :func:`gametree.convert._checked_rewrite` checks at gap 0 exactly."""
     return _solve_bce(game, None, profile_cap)[0]
 
 
@@ -185,7 +171,7 @@ def optimal_bce(game: Game, objective: dict[str, Fraction],
                 profile_cap: int = DEFAULT_PROFILE_CAP) -> tuple[MixtureOfProducts, Fraction]:
     """Optimal history-seeing equilibrium under ``objective``.
 
-    The rewrite preserves the outcome distribution, so the value equals the
-    optimal causal value exactly; both facts are re-checked here.
+    :func:`gametree.convert._checked_rewrite` checks that the rewrite keeps
+    the outcome distribution, so the value equals the optimal causal value.
     """
     return _solve_bce(game, objective, profile_cap)[:2]

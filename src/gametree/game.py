@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import GameParseError, InvalidGameError
 from .jsonout import dumps
-from .rational import format_rational, rational_reader
+from .rational import format_rational, over_common_denominator, rational_reader
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -171,6 +171,10 @@ class Game:
     ``root_after[i]`` is player ``i``'s ``(terminals, children)`` pair of
     the empty sequence, in the shape of :attr:`Infoset.after`: the
     terminals the player never acts on, and the player's first infosets.
+    ``chance_row = (den, ints)`` holds each terminal's chance reach as
+    ``ints[z] / den``, and ``payoff_rows[i]`` holds ``payoff_i(z) *
+    chance(z)`` so, over the lcm of the player's payoff denominators times
+    the chance row's ``den``.
     """
 
     def __init__(self, players: tuple[str, ...], root: Node):
@@ -187,6 +191,12 @@ class Game:
             ([], []) for _ in players]
         self._sequences: list[list[Sequence]] = []
         self._build()
+        self.chance_row = chance_den, chances = over_common_denominator(
+            [z.chance_reach for z in self.terminals])
+        self.payoff_rows: list[tuple[int, list[int]]] = []
+        for i in range(self.n):
+            den, payoffs = over_common_denominator([z.payoffs[i] for z in self.terminals])
+            self.payoff_rows.append((den * chance_den, [u * c for u, c in zip(payoffs, chances)]))
         self._validation = ValidationReport(
             ok=not self._violations, violations=tuple(self._violations)
         )

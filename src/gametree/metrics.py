@@ -82,21 +82,18 @@ class ProfileReach:
     it add, multiply and compare ints only and build each reported value
     once, as ``Fraction(value, scale)``. ``den[i]`` is the lcm of player
     ``i``'s live beta denominators, ``alpha_den`` that of the live alphas,
-    and ``scale`` is ``alpha_den * prod_i den[i]``. ``chance = (den, ints)``
-    holds each terminal's chance reach, ``chance(z) == ints[z] / den``, and
-    ``payoffs[i] = (den, ints)`` holds ``payoff_i(z) * chance(z) == ints[z] /
-    den``, where ``den`` is the lcm of the player's payoff denominators times
-    the chance row's.
+    and ``scale`` is ``alpha_den * prod_i den[i]``; rows that depend on the
+    game alone are :class:`Game`'s.
 
     Per component ``t`` with ``alpha != 0`` (``alphas[t]``, over
     ``alpha_den``) and player ``i``: ``plans[i][t]`` holds the ``(beta,
-    plan)`` pairs, ``masses[i][t]`` maps each sequence to the beta of the
-    plans reaching it and ``rows[i][t][z]`` is ``x_ti(z) = sum_k beta_tik
-    x_tik(z)``, all over ``den[i]``; ``walks[i][t][k]`` is the set of
-    sequences plan ``k`` plays to (empty for a zero beta);
+    plan)`` pairs and ``masses[i][t]`` maps each sequence to the beta of the
+    plans reaching it, both over ``den[i]``; ``walks[i][t][k]`` is the set
+    of sequences plan ``k`` plays to (empty for a zero beta);
     ``others[i][t][z]`` is ``alpha_t * prod_{j != i} x_tj(z)``, over ``scale
-    // den[i]``. ``joint[z]`` is the profile's reach of each terminal,
-    chance left out, over ``scale``.
+    // den[i]``, with ``x_tj(z)`` the ``masses[j][t]`` entry at z's last own
+    sequence. ``joint[z]`` is the profile's reach of each terminal, chance
+    left out, over ``scale``.
 
     The profile is validated here (:meth:`MixtureOfProducts.validate`), so
     a reach always stands for a valid profile, and a function handed one
@@ -113,15 +110,9 @@ class ProfileReach:
         self.den = [lcm(*(beta.denominator for comp in live for beta, _ in comp.strategies[i]))
                     for i in range(game.n)]
         self.scale = self.alpha_den * prod(self.den)
-        self.chance = chance_den, chances = over_common_denominator(
-            [z.chance_reach for z in game.terminals])
-        self.payoffs = []
-        for i in range(game.n):
-            den, payoffs = over_common_denominator([z.payoffs[i] for z in game.terminals])
-            self.payoffs.append((den * chance_den, [u * c for u, c in zip(payoffs, chances)]))
         self.joint = [0] * len(game.terminals)
-        self.plans, self.rows, self.masses, self.others, self.walks = (
-            [[] for _ in range(game.n)] for _ in range(5))
+        self.plans, self.masses, self.others, self.walks = (
+            [[] for _ in range(game.n)] for _ in range(4))
         for comp, alpha in zip(live, self.alphas):
             rows = []
             for i, mix in enumerate(comp.strategies):
@@ -135,7 +126,6 @@ class ProfileReach:
                 # a plan reaches z exactly when it reaches z's last own sequence
                 rows.append([masses.get(z.last_seq[i], 0) for z in game.terminals])
                 self.plans[i].append(plans)
-                self.rows[i].append(rows[i])
                 self.masses[i].append(masses)
                 self.walks[i].append(walks)
             for i in range(game.n):
@@ -169,9 +159,9 @@ class ProfileReach:
 
     def value_scale(self, i: int) -> int:
         """The scale of player ``i``'s payoff-weighted sums: the row
-        ``payoffs[i]`` times ``joint``, or times a sequence mass and an
-        opponent row."""
-        return self.payoffs[i][0] * self.scale
+        ``game.payoff_rows[i]`` times ``joint``, or times a sequence mass and
+        an opponent row."""
+        return self.game.payoff_rows[i][0] * self.scale
 
 
 def _sequence_masses(game: Game, i: int, walks) -> dict[Sequence, int]:
@@ -195,7 +185,7 @@ def _plan_sequences(game: Game, i: int, ps: PureStrategy) -> set[Sequence]:
 
 def _expected(reach: ProfileReach, i: int) -> int:
     """E[u_i] over ``reach.value_scale(i)``."""
-    return sum(p * r for p, r in zip(reach.payoffs[i][1], reach.joint))
+    return sum(p * r for p, r in zip(reach.game.payoff_rows[i][1], reach.joint))
 
 
 def expected_utility(game: Game, pi: MixtureOfProducts, player: Union[int, str],
@@ -228,7 +218,7 @@ def _outcome_ints(reach: ProfileReach) -> tuple[int, list[int]]:
     """``(den, ints)`` with ``P(z) == ints[z] / den`` for every terminal:
     the chance row times ``joint``; raises :class:`InternalCheckError` unless
     the probabilities sum to 1."""
-    chance_den, chances = reach.chance
+    chance_den, chances = reach.game.chance_row
     den = chance_den * reach.scale
     ints = [c * j for c, j in zip(chances, reach.joint)]
     if sum(ints) != den:
@@ -297,7 +287,7 @@ def _cf_values(reach: ProfileReach, i: int) -> list[int]:
     """Per infoset of player ``i``: the support sum of ``w *
     counterfactual_utility`` there, factorized, over
     ``reach.value_scale(i)``."""
-    pc = reach.payoffs[i][1]
+    pc = reach.game.payoff_rows[i][1]
     return [sum(pc[z] * r for z, r in cf.items()) for cf in _cf_reach_profiles(reach, i)]
 
 
@@ -389,7 +379,7 @@ def _payoff_units(reach: ProfileReach, i: int) -> list[list[int]]:
     """Per component ``t``: ``payoff_i(z) * chance(z) * others[i][t][z]``,
     the terminal weights of a trigger that holds all of ``t``'s own mass,
     over ``reach.value_scale(i) // reach.den[i]``."""
-    pc = reach.payoffs[i][1]
+    pc = reach.game.payoff_rows[i][1]
     return [[p * o for p, o in zip(pc, other)] for other in reach.others[i]]
 
 
@@ -437,8 +427,11 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
     onward may as well be the best fixed continuation against the opponents'
     reach conditioned on that state. The walk therefore chooses, at every
     recommendation state, between committing to that best response and
-    obeying one more step; a commit before the first recommendation (the
-    empty trigger) is included as the root option.
+    obeying one more step. The root (the empty trigger) only obeys: below a
+    first infoset ``I`` its weights are the sum of those of the triggers
+    ``I:a``, as every plan plays one action there, so its best response is
+    worth at most the sum of theirs, each at most ``walk(I:a)``; ties go to
+    obedience.
     """
     game = reach.game
     gaps, witnesses = [], []
@@ -451,7 +444,6 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
             w = _trigger_weights(reach, units, seq, at)
             if w is None:
                 return 0, []
-            t_val, t_strat = best_response(game, i, w, at)
             terminals, children = after
             obey = sum(w[z] for z in terminals)
             commits: list = []
@@ -460,8 +452,10 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
                     v, c = walk(child_seq, child, child_after)
                     obey += v
                     commits.extend(c)
-            if t_val > obey:
-                return t_val, [(seq, t_strat)]
+            if at is not None:  # the root obeys
+                t_val, t_strat = best_response(game, i, w, at)
+                if t_val > obey:
+                    return t_val, [(seq, t_strat)]
             return obey, commits
 
         value, commits = walk(Sequence.empty(i), None, game.root_after[i])

@@ -60,14 +60,12 @@ class TriggerCommitWitness:
 
         A commit at sequence Ja fires when the recommendation reaches Ja; it
         replaces play at infosets weakly after J with the stored
-        continuation. An empty-sequence trigger replaces the whole plan.
+        continuation. No commit sits at the empty sequence.
         """
         actions = list(ps.actions)
         for seq, continuation in self.commits:
             if not pure_reaches_sequence(game, ps, seq):
                 continue
-            if seq.is_empty:
-                return continuation
             for iset in game.infoset(self.player, seq.infoset).subtree:
                 actions[iset.index] = continuation.action_at(iset.index)
         return PureStrategy(self.player, tuple(actions))

@@ -118,6 +118,22 @@ def test_gap_invalid_profile_exit_code(paths, capsys):
     assert code == 1
 
 
+def test_invalid_game_exit_code(paths, capsys):
+    # a game that parses but fails validation is refused before any work
+    game = paths["tmp"] / "five-sixths.game.json"
+    game.write_text(json.dumps({"players": ["A"], "root": {"kind": "chance", "actions": [
+        {"label": "l", "prob": "1/2", "child": {"kind": "terminal", "payoffs": ["0"]}},
+        {"label": "r", "prob": "1/3", "child": {"kind": "terminal", "payoffs": ["1"]}}]}}))
+    profile = paths["tmp"] / "empty-plan.profile.json"
+    profile.write_text(json.dumps({"components": [{"alpha": "1", "strategies": [
+        [{"beta": "1", "actions": {}}]]}]}))
+    message = ("error: game fails validation (chance-sum at .: chance probabilities "
+               "sum to 5/6, not 1)\n")
+    for argv in (("gap", str(game), str(profile), "--notion", "efce"),
+                 ("solve", str(game), "--notion", "bce")):
+        assert run(capsys, *argv) == (1, "", message)
+
+
 def test_convert_reports_and_writes(paths, capsys):
     out_path = paths["tmp"] / "converted.json"
     code, _out, err = run(capsys, "convert", paths["ebos"], paths["ebos.profile"],
@@ -250,6 +266,13 @@ def test_cbr_sequence_refuses_an_ambiguous_label(paths, capsys):
     assert code == 0 and json.loads(out)["sequence"] == "a:on"
 
 
+def test_cbr_sequence_needs_a_colon(paths, capsys):
+    code, out, err = run(capsys, "cbr", paths["ebos"], paths["ebos.profile"], "--player",
+                         "P1", "--sequence", "Root")
+    assert (code, out, err) == (
+        1, "", "error: sequence must be \"INFOSET:ACTION\" or \"empty\", got 'Root'\n")
+
+
 def test_cbr_builds_one_reach(paths, capsys, monkeypatch):
     # the response and the printed event mass read the same reach
     from gametree import metrics
@@ -331,6 +354,50 @@ def test_internal_check_failure_exit_code(paths, capsys, monkeypatch):
     assert "internal error: stub self-check failed" in err
 
 
+def _moved_rewrite(rewrite):
+    """``rewrite`` with the output's first plan moved to another action at
+    the player's first infoset, which moves the outcome distribution."""
+    from gametree.strategy import MixtureComponent, MixtureOfProducts, PureStrategy
+
+    def moved(game, pi, reach=None):
+        out = rewrite(game, pi, reach)
+        first = out.components[0]
+        (beta, ps), *rest = first.strategies[0]
+        other = next(a for a in game.infosets[0][0].actions if a != ps.actions[0])
+        plan = PureStrategy(0, (other,) + ps.actions[1:])
+        comp = MixtureComponent(first.alpha, (((beta, plan), *rest),) + first.strategies[1:])
+        return MixtureOfProducts((comp,) + out.components[1:])
+
+    return moved
+
+
+def test_a_rewrite_that_moves_the_outcomes_exits_4(paths, capsys, monkeypatch):
+    # gt convert and the bce solvers check every rewrite they make; a failed
+    # check prints nothing on stdout and writes no -o file
+    from gametree import convert
+    monkeypatch.setattr(convert, "efce_to_bce", _moved_rewrite(convert.efce_to_bce))
+    objective = paths["tmp"] / "ebos.objective.json"
+    terminal = fixtures.load_game("ebos").terminals[0].terminal_id
+    objective.write_text(json.dumps({"c": {terminal: "1"}}))
+    written = paths["tmp"] / "never.json"
+    for argv in (("convert", paths["ebos"], paths["ebos.profile"]),
+                 ("convert", paths["ebos"], paths["ebos.profile"], "-o", str(written)),
+                 ("solve", paths["ebos"], "--notion", "bce"),
+                 ("solve", paths["ebos"], "--notion", "bce", "--objective", str(objective))):
+        assert run(capsys, *argv) == (
+            4, "", "internal error: the rewrite changed the outcome distribution\n"), argv
+    assert not written.exists()
+
+
+def test_a_rewrite_above_the_causal_gap_exits_4(paths, capsys, monkeypatch):
+    # left unrewritten, the ebos profile keeps its causal gap 0 but has bce
+    # gap 1, which the rewrite theorem rules out for its output
+    from gametree import convert
+    monkeypatch.setattr(convert, "efce_to_bce", lambda game, pi, reach=None: pi)
+    assert run(capsys, "convert", paths["ebos"], paths["ebos.profile"]) == (
+        4, "", "internal error: the rewrite's bce gap 1 exceeds the causal gap 0\n")
+
+
 def test_solve_bce_surj(paths, capsys):
     code, out, err = run(capsys, "solve", paths["surj"], "--notion", "bce")
     assert code == 0
@@ -406,7 +473,8 @@ def test_parser_is_built_once_and_reused(capsys):
 def test_convert_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch,
                                               games_and_profiles):
     # the input's reach serves its efce gap, the rewrite and its outcomes;
-    # the output's serves its bce gap and outcomes
+    # the output's serves its bce gap and outcomes, and is built only when
+    # the rewrite changed the profile (else the input's serves)
     from gametree import metrics
     built = []
     init = metrics.ProfileReach.__init__
@@ -416,14 +484,18 @@ def test_convert_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch,
         init(self, game, pi)
 
     monkeypatch.setattr(metrics.ProfileReach, "__init__", counting)
-    for k, (game, pi) in enumerate(games_and_profiles(38)):
+    cases, changed = games_and_profiles(38), 0
+    for k, (game, pi) in enumerate(cases):
         game_path, profile_path = tmp_path / f"g{k}.json", tmp_path / f"p{k}.json"
         game_path.write_text(serialize_game(game))
         profile_path.write_text(serialize_profile(game, pi))
         built.clear()
         code, out, _ = run(capsys, "convert", str(game_path), str(profile_path))
         assert code == 0
-        assert built == [pi, parse_profile(game, out)]
+        rewritten = parse_profile(game, out)
+        assert built == [pi] + ([rewritten] if rewritten != pi else [])
+        changed += rewritten != pi
+    assert 0 < changed < len(cases)  # both branches run
 
 
 def test_solve_reports_the_gap_of_its_profile(tmp_path, capsys):
@@ -525,11 +597,11 @@ def test_missing_input_files_are_errors_not_crashes(paths, capsys):
 
 
 def test_validations_per_op(paths, capsys, monkeypatch):
-    # a profile is validated where it is parsed or built and where its reach
-    # is built, and nowhere else: gap 2 (parse, reach); convert 4 (parse,
-    # input reach, rewrite output, output reach); solve 1 per LP round
-    # (its reach), and for bce 1 for the rewrite's output and 1
-    # for the rewritten profile's reach, if the rewrite changed it
+    # a profile is validated where it is parsed and where its reach is
+    # built, and nowhere else: gap 2 (parse, reach); convert 3 (parse, input
+    # reach, output reach), or 2 when the rewrite changes nothing (lrr);
+    # solve 1 per LP round (its reach), and for bce 1 more for the
+    # rewritten profile's reach, if the rewrite changed it
     from gametree import equilibrium, metrics, strategy
     validated, built, solves = [], [], []
     validate, init, lp_solve = (strategy.MixtureOfProducts.validate,
@@ -553,9 +625,9 @@ def test_validations_per_op(paths, capsys, monkeypatch):
     ops = [(("gap", paths["ebos"], paths["ebos.profile"], "--notion", notion), 2)
            for notion in ("efce", "bce", "full-efce", "nfcce")]
     ops += [(("gap", paths["lrr"], paths["lrr.behavior"], "--notion", "bce"), 2),
-            (("convert", paths["lrr"], paths["lrr.behavior"]), 4),
-            (("convert", paths["ebos"], paths["ebos.profile"]), 4),
-            (("convert", paths["surj"], paths["surj.profile"]), 4)]
+            (("convert", paths["lrr"], paths["lrr.behavior"]), 2),
+            (("convert", paths["ebos"], paths["ebos.profile"]), 3),
+            (("convert", paths["surj"], paths["surj.profile"]), 3)]
     for argv, want in ops:
         validated.clear()
         assert run(capsys, *argv)[0] == 0
@@ -566,6 +638,6 @@ def test_validations_per_op(paths, capsys, monkeypatch):
             validated.clear(), built.clear(), solves.clear()
             assert run(capsys, "solve", paths[name], "--notion", notion)[0] == 0
             rewritten = len(built) - len(solves)
-            assert len(validated) == len(solves) + (notion == "bce") + rewritten
+            assert len(validated) == len(solves) + rewritten
             counts.append(len(validated))
-    assert counts == [3, 4, 1, 2, 5, 6]
+    assert counts == [3, 3, 1, 1, 5, 5]

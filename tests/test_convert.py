@@ -7,9 +7,8 @@ from gametree import (ProfileReach, Sequence, counterfactual_best_response,
                       deviation_point, efce_to_bce, gap, outcome_equivalent,
                       outcome_distribution, profile_support, pure_mixture,
                       pure_strategy)
-from gametree.convert import _deviation_infoset
 from gametree.randgen import random_game, random_mixture
-from gametree.strategy import PureProfile, sequence_form
+from gametree.strategy import PureProfile, pure_reaches_sequence, sequence_form
 from gametree.witnesses import HistoryPolicyWitness, TriggerCommitWitness
 
 F = Fraction
@@ -135,7 +134,7 @@ def test_conversion_changes_only_off_path_actions(surj, surj_pi):
                 assert sequence_form(surj, ps_b).reach == \
                     sequence_form(surj, ps_a).reach
                 for iset in surj.infosets[i]:
-                    if _deviation_infoset(surj, ps_b, iset) is None:  # ps_b reaches iset
+                    if pure_reaches_sequence(surj, ps_b, iset.parent_seq):
                         assert ps_b.action_at(iset.index) == ps_a.action_at(iset.index)
 
 

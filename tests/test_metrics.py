@@ -350,6 +350,20 @@ def test_gap_efce_bounded_by_full_efce(ebos, ebos_pi, lrr, lrr_pi):
         assert gap(game, pi, "efce").overall <= gap(game, pi, "full-efce").overall
 
 
+def test_efce_walk_never_commits_at_the_root():
+    # the root's commit is dominated (see metrics._gap_efce), so no efce
+    # witness commits at the empty sequence, and the best plan against the
+    # whole profile, the nfcce deviation, is worth no more than the walk
+    rng = random.Random(12345)
+    for k in range(60):
+        game = random_game(rng, max_players=3, max_nodes=30, max_depth=5,
+                           max_pure_product=200, max_pure_per_player=40)
+        pi = (random_pure_profile_mixture if k % 2 else random_mixture)(rng, game)
+        efce, nfcce = gap(game, pi, "efce"), gap(game, pi, "nfcce")
+        assert not any(seq.is_empty for seq, _ in efce.witness.commits)
+        assert all(n <= e for n, e in zip(nfcce.per_player, efce.per_player))
+
+
 def test_gap_unknown_notion(lrr, lrr_pi):
     with pytest.raises(ValueError, match="notion"):
         gap(lrr, lrr_pi, "nash")
@@ -425,8 +439,10 @@ def test_profile_reach_masses_and_rows_match_support_expansion(games_and_profile
         support = list(profile_support(pi))
         for i in range(game.n):
             assert len(reach.masses[i]) == len(live)
-            for row, comp in zip(reach.rows[i], live):
-                assert [F(r, reach.den[i]) for r in row] == [
+            for masses, comp in zip(reach.masses[i], live):
+                # a plan reaches z exactly when it reaches z's last own sequence
+                assert [F(masses.get(z.last_seq[i], 0), reach.den[i])
+                        for z in game.terminals] == [
                     sum((beta for beta, ps in comp.strategies[i]
                          if pure_terminal_reach(game, ps, z)), F(0))
                     for z in game.terminals]

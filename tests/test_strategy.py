@@ -433,3 +433,99 @@ def test_int_behavior_decomposition_matches_the_sequence_form_route(rng, count):
     for comp, (_alpha, behaviors) in zip(pi.components, components):
         assert [list(mix) for mix in comp.strategies] == \
             [decompose(game, sequence_form(game, b)) for b in behaviors]
+
+
+RAT = "(expected 'p' or 'p/q' with q > 0)"
+_P1 = {"beta": "1", "actions": {"Root": "U", "AfterNotU": "X1", "AfterU": "X1"}}
+_P2 = {"beta": "1", "actions": {"Event": "X2"}}
+_B1 = {"Root": {"U": "1"}, "AfterNotU": {"X1": "1"}, "AfterU": {"X1": "1"}}
+_B2 = {"Event": {"X2": "1"}}
+
+
+def _mixture_doc(**component):
+    return {"components": [{"alpha": "1", "strategies": [[_P1], [_P2]], **component}]}
+
+
+def _behavior_doc(**component):
+    return {"components": [{"alpha": "1", "behaviors": [_B1, _B2], **component}]}
+
+
+# (ebos profile document, exception, its exact text); the path in the
+# document leads each parse error's text
+MALFORMED_PROFILES = [
+    ({"components": [{"strategies": [[_P1], [_P2]]}]}, ProfileParseError,
+     'components/0: component needs "alpha"'),
+    ({"components": [_mixture_doc()["components"][0], 5]}, ProfileParseError,
+     'components/1: component needs "alpha"'),
+    (_mixture_doc(alpha="x"), ProfileParseError, f"components/0/alpha: malformed rational 'x' {RAT}"),
+    (_mixture_doc(strategies=[[_P1]]), ProfileParseError,
+     'components/0: "strategies" must list one entry per player (2)'),
+    (_mixture_doc(strategies=[[], [_P2]]), ProfileParseError,
+     "components/0/strategies/0: player entry must be a non-empty list"),
+    (_mixture_doc(strategies=[[_P1], [{"actions": {"Event": "X2"}}]]), ProfileParseError,
+     'components/0/strategies/1/0: entry needs "beta" and "actions"'),
+    (_mixture_doc(strategies=[[_P1], [{"beta": "1", "actions": ["X2"]}]]), ProfileParseError,
+     'components/0/strategies/1/0: entry needs "beta" and "actions"'),
+    (_mixture_doc(strategies=[[_P1], [{"beta": "1/0", "actions": {"Event": "X2"}}]]),
+     ProfileParseError, f"components/0/strategies/1/0/beta: malformed rational '1/0' {RAT}"),
+    (_mixture_doc(strategies=[[_P1], [{"beta": "1", "actions": {"Event": "X2", "Nope": "a",
+                                                                 "Also": "b"}}]]),
+     ProfileError, "strategy for P2 names unknown infosets ['Also', 'Nope']"),
+    ({"components": [{"behaviors": [_B1, _B2]}]}, ProfileParseError,
+     'components/0: component needs "alpha"'),
+    (_behavior_doc(alpha=0.5), ProfileParseError,
+     "components/0/alpha: expected rational string, got float"),
+    (_behavior_doc(behaviors=[_B1]), ProfileParseError,
+     'components/0: "behaviors" must list one entry per player (2)'),
+    (_behavior_doc(behaviors=[_B1, ["Event"]]), ProfileParseError,
+     "components/0/behaviors/1: behavior entry must map infosets to distributions"),
+    (_behavior_doc(behaviors=[_B1, {"Event": "1"}]), ProfileParseError,
+     "components/0/behaviors/1/Event: distribution must be an object"),
+    (_behavior_doc(behaviors=[_B1, {"Event": {"X2": "0.5", "Y2": "1/2"}}]), ProfileParseError,
+     f"components/0/behaviors/1/Event/X2: malformed rational '0.5' {RAT}"),
+    ({"components": [_mixture_doc()["components"][0],
+                     {"alpha": "0", "behaviors": [_B1, _B2]}]}, ProfileParseError,
+     'each component needs either "strategies" or "behaviors" (not a mix)'),
+]
+
+
+@pytest.mark.parametrize("doc,error,message", MALFORMED_PROFILES,
+                         ids=[f"doc{k}" for k in range(len(MALFORMED_PROFILES))])
+def test_profile_document_defects_name_their_path(ebos, doc, error, message):
+    for mode in ("expand", "decompose"):
+        with pytest.raises(error) as info:
+            parse_profile(ebos, json.dumps(doc), mode)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+def test_parse_profile_refuses_an_unknown_behavior_mode(ebos):
+    with pytest.raises(ValueError) as info:
+        parse_profile(ebos, json.dumps(_behavior_doc()), "literal")
+    assert str(info.value) == "behavior_mode must be 'expand' or 'decompose'"
+
+
+def test_behavior_component_messages(ebos):
+    # the checks on the (alpha, behaviors) list itself, before any behavior
+    one = BehaviorStrategy(0, {k: {a: F(p) for a, p in d.items()} for k, d in _B1.items()})
+    two = BehaviorStrategy(1, {"Event": {"X2": F(1)}})
+    cases = [
+        ([(F(2, 3), [one, two])], "component weights sum to 2/3, not 1"),
+        ([(F(1), [one])], "each component needs one behavior strategy per player"),
+        ([(F(1), [two, one])], "behavior strategies must be listed in player order"),
+    ]
+    for components, message in cases:
+        for build in (mixture_from_behavior_products, expand_behavior_products):
+            with pytest.raises(ProfileError) as info:
+                build(ebos, components)
+            assert str(info.value) == message
+
+
+def test_behavior_expansion_refuses_above_its_cap(lrr):
+    from gametree import ResourceGuardError
+    b = lrr_behavior(lrr)  # R0 mixes two actions, B plays one: two plans
+    assert len(behavior_product_expansion(lrr, b, cap=2)) == 2
+    with pytest.raises(ResourceGuardError) as info:
+        behavior_product_expansion(lrr, b, cap=1)
+    assert str(info.value) == ("behavior strategy for P1 expands to more than 1 pure "
+                               "plans; decompose it instead")
