@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -112,13 +113,21 @@ def _load_profile(game: Game, path: str, behavior_mode="expand"):
         return parse_profile(game, fh.read(), behavior_mode)
 
 
-def _load_objective(game: Game, path: str) -> dict[str, Fraction]:
-    """The ``{"c": {terminal id: "p/q"}}`` document at ``path``. A schema
+def _read(path: str) -> tuple[str, str]:
+    """The UTF-8 text of the document at ``path`` and the sha256 of its
+    bytes, from one read. The text decodes and translates newlines exactly
+    as ``open(path, encoding="utf-8").read()`` would."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    return text, hashlib.sha256(data).hexdigest()
+
+
+def _parse_objective(game: Game, text: str) -> dict[str, Fraction]:
+    """The ``{"c": {terminal id: "p/q"}}`` document ``text``. A schema
     defect raises :class:`ProfileParseError` with its path in the document,
     a terminal id the game lacks :class:`KeyError`; a missing ``"c"`` is the
     zero objective."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -262,8 +271,12 @@ def cmd_cbr(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    game = _load_game(args.game)
-    objective = _load_objective(game, args.objective) if args.objective else None
+    game_text, game_sha = _read(args.game)
+    game = parse_game(game_text)
+    objective = None
+    if args.objective:
+        objective_text, objective_sha = _read(args.objective)
+        objective = _parse_objective(game, objective_text)
     epsilon = parse_rational(args.epsilon)
     if args.notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
@@ -277,7 +290,7 @@ def cmd_solve(args) -> int:
     _write(serialize_profile(game, pi), args)
     report = {
         "command": "solve",
-        "inputs": {"game": {"path": args.game, "sha256": _sha256(args.game)}},
+        "inputs": {"game": {"path": args.game, "sha256": game_sha}},
         "outputs": {"notion": args.notion,
                     "gap": format_rational(measured),
                     "expected_utility": [
@@ -288,16 +301,11 @@ def cmd_solve(args) -> int:
     }
     if args.objective:
         report["inputs"]["objective"] = {"path": args.objective,
-                                         "sha256": _sha256(args.objective)}
+                                         "sha256": objective_sha}
     if objective is not None:
         report["outputs"]["objective_value"] = format_rational(value)
     print(dumps(report), file=sys.stderr)
     return EXIT_OK
-
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def cmd_paper_check(args) -> int:

@@ -14,6 +14,21 @@ returned profile. This is the exact separation scheme of Huang and von
 Stengel (2008) in the exact form of Jiang and Leyton-Brown (2015), over the
 enumerated pure profiles.
 
+The program is built on ints. Each pure profile is walked once, every
+chance move followed, to the terminals it reaches; player ``i``'s utility
+there is the sum of ``game.payoff_rows[i][1]`` over them, an int over the
+row's scale ``game.payoff_rows[i][0]``, and the objective is the sum of
+``c(z) * chance(z)`` over one common scale. So a witness row of player
+``i`` holds ints over that player's scale, with right-hand side
+``epsilon`` times it, and the program's value is divided by the
+objective's scale once. Scaling a row without an artificial, or the
+objective, by a positive constant changes no pivot (see
+:mod:`gametree.lp`), so the rows solve exactly as their Fractions would.
+Profiles run in ``itertools.product`` order over the players' strategies,
+a mixed radix: moving player ``i`` from strategy ``k`` to ``k'`` moves a
+profile's index by ``k' - k`` times ``i``'s stride, which is how a
+witness row finds each deviation's column.
+
 The history-seeing (bce) solvers go through the off-path rewrite of
 :func:`gametree.convert.efce_to_bce`, which preserves the outcome
 distribution and the optimum value exactly.
@@ -23,14 +38,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .convert import _checked_rewrite
 from .errors import InternalCheckError, ResourceGuardError
-from .game import Game
-from .lp import LE, LinearProgram, lp_solve
-from .metrics import ProfileReach, _play_from, gap, pure_utility
-from .rational import format_rational
+from .game import Game, Node
+from .lp import EQ, LE, LinearProgram, lp_solve
+from .metrics import ProfileReach, gap
+from .rational import format_rational, over_common_denominator
 from .strategy import MixtureOfProducts, PureProfile, PureStrategy, pure_mixture
 from .witnesses import TriggerCommitWitness
 
@@ -40,7 +56,9 @@ ONE = Fraction(1)
 DEFAULT_PROFILE_CAP = 50_000
 
 
-def enumerate_profiles(game: Game, cap: int = DEFAULT_PROFILE_CAP) -> list[PureProfile]:
+def _strategies(game: Game, cap: int) -> list[list[PureStrategy]]:
+    """Each player's pure strategies in ``itertools.product`` order over the
+    player's infosets; more than ``cap`` pure profiles in all refuses."""
     per_player = []
     total = 1
     for i in range(game.n):
@@ -52,12 +70,52 @@ def enumerate_profiles(game: Game, cap: int = DEFAULT_PROFILE_CAP) -> list[PureP
             raise ResourceGuardError(
                 f"game has more than {cap} pure profiles; "
                 f"raise the cap to solve it anyway")
-    return [PureProfile(combo) for combo in itertools.product(*per_player)]
+    return per_player
 
 
-def _objective_value(game: Game, objective: dict[str, Fraction],
-                     profile: PureProfile) -> Fraction:
-    return _play_from(game.root, profile, lambda z: objective.get(z.terminal_id, ZERO))
+def _reached(root: Node, choice: tuple) -> list[int]:
+    """The indices of the terminals that play reaches from ``root`` when
+    every chance move is followed and each decision node of player ``i``
+    takes its move at position ``choice[i][infoset index]``."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = node.kind
+        if kind == "terminal":
+            out.append(node.index)
+        elif kind == "chance":
+            stack.extend(child for _label, _p, child in node.moves)
+        else:
+            stack.append(node.moves[choice[node.player][node.infoset.index]][1])
+    return out
+
+
+def _objective_row(game: Game, objective: dict[str, Fraction]) -> tuple[int, list[int]]:
+    """``(scale, ints)`` with ``c(z) * chance(z) == ints[z] / scale`` per
+    terminal, built like ``game.payoff_rows``; terminals ``objective`` does
+    not name cost 0."""
+    den, costs = over_common_denominator(
+        [objective.get(z.terminal_id, ZERO) for z in game.terminals])
+    chance_den, chances = game.chance_row
+    return den * chance_den, [c * h for c, h in zip(costs, chances)]
+
+
+def _payoff_table(game: Game, rows: list[list[int]]) -> list[list[int]]:
+    """Per pure profile, in the order of :func:`_profile`: the sum of each
+    terminal row in ``rows`` over the terminals the profile reaches.
+
+    Strategy ``k`` of a player plays the ``k``-th combination of action
+    positions, as :func:`_strategies` lists it, and a valid game's nodes
+    list their infoset's actions in order, so those positions index the
+    nodes' moves."""
+    moves = [itertools.product(*(range(len(iset.actions)) for iset in isets))
+             for isets in game.infosets]
+    table = []
+    for choice in itertools.product(*moves):
+        reached = _reached(game.root, choice)
+        table.append([sum([row[z] for z in reached]) for row in rows])
+    return table
 
 
 def _solve_program(game: Game, epsilon: Fraction,
@@ -67,60 +125,88 @@ def _solve_program(game: Game, epsilon: Fraction,
     """Row generation against the efce gap program. Returns the profile, the
     program's optimal value, the profile's causal gap, which the loop's
     exit test measured at most ``epsilon``, and the :class:`ProfileReach` it
-    measured with."""
+    measured with.
+
+    The program is built on ints: player ``i``'s utilities, and so its
+    witness rows, are over ``game.payoff_rows[i][0]``, with right-hand
+    side ``epsilon`` times that scale, and the objective is over
+    ``obj_scale``, divided back out of the program's value once."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     game.require_valid()
-    profiles = enumerate_profiles(game, profile_cap)
-    index = {profile: j for j, profile in enumerate(profiles)}
-    utility = [[pure_utility(game, profile, i) for i in range(game.n)]
-               for profile in profiles]
-    lp = LinearProgram(num_vars=len(profiles))
-    lp.add({j: ONE for j in range(len(profiles))}, "==", ONE)
+    strategies = _strategies(game, profile_cap)
+    rows = [row for _scale, row in game.payoff_rows]
+    obj_scale = 1
     if objective is not None:
-        lp.objective = {j: _objective_value(game, objective, profile)
-                        for j, profile in enumerate(profiles)}
-        lp.objective = {j: v for j, v in lp.objective.items() if v != 0}
+        obj_scale, obj_row = _objective_row(game, objective)
+        rows.append(obj_row)
+    table = _payoff_table(game, rows)
+    lp = LinearProgram(num_vars=len(table))
+    lp.add({j: 1 for j in range(len(table))}, EQ, ONE)
+    if objective is not None:
+        lp.objective = {j: v[-1] for j, v in enumerate(table) if v[-1] != 0}
     while True:
         result = lp_solve(lp)
         if result.status != "optimal":
             raise InternalCheckError(
                 f"the incentive program reported {result.status}, which cannot "
                 f"happen for epsilon >= 0; this is a bug")
-        entries = [(x, profiles[j]) for j, x in enumerate(result.x) if x != 0]
+        entries = [(x, _profile(strategies, j)) for j, x in enumerate(result.x) if x != 0]
         mixture = pure_mixture(game, entries)
         reach = ProfileReach(game, mixture)
         report = gap(game, mixture, "efce", reach=reach)
         if report.overall <= epsilon:
-            return mixture, result.value, report.overall, reach
-        row = _witness_row(game, report.witness, profiles, index, utility)
-        swing = sum((result.x[j] * c for j, c in row.items()), ZERO)
-        if swing <= epsilon:
+            return mixture, result.value / obj_scale, report.overall, reach
+        i = report.witness.player
+        scale = game.payoff_rows[i][0]
+        row = _witness_row(game, report.witness, strategies, table)
+        swing = sum((result.x[j] * c for j, c in row.items() if result.x[j]), ZERO)
+        if swing <= epsilon * scale:
             raise InternalCheckError(
                 f"the witness of causal gap {format_rational(report.overall)} "
-                f"swings the solution by only {format_rational(swing)}")
-        lp.add(row, LE, epsilon)
+                f"swings the solution by only {format_rational(swing / scale)}")
+        lp.add(row, LE, epsilon * scale)
+
+
+def _profile(strategies: list[list[PureStrategy]], j: int) -> PureProfile:
+    """The ``j``-th pure profile: profiles run in ``itertools.product``
+    order over the players' ``strategies``."""
+    picked = []
+    for own in reversed(strategies):
+        j, k = divmod(j, len(own))
+        picked.append(own[k])
+    return PureProfile(tuple(reversed(picked)))
 
 
 def _witness_row(game: Game, witness: TriggerCommitWitness,
-                 profiles: list[PureProfile], index: dict[PureProfile, int],
-                 utility: list[list[Fraction]]) -> dict[int, Fraction]:
+                 strategies: list[list[PureStrategy]],
+                 table: list[list[int]]) -> dict[int, int]:
     """The deviator's utility swing at each profile when ``witness``
-    rewrites its own plan (zero entries omitted)."""
+    rewrites its own plan (zero entries omitted), in ``table``'s ints.
+
+    Profiles run in mixed radix over the players' strategy counts, so
+    moving player ``i`` from strategy ``k`` to ``k'`` moves a profile's
+    index by ``(k' - k)`` times ``i``'s stride."""
     i = witness.player
-    played: dict[PureStrategy, PureStrategy] = {}
+    own = strategies[i]
+    position = {s: k for k, s in enumerate(own)}
+    moved = []
+    for k, s in enumerate(own):
+        to = position.get(witness.apply(game, s))
+        if to is None:
+            raise InternalCheckError(
+                f"the witness plays a strategy of player {game.players[i]} "
+                f"outside the enumeration")
+        moved.append(to - k)
+    stride = prod(len(other) for other in strategies[i + 1:])
+    size = len(own)
     row = {}
-    for j, profile in enumerate(profiles):
-        own = profile.strategies[i]
-        if own not in played:
-            played[own] = witness.apply(game, own)
-        if played[own] == own:
-            continue
-        strategies = list(profile.strategies)
-        strategies[i] = played[own]
-        swing = utility[index[PureProfile(tuple(strategies))]][i] - utility[j][i]
-        if swing != 0:
-            row[j] = swing
+    for j, u in enumerate(table):
+        shift = moved[j // stride % size]
+        if shift:
+            swing = table[j + shift * stride][i] - u[i]
+            if swing:
+                row[j] = swing
     return row
 
 

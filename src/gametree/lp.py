@@ -14,18 +14,28 @@ lrs). The reduced-cost row is carried the same way. A row scale multiplies
 that row's slack or artificial by a positive constant, which changes no
 sign and no ratio the pivot rule compares, and each artificial costs
 ``-1 / scale`` in phase 1, so the pivots are exactly those of the same
-simplex on Fractions. The solution is built once, as ``Fraction(rhs, det)``.
+simplex on Fractions. For the same reason a caller may scale a program's
+row (with its right-hand side) by a positive constant without changing a
+pivot, as long as the row carries no artificial (a ``<=`` row whose
+right-hand side stays nonnegative once lower bounds are shifted out, say),
+or the rows that do are all scaled alike: phase 1 sums the artificials.
+Scaling the objective scales every reduced cost alike and the value with
+it.
+
+Coefficients may be ints or Fractions. The solution is read off the final
+tableau as ints over one denominator (the shifts of lower bounds folded
+in), certified on those ints, and built as Fractions once.
 
 Every returned optimum is certified against the original program, not the
 tableau, before it leaves this module. Primal: every constraint and bound
-holds with zero residual, and the objective is recomputed from the
-solution. Dual: ``y``, read off the final reduced costs (minus the reduced
-cost at each row's slack or artificial column), has the sign each row's
-relation asks, leaves every variable a reduced cost its bounds absorb, and
-bounds the objective by exactly the value found. By weak duality the two
-prove optimality, whatever the pivots did. The final reduced costs must
-also carry optimal signs. Infeasible and unbounded are ordinary outcomes,
-not errors.
+holds with zero residual, cross-multiplied on the solution's ints, and the
+objective is recomputed from them. Dual: ``y``, read off the final reduced
+costs (minus the reduced cost at each row's slack or artificial column),
+has the sign each row's relation asks, leaves every variable a reduced
+cost its bounds absorb, and bounds the objective by exactly the value
+found. By weak duality the two prove optimality, whatever the pivots
+did. The final reduced costs must also carry optimal signs. Infeasible and
+unbounded are ordinary outcomes, not errors.
 
 Problem sizes here are desk scale (hundreds of variables); no sparsity, no
 revised simplex, no floating point.
@@ -58,8 +68,9 @@ class Constraint:
 class LinearProgram:
     """max (or min) c.x subject to rational rows and per-variable bounds.
 
-    ``bounds[j]`` is (lo, hi) with None for unbounded; variables default to
-    lo = 0, hi = +inf.
+    Objective and row coefficients may be ints or Fractions; right-hand
+    sides are kept as Fractions. ``bounds[j]`` is (lo, hi) with None for
+    unbounded; variables default to lo = 0, hi = +inf.
     """
 
     num_vars: int
@@ -94,8 +105,9 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         return LPResult("infeasible", None, None)
     if tab.phase_two(std.objective) == "unbounded":
         return LPResult("unbounded", None, None)
-    x = std.recover(tab.solution())
-    return LPResult("optimal", tuple(x), _certify(lp, x, tab, std))
+    dx, xs = std.recover(tab)
+    value = _certify(lp, dx, xs, tab, std)
+    return LPResult("optimal", tuple([Fraction(v, dx) if v else ZERO for v in xs]), value)
 
 
 class _Standardized:
@@ -107,8 +119,8 @@ class _Standardized:
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.shift: list[Fraction] = []       # x_j = shift_j + y_col - (y_neg if free)
+        # x_j = shift_j + y_col - (y_neg if free), with the nonzero shifts only
+        self.shift: dict[int, Fraction] = {}
         self.pos_col: list[int] = []
         self.neg_col: list[Optional[int]] = []
         cols = 0
@@ -116,12 +128,12 @@ class _Standardized:
         for j in range(lp.num_vars):
             lo, hi = lp.bound(j)
             if lo is None:
-                self.shift.append(ZERO)
                 self.pos_col.append(cols)
                 self.neg_col.append(cols + 1)
                 cols += 2
             else:
-                self.shift.append(lo)
+                if lo:
+                    self.shift[j] = lo
                 self.pos_col.append(cols)
                 self.neg_col.append(None)
                 cols += 1
@@ -143,9 +155,9 @@ class _Standardized:
         all_rows = [(c.coeffs, c.rel, c.rhs) for c in lp.constraints] + extra_rows
         for coeffs, rel, rhs in all_rows:
             b = rhs
-            for j, c in coeffs.items():
-                if self.shift[j]:
-                    b -= c * self.shift[j]
+            for j, lo in self.shift.items():
+                if j in coeffs:
+                    b -= coeffs[j] * lo
             den = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
             row = [0] * cols
             for j, c in coeffs.items():
@@ -157,14 +169,23 @@ class _Standardized:
             self.rhs.append(b.numerator * (den // b.denominator))
             self.scale.append(den)
 
-    def recover(self, y: list[Fraction]) -> list[Fraction]:
+    def recover(self, tab: "_Tableau") -> tuple[int, list[int]]:
+        """The solution ``x`` at ``tab``'s basis as ``(den, ints)``, ``x[j] ==
+        Fraction(ints[j], den)``: the basic ints over ``tab.det``, with the
+        shifts folded in over one ``den``."""
+        y = [0] * self.num_cols
+        for r, bv in enumerate(tab.basis):
+            if bv < self.num_cols:
+                y[bv] = tab.rows[r][-1]
+        den = lcm(tab.det, *(lo.denominator for lo in self.shift.values()))
+        per_y = den // tab.det
         x = []
-        for j in range(self.lp.num_vars):
-            v = self.shift[j] + y[self.pos_col[j]]
-            if self.neg_col[j] is not None:
-                v -= y[self.neg_col[j]]
-            x.append(v)
-        return x
+        for pos, neg in zip(self.pos_col, self.neg_col):
+            v = y[pos] if neg is None else y[pos] - y[neg]
+            x.append(v * per_y)
+        for j, lo in self.shift.items():
+            x[j] += lo.numerator * (den // lo.denominator)
+        return den, x
 
 
 class _Tableau:
@@ -288,13 +309,6 @@ class _Tableau:
         self._final_z = z
         return status
 
-    def solution(self) -> list[Fraction]:
-        y = [ZERO] * self.n_structural
-        for r, bv in enumerate(self.basis):
-            if bv < self.n_structural:
-                y[bv] = Fraction(self.rows[r][-1], self.det)
-        return y
-
     def duals(self) -> list[int]:
         """Each program row's dual, over ``det`` times the cost scale: minus
         the final reduced cost at its ``dual_col``, times its flip and
@@ -314,10 +328,11 @@ def _bareiss(row: list[int], prow: list[int], j: int, p: int, det: int) -> list[
     return [a * p // det for a in row]
 
 
-def _certify(lp: LinearProgram, x, tab: _Tableau, std: _Standardized) -> Fraction:
-    """The objective value of ``x``, once ``x`` and the tableau's duals are
-    checked against ``lp`` itself, in ints over the lcm ``g`` of its
-    coefficients' denominators."""
+def _certify(lp: LinearProgram, dx: int, xs: list[int], tab: _Tableau,
+             std: _Standardized) -> Fraction:
+    """The objective value of ``x = xs / dx`` (``dx > 0``), once ``x`` and
+    the tableau's duals are checked against ``lp`` itself, in ints over the
+    lcm ``g`` of its coefficients' denominators."""
     rows = lp.constraints
     g = lcm(*(q.denominator for c in rows for q in c.coeffs.values()),
             *(c.rhs.denominator for c in rows),
@@ -325,8 +340,7 @@ def _certify(lp: LinearProgram, x, tab: _Tableau, std: _Standardized) -> Fractio
     scaled = [({j: q.numerator * (g // q.denominator) for j, q in c.coeffs.items()},
                c.rel, c.rhs.numerator * (g // c.rhs.denominator)) for c in rows]
     cost = {j: q.numerator * (g // q.denominator) for j, q in lp.objective.items()}
-    # primal: x = xs / dx
-    dx, xs = over_common_denominator(x)
+    # primal
     for coeffs, rel, b in scaled:
         lhs, rhs = sum(a * xs[j] for j, a in coeffs.items()), b * dx
         if not (lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs):
@@ -335,9 +349,11 @@ def _certify(lp: LinearProgram, x, tab: _Tableau, std: _Standardized) -> Fractio
                 f"{rel} {format_rational(Fraction(rhs, g * dx))}")
     for j in range(lp.num_vars):
         lo, hi = lp.bound(j)
-        if (lo is not None and x[j] < lo) or (hi is not None and x[j] > hi):
+        # lo <= xs[j] / dx <= hi, cross-multiplied
+        if (lo is not None and xs[j] * lo.denominator < lo.numerator * dx) or \
+                (hi is not None and xs[j] * hi.denominator > hi.numerator * dx):
             raise InternalCheckError(f"optimum violates bounds of variable {j}")
-    value = Fraction(sum(a * xs[j] for j, a in cost.items()), g * dx)
+    cx = sum(a * xs[j] for j, a in cost.items())  # the value, over g * dx
     for j in range(tab.ncols):
         if j not in tab.artificial and tab._final_z[j] > 0 and j not in tab.basis:
             raise InternalCheckError("positive reduced cost at claimed optimum")
@@ -358,13 +374,18 @@ def _certify(lp: LinearProgram, x, tab: _Tableau, std: _Standardized) -> Fractio
             bound += b * y
             for j, a in coeffs.items():
                 d[j] -= a * y
-    pushed = ZERO
+    # each variable's reduced cost times the bound it pushes against, over
+    # the lcm of those bounds' denominators
+    pushed = []
     for j, dj in enumerate(d):
         if dj:
             limit = lp.bound(j)[1 if dj > 0 else 0]
             if limit is None:
                 raise InternalCheckError(f"dual is infeasible at variable {j}")
-            pushed += dj * limit
-    if bound + pushed != sign * value * (g * dy):
+            pushed.append((dj, limit))
+    den = lcm(*(limit.denominator for _dj, limit in pushed))
+    pushed_sum = sum(dj * limit.numerator * (den // limit.denominator) for dj, limit in pushed)
+    # b.y + pushed == sign * value * (g * dy), with value = cx / (g * dx)
+    if (bound * den + pushed_sum) * dx != sign * cx * dy * den:
         raise InternalCheckError("dual bound does not match the optimum")
-    return value
+    return Fraction(cx, g * dx)

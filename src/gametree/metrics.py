@@ -384,14 +384,16 @@ def _payoff_units(reach: ProfileReach, i: int) -> list[list[int]]:
 
 
 def _trigger_weights(reach: ProfileReach, units: list[list[int]], seq: Sequence,
-                     at: Optional[Infoset]) -> Optional[list[int]]:
+                     at: Optional[Infoset],
+                     terminals: Optional[list[int]] = None) -> Optional[list[int]]:
     """``payoff * chance * E[x_{-i}(z) 1[x_i(seq) = 1]]`` per terminal, over
     ``reach.value_scale(i)``, for the trigger ``seq`` at infoset ``at`` (None
     for the empty sequence).
 
     Filled in only below ``at`` (everywhere for the empty trigger): those
-    are the terminals ``best_response(at=at)`` and the obey sum read. None
-    when no component puts mass on ``seq``."""
+    are the terminals ``best_response(at=at)`` and the obey sum read; or,
+    when ``terminals`` is given, only at those terminals. None when no
+    component puts mass on ``seq``."""
     w = None
     for masses, unit in zip(reach.masses[seq.player], units):
         m = masses.get(seq)
@@ -399,7 +401,12 @@ def _trigger_weights(reach: ProfileReach, units: list[list[int]], seq: Sequence,
             continue
         if w is None:
             w = [0] * len(unit)
-            below = range(len(unit)) if at is None else [z for z, _ in at.terminals_below]
+            if terminals is not None:
+                below = terminals
+            elif at is None:
+                below = range(len(unit))
+            else:
+                below = [z for z, _ in at.terminals_below]
         for z in below:
             w[z] += m * unit[z]
     return w
@@ -441,10 +448,11 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
         def walk(seq: Sequence, at: Optional[Infoset], after: tuple) -> tuple[int, list]:
             """The trigger ``seq`` at ``at``; ``after`` is its ``(terminals,
             children)`` entry of :attr:`Infoset.after`."""
-            w = _trigger_weights(reach, units, seq, at)
+            terminals, children = after
+            # the root only obeys, so it reads its own terminals alone
+            w = _trigger_weights(reach, units, seq, at, terminals if at is None else None)
             if w is None:
                 return 0, []
-            terminals, children = after
             obey = sum(w[z] for z in terminals)
             commits: list = []
             for child in children:

@@ -641,3 +641,39 @@ def test_validations_per_op(paths, capsys, monkeypatch):
             assert len(validated) == len(solves) + rewritten
             counts.append(len(validated))
     assert counts == [3, 3, 1, 1, 5, 5]
+
+
+# sha256 of (rc, stdout, normalized stderr) of `gt solve` on re-encoded
+# documents: CRLF line ends, a UTF-8 byte-order mark, and a byte that is not
+# UTF-8; taken where each document was opened as text and again as bytes
+SOLVE_ENCODINGS = {
+    "crlf": "a7373d27c191dd99c95eef1e108b3a28ef0260bf38b642358c9340d6476e4d3b",
+    "bom": "08de0d2d6708c159d7719a73ab3127aabc3a4ac237838ae7f1a24488223c6eff",
+    "bad-byte": "14c61ee3abf163a9e0ba71d8b7c75a686c8afdf6e8ba4f3e4faa5784734e4143",
+}
+
+
+def _encoded(text: str, encoding: str) -> bytes:
+    if encoding == "crlf":
+        return text.replace("\n", "\r\n").encode()
+    if encoding == "bom":
+        return b"\xef\xbb\xbf" + text.encode()
+    return text.encode().replace(b"{", b"{\xff", 1)
+
+
+@pytest.mark.parametrize("encoding", sorted(SOLVE_ENCODINGS))
+def test_solve_reads_each_document_as_text_once(paths, capsys, encoding):
+    # each document is read once, hashed as bytes and decoded as
+    # open(path, encoding="utf-8") decodes it: newlines translated, a BOM
+    # kept (and refused by the JSON parser), a bad byte a decode error
+    import hashlib
+    import re
+    tmp = paths["tmp"]
+    game, obj = tmp / "doc.game.json", tmp / "doc.objective.json"
+    game.write_bytes(_encoded(fixtures.fixture_text("lrr.game.json"), encoding))
+    obj.write_bytes(_encoded('{"c": {"L": "1", "R/R\'": "2/3"}}\n', "crlf"))
+    code, out, err = run(capsys, "solve", str(game), "--notion", "efce",
+                         "--objective", str(obj))
+    err = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', err)
+    blob = json.dumps([code, out, err.replace(str(tmp), "<tmp>")]).encode()
+    assert hashlib.sha256(blob).hexdigest() == SOLVE_ENCODINGS[encoding]

@@ -1,16 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gametree import (LinearProgram, ResourceGuardError, compute_bce,
-                      compute_efce, deviation_tables, gap, is_causal, lp_solve,
-                      optimal_bce, optimal_efce, outcome_equivalent,
-                      profile_support, pure_utility)
-from gametree.equilibrium import enumerate_profiles
-from gametree.metrics import expected_utility
+from gametree import (InternalCheckError, LinearProgram, ResourceGuardError,
+                      compute_bce, compute_efce, deviation_tables, enumerate_pure,
+                      equilibrium, fixtures, gap, is_causal, lp_solve, optimal_bce,
+                      optimal_efce, outcome_equivalent, profile_support, pure_utility)
+from gametree.metrics import _play_from, expected_utility
 from gametree.randgen import random_game, random_mixture, random_objective
-from gametree.strategy import PureProfile, pure_terminal_reach
+from gametree.strategy import PureProfile, PureStrategy, pure_terminal_reach
 
 F = Fraction
 
@@ -21,10 +21,16 @@ def u_objective(game, player=None):
     return {z.terminal_id: z.payoffs[player] for z in game.terminals}
 
 
+def _profiles(game):
+    """Every pure profile, in the solver's column order."""
+    return [PureProfile(combo) for combo in
+            itertools.product(*(enumerate_pure(game, i) for i in range(game.n)))]
+
+
 def _oracle_program_value(game, objective):
     """The optimum of sum_z c(z) P(z) over the pure-profile simplex with one
     row <= 0 per causal deviation table of the brute-force oracle."""
-    profiles = enumerate_profiles(game)
+    profiles = _profiles(game)
     lp = LinearProgram(num_vars=len(profiles))
     lp.add({k: F(1) for k in range(len(profiles))}, "==", F(1))
     for k, p in enumerate(profiles):
@@ -180,3 +186,70 @@ def test_optimal_efce_zero_objective(lrr):
 def test_optimal_bce_lrr_player_objective(lrr):
     _pi, value = optimal_bce(lrr, u_objective(lrr, 0))
     assert value == 2
+
+
+def _table_games():
+    rng = random.Random(1515)
+    games = [fixtures.load_game(name) for name in fixtures.GAMES]
+    games += [random_game(rng, max_players=3, max_nodes=30, max_pure_product=96,
+                          max_pure_per_player=24) for _ in range(30)]
+    return rng, games
+
+
+def test_payoff_table_matches_the_oracle():
+    # each entry over its scale is the Fraction walk's value: a player's
+    # utility over game.payoff_rows[i][0], the objective over its own scale
+    rng, games = _table_games()
+    for game in games:
+        objective = random_objective(rng, game)
+        obj_scale, obj_row = equilibrium._objective_row(game, objective)
+        rows = [row for _scale, row in game.payoff_rows] + [obj_row]
+        table = equilibrium._payoff_table(game, rows)
+        profiles = _profiles(game)
+        strategies = equilibrium._strategies(game, equilibrium.DEFAULT_PROFILE_CAP)
+        assert len(table) == len(profiles)
+        for j, (entry, profile) in enumerate(zip(table, profiles)):
+            assert equilibrium._profile(strategies, j) == profile
+            for i in range(game.n):
+                assert F(entry[i], game.payoff_rows[i][0]) == pure_utility(game, profile, i)
+            assert F(entry[-1], obj_scale) == _play_from(
+                game.root, profile, lambda z: objective.get(z.terminal_id, F(0)))
+
+
+def test_witness_rows_match_the_swapped_profiles():
+    # the mixed-radix row equals the swing read off the rebuilt profiles,
+    # in ints over the deviator's scale
+    rng, games = _table_games()
+    rows = 0
+    for game in games:
+        profiles = _profiles(game)
+        strategies = equilibrium._strategies(game, equilibrium.DEFAULT_PROFILE_CAP)
+        table = equilibrium._payoff_table(game, [row for _s, row in game.payoff_rows])
+        for _ in range(3):
+            witness = gap(game, random_mixture(rng, game), "efce").witness
+            i = witness.player
+            got = equilibrium._witness_row(game, witness, strategies, table)
+            want = {}
+            for j, profile in enumerate(profiles):
+                moved = list(profile.strategies)
+                moved[i] = witness.apply(game, moved[i])
+                swing = pure_utility(game, PureProfile(tuple(moved)), i) \
+                    - pure_utility(game, profile, i)
+                if swing:
+                    want[j] = swing * game.payoff_rows[i][0]
+            assert got == want
+            rows += bool(got)
+    assert rows > 20
+
+
+def test_a_witness_outside_the_enumeration_is_an_internal_error(lrr):
+    class Stray:
+        player = 0
+
+        def apply(self, game, ps):
+            return PureStrategy(0, ("nowhere",) * len(ps.actions))
+
+    strategies = equilibrium._strategies(lrr, equilibrium.DEFAULT_PROFILE_CAP)
+    table = equilibrium._payoff_table(lrr, [row for _s, row in lrr.payoff_rows])
+    with pytest.raises(InternalCheckError, match="outside the enumeration"):
+        equilibrium._witness_row(lrr, Stray(), strategies, table)

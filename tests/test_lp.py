@@ -477,3 +477,85 @@ def test_a_perturbed_final_tableau_fails_the_dual_check(monkeypatch, entry):
     lp = _perturbed(monkeypatch, entry)
     with pytest.raises(InternalCheckError, match="dual bound"):
         lp_solve(lp)
+
+
+def _shifted_program():
+    """A nonzero lower bound with an upper bound, a free variable, a lower
+    bound alone and a box whose upper bound binds: the solution is read
+    back through every shift."""
+    lp = LinearProgram(num_vars=4, objective={0: F(1), 1: F(2), 2: F(-1), 3: F(1)},
+                       bounds=[(F(-3, 2), F(5, 2)), (None, None), (F(1, 3), None),
+                               (F(1, 2), F(3, 4))])
+    lp.add({0: F(1), 1: F(1)}, LE, F(4))
+    lp.add({0: F(-1), 1: F(1), 2: F(1)}, LE, F(1))
+    return lp
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("x1 to 0", "dual bound"),
+    ("x3 past its upper bound", "bounds of variable 3"),
+    ("reduced cost", "dual is infeasible"),
+])
+def test_a_tampered_tableau_fails_the_shifted_certificate(monkeypatch, edit, message):
+    lp = _shifted_program()
+    assert lp_solve(lp) == LPResult("optimal", (F(5, 3), F(7, 3), F(1, 3), F(3, 4)),
+                                    F(27, 4))
+    std = lpmod._Standardized(lp)
+    phase_two = lpmod._Tableau.phase_two
+
+    def corrupt(tab, objective):
+        status = phase_two(tab, objective)
+        if edit == "reduced cost":
+            tab._final_z[tab.dual_col[0]] *= 2
+        else:
+            col = std.pos_col[1 if edit == "x1 to 0" else 3]
+            tab.rows[tab.basis.index(col)][-1] = 0 if edit == "x1 to 0" else 2 * tab.det
+        return status
+
+    monkeypatch.setattr(lpmod._Tableau, "phase_two", corrupt)
+    with pytest.raises(InternalCheckError, match=message):
+        lp_solve(lp)
+
+
+# -- scaling rows and the objective keeps the pivots ------------------------------
+
+
+def _scaled(lp, rng):
+    """``lp`` with each row and its rhs times a random positive int, and the
+    objective times another; returns it and the objective's factor.
+
+    The phase-1 objective sums the artificials, so the rows that carry one
+    share a factor, and keep factor 1 when a bound row (which cannot be
+    scaled here) carries one; any other row only rescales its slack, which
+    changes no sign and no ratio the pivot rule compares."""
+    tab = lpmod._Tableau(lpmod._Standardized(lp))
+    carries = [col in tab.artificial for col in tab.dual_col]
+    m = len(lp.constraints)
+    shared = 1 if any(carries[m:]) else rng.randint(2, 9)
+    k_obj = rng.randint(2, 9)
+    out = LinearProgram(num_vars=lp.num_vars, maximize=lp.maximize, bounds=lp.bounds,
+                        objective={j: k_obj * c for j, c in lp.objective.items()})
+    for c, art in zip(lp.constraints, carries):
+        k = shared if art else rng.randint(2, 9)
+        out.add({j: k * a for j, a in c.coeffs.items()}, c.rel, k * c.rhs)
+    return out, k_obj
+
+
+def test_scaled_rows_and_objective_pivot_alike(monkeypatch):
+    rng = random.Random(1515)
+    programs = _hand_built_programs() + [_shifted_program()]
+    programs += [_random_program(rng) for _ in range(600)]
+    solver = _solver_programs(monkeypatch)
+    scaled_rows = 0
+    for lp in programs + solver:
+        scaled, k_obj = _scaled(lp, rng)
+        got, pivots = _kernel_solve(scaled, monkeypatch)
+        want, want_pivots = _kernel_solve(lp, monkeypatch)
+        assert pivots == want_pivots
+        if isinstance(want, str) or want.status != "optimal":
+            assert got == want
+        else:
+            assert (got.status, got.x, got.value) == (want.status, want.x, k_obj * want.value)
+        scaled_rows += any(a != b.coeffs for a, b in zip(
+            (c.coeffs for c in scaled.constraints), lp.constraints))
+    assert scaled_rows > 600
