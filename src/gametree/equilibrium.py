@@ -21,13 +21,10 @@ row's scale ``game.payoff_rows[i][0]``, and the objective is the sum of
 ``c(z) * chance(z)`` over one common scale. So a witness row of player
 ``i`` holds ints over that player's scale, with right-hand side
 ``epsilon`` times it, and the program's value is divided by the
-objective's scale once. Scaling a row without an artificial, or the
-objective, by a positive constant changes no pivot (see
-:mod:`gametree.lp`), so the rows solve exactly as their Fractions would.
-Profiles run in ``itertools.product`` order over the players' strategies,
-a mixed radix: moving player ``i`` from strategy ``k`` to ``k'`` moves a
-profile's index by ``k' - k`` times ``i``'s stride, which is how a
-witness row finds each deviation's column.
+objective's scale once. A witness row is a ``<=`` row with a right-hand
+side of at least 0, so it carries no phase-1 artificial, and scaling it,
+or the objective, by a positive constant changes no pivot (see
+:mod:`gametree.lp`): the program solves exactly as its Fractions would.
 
 The history-seeing (bce) solvers go through the off-path rewrite of
 :func:`gametree.convert.efce_to_bce`, which preserves the outcome
@@ -125,12 +122,8 @@ def _solve_program(game: Game, epsilon: Fraction,
     """Row generation against the efce gap program. Returns the profile, the
     program's optimal value, the profile's causal gap, which the loop's
     exit test measured at most ``epsilon``, and the :class:`ProfileReach` it
-    measured with.
-
-    The program is built on ints: player ``i``'s utilities, and so its
-    witness rows, are over ``game.payoff_rows[i][0]``, with right-hand
-    side ``epsilon`` times that scale, and the objective is over
-    ``obj_scale``, divided back out of the program's value once."""
+    measured with. The program's rows are ints over the scales the module
+    docstring gives."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     game.require_valid()
