@@ -33,8 +33,7 @@ from .game import Game, Infoset, Node, Sequence
 from .rational import format_rational, over_common_denominator
 from .strategy import (MixtureOfProducts, PureProfile, PureStrategy, profile_support,
                        pure_terminal_reach)
-from .witnesses import (ConstantWitness, HistoryPolicyWitness,
-                        TriggerCommitWitness, recommendation_history)
+from .witnesses import ConstantWitness, HistoryPolicyWitness, TriggerCommitWitness
 
 ZERO = Fraction(0)
 
@@ -574,7 +573,12 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
     every infoset on its own chain, so the bundle does not depend on where a
     walk starts, and one descent from the root serves every history notion.
     States form a forest (each is reached by a unique own-action chain), so
-    a single top-down pass maximizes exactly.
+    a single top-down pass maximizes exactly. The child states a state's
+    action ``m`` at ``I`` leads to sit at infosets ``J`` with ``J.chain ==
+    I.chain + ((I, m),)``, so each one's history is the parent's plus ``(J.id,
+    the plan's recommendation at J)``: under its parent a state is keyed by
+    its local recommendation alone, and its full key is built once, when it
+    is solved.
 
     Returns the value from the root, the root states, and per state
     ``(first, value, action, children)``: its least (support rank, node
@@ -584,10 +588,10 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
     support, element by element, would first meet them.
     """
     game = reach.game
+    isets = game.infosets[i]
     roots, steps = support
     units = _payoff_units(reach, i)
     betas = [[beta for beta, _ in plans] for plans in reach.plans[i]]
-    histories: dict = {}
     table: dict = {}
     # per component: node -> the units and the stops of its _descent
     totals: list[dict] = [{} for _ in units]
@@ -595,43 +599,53 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
 
     def descend(node: Node, t: int, p: int, k: int, sink: dict) -> int:
         """Route entry ``(t, p)``, ranked ``k`` here, down to the deviator's
-        next nodes, filed in ``sink`` by state; returns the units of the
-        terminals on the way."""
-        if node.kind == "terminal":  # nothing to share: keep no walk for it
-            return units[t][node.index]
+        next nodes, filed in ``sink`` by (infoset index, the plan's
+        recommendation there); returns the units of the terminals on the
+        way. :func:`solve` reads terminal children itself."""
         total = totals[t].get(node)
         if total is None:
             stops[t][node] = found = []
             total = totals[t][node] = _descent(node, i, units[t], steps[t], found)
+        actions = reach.plans[i][t][p][1].actions
         for own, dk in stops[t][node]:
-            iset = own.infoset
-            hist = histories.get((t, p, iset.index))
-            if hist is None:
-                hist = histories[(t, p, iset.index)] = recommendation_history(
-                    game, reach.plans[i][t][p][1], iset)
+            j = own.infoset.index
             first = (k + dk) * game.num_nodes + own.order
-            state = sink.get((iset.index, hist))
+            state = sink.get((j, actions[j]))
             if state is None:
-                sink[(iset.index, hist)] = [first, [(own, t, p, k + dk)]]
+                sink[(j, actions[j])] = [first, [(own, t, p, k + dk)]]
             else:
                 state[0] = min(state[0], first)
                 state[1].append((own, t, p, k + dk))
         return total
 
-    def settle(sink: dict) -> tuple[int, tuple]:
-        """Solve the states in ``sink``; their value and keys by ``first``."""
-        keys = tuple(sorted(sink, key=lambda key: sink[key][0]))
-        return sum(solve(key, *sink[key]) for key in keys), keys
+    def settle(sink: dict, hist: tuple) -> tuple[int, tuple]:
+        """Solve the states in ``sink``, the children of a state whose
+        history is ``hist``; their value and full keys by ``first``."""
+        keys = []
+        value = 0
+        for j, rec in sorted(sink, key=lambda local: sink[local][0]):
+            key = (j, hist + ((isets[j].id, rec),))
+            value += solve(key, *sink[(j, rec)])
+            keys.append(key)
+        return value, tuple(keys)
 
     def solve(key, first: int, bundle: list) -> int:
         budget.spend()
         best = None
-        for m, a in enumerate(game.infosets[i][key[0]].actions):
+        for m, a in enumerate(isets[key[0]].actions):
             sink: dict = {}
-            val = sum(betas[t][p] * descend(node.moves[m][1], t, p, k, sink)
-                      for node, t, p, k in bundle)
-            below, children = settle(sink)
-            val += below
+            val = 0
+            for node, t, p, k in bundle:
+                child = node.moves[m][1]
+                if child.kind == "terminal":
+                    val += betas[t][p] * units[t][child.index]
+                else:
+                    val += betas[t][p] * descend(child, t, p, k, sink)
+            if sink:
+                below, children = settle(sink, key[1])
+                val += below
+            else:
+                children = ()
             if best is None or val > best[0] or (val == best[0] and a < best[1]):
                 best = (val, a, children)
         table[key] = (first,) + best
@@ -640,7 +654,7 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
     sink: dict = {}
     value = sum(betas[t][p] * descend(game.root, t, p, k, sink)
                 for t, per_plan in enumerate(roots) for p, k in per_plan[i].items())
-    below, keys = settle(sink)
+    below, keys = settle(sink, ())
     return value + below, keys, table
 
 
@@ -673,17 +687,18 @@ def _gap_bce(reach: ProfileReach, state_cap: int) -> GapReport:
         for key in sorted(table, key=lambda s: table[s][0]):
             states.setdefault(key[0], []).append(key)
         player_best = 0  # identity achieves 0 at every infoset
-        player_witness = HistoryPolicyWitness(i, ())
+        best_iset = None
         for iset in game.infosets[i]:
-            keys = states.get(iset.index, ())
-            g = sum(table[s][1] for s in keys) - baseline[iset.index]
+            g = sum(table[s][1] for s in states.get(iset.index, ())) - baseline[iset.index]
             per_infoset[(i, iset.id)] = Fraction(g, scale)
             if g > player_best:
-                player_best = g
-                player_witness = HistoryPolicyWitness(
-                    i, tuple(_policy(game, i, table, keys)), iset.id)
+                player_best, best_iset = g, iset
         per_player.append(Fraction(player_best, scale))
-        witnesses.append(player_witness)
+        witness = HistoryPolicyWitness(i, ())
+        if best_iset is not None:  # the policy of the first infoset attaining the best
+            keys = states.get(best_iset.index, ())
+            witness = HistoryPolicyWitness(i, tuple(_policy(game, i, table, keys)), best_iset.id)
+        witnesses.append(witness)
     best = max(range(game.n), key=lambda i: (per_player[i], -i))
     return GapReport("bce", per_player[best], tuple(per_player), per_infoset,
                      witnesses[best])
