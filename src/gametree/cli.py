@@ -235,8 +235,9 @@ def cmd_convert(args) -> int:
     game = _load_game(args.game)
     pi = _load_profile(game, args.profile, behavior_mode="decompose")
     reach = ProfileReach(game, pi)
-    gap_in = gap(game, pi, "efce", reach=reach).overall
-    out, _reach_out, gap_out = _checked_rewrite(game, pi, reach, gap_in)
+    report = gap(game, pi, "efce", reach=reach)
+    gap_in = report.overall
+    out, _reach_out, gap_out = _checked_rewrite(game, pi, reach, gap_in, report._responses)
     _write(serialize_profile(game, out), args)
     print(f"efce gap in:  {format_rational(gap_in)}\n"
           f"bce gap out:  {format_rational(gap_out)}\n"
@@ -286,7 +287,7 @@ def cmd_solve(args) -> int:
     if args.notion == "bce":
         pi, value, measured, reach = _solve_bce(game, objective)
     else:
-        pi, value, measured, reach = _solve_program(game, epsilon, objective)
+        pi, value, measured, reach, _responses = _solve_program(game, epsilon, objective)
     _write(serialize_profile(game, pi), args)
     report = {
         "command": "solve",

@@ -75,7 +75,9 @@ def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
 
 
 def efce_to_bce(game: Game, pi: MixtureOfProducts,
-                reach: Optional[ProfileReach] = None) -> MixtureOfProducts:
+                reach: Optional[ProfileReach] = None,
+                responses: Optional[dict[Sequence, PureStrategy]] = None
+                ) -> MixtureOfProducts:
     """Rewrite off-path recommendations with counterfactual best responses.
 
     Preserves T, every K_i(t), and all weights; only local actions at
@@ -88,8 +90,14 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     pi)``; one built from another game or profile raises
     :class:`ValueError`. Each deviation point's response is weighted over
     the terminals below its infoset only.
+
+    ``responses``, when given, must be the ``_responses`` of the efce
+    :func:`gap` report measured on this reach: the efce walk has already
+    found the response of every positive-mass deviation point, so only
+    zero-mass points are computed here.
     """
     reach = ProfileReach.of(game, pi, reach)  # validates a new reach's profile
+    known = responses or {}
     units: dict[int, list] = {}  # player -> its payoff rows, built on first use
     cbr_cache: dict[Sequence, tuple] = {}  # a sequence names its player
     new_components = []
@@ -118,10 +126,12 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
                         continue
                     dev = at.seqs[at.actions.index(ps.actions[at.index])]
                     if dev not in cbr_cache:
-                        if i not in units:
-                            units[i] = _payoff_units(reach, i)
-                        cbr_cache[dev] = (_cbr(reach, units[i], dev, at)[1],
-                                          reach.mass(i, dev))
+                        response = known.get(dev)
+                        if response is None:
+                            if i not in units:
+                                units[i] = _payoff_units(reach, i)
+                            response = _cbr(reach, units[i], dev, at)[1]
+                        cbr_cache[dev] = (response, reach.mass(i, dev))
                     response, mass = cbr_cache[dev]
                     # support strategies condition on positive-mass events
                     if weight > 0 and not mass >= weight:
@@ -136,12 +146,15 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
 
 
 def _checked_rewrite(game: Game, pi: MixtureOfProducts, reach: ProfileReach,
-                     causal_gap: Fraction) -> tuple[MixtureOfProducts, ProfileReach, Fraction]:
+                     causal_gap: Fraction, responses: dict[Sequence, PureStrategy]
+                     ) -> tuple[MixtureOfProducts, ProfileReach, Fraction]:
     """:func:`efce_to_bce` of ``pi``, whose reach is ``reach``, with its
     output's reach (a new one, which validates it, only if the output
     differs) and bce gap; raises :class:`InternalCheckError` unless the
-    output keeps ``pi``'s outcomes and its bce gap is at most ``causal_gap``."""
-    out = efce_to_bce(game, pi, reach)
+    output keeps ``pi``'s outcomes and its bce gap is at most ``causal_gap``.
+    ``causal_gap`` and ``responses`` are the ``overall`` and ``_responses``
+    of ``pi``'s efce :func:`gap` report on ``reach``."""
+    out = efce_to_bce(game, pi, reach, responses)
     reach_out = reach if out == pi else ProfileReach(game, out)
     if not _same_outcomes(reach, reach_out):
         raise InternalCheckError("the rewrite changed the outcome distribution")

@@ -118,11 +118,12 @@ def _payoff_table(game: Game, rows: list[list[int]]) -> list[list[int]]:
 def _solve_program(game: Game, epsilon: Fraction,
                    objective: Optional[dict[str, Fraction]],
                    profile_cap: int = DEFAULT_PROFILE_CAP
-                   ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
+                   ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach, dict]:
     """Row generation against the efce gap program. Returns the profile, the
     program's optimal value, the profile's causal gap, which the loop's
-    exit test measured at most ``epsilon``, and the :class:`ProfileReach` it
-    measured with. The program's rows are ints over the scales the module
+    exit test measured at most ``epsilon``, the :class:`ProfileReach` it
+    measured with and that measurement's best responses (its report's
+    ``_responses``). The program's rows are ints over the scales the module
     docstring gives."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
@@ -149,7 +150,7 @@ def _solve_program(game: Game, epsilon: Fraction,
         reach = ProfileReach(game, mixture)
         report = gap(game, mixture, "efce", reach=reach)
         if report.overall <= epsilon:
-            return mixture, result.value / obj_scale, report.overall, reach
+            return mixture, result.value / obj_scale, report.overall, reach, report._responses
         i = report.witness.player
         scale = game.payoff_rows[i][0]
         row = _witness_row(game, report.witness, strategies, table)
@@ -234,8 +235,8 @@ def _solve_bce(game: Game, objective: Optional[dict[str, Fraction]],
     :func:`gametree.convert._checked_rewrite`: the profile, the program's
     optimal value (the rewrite keeps the outcomes, on which the objective is
     linear), the profile's bce gap (0) and the reach it was measured with."""
-    pi, value, causal_gap, reach = _solve_program(game, ZERO, objective, profile_cap)
-    out, reach, measured = _checked_rewrite(game, pi, reach, causal_gap)
+    pi, value, causal_gap, reach, responses = _solve_program(game, ZERO, objective, profile_cap)
+    out, reach, measured = _checked_rewrite(game, pi, reach, causal_gap, responses)
     return out, value, measured, reach
 
 

@@ -22,7 +22,7 @@ included.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Union
@@ -327,6 +327,11 @@ class GapReport:
     per_player: tuple[Fraction, ...]
     per_infoset: Optional[dict[tuple[int, str], Fraction]]
     witness: object
+    # efce only: the best response of every positive-mass trigger the walk
+    # weighed, keyed by its sequence; the counterfactual best responses
+    # gametree.convert.efce_to_bce needs there. Not part of the output.
+    _responses: Optional[dict[Sequence, PureStrategy]] = field(
+        default=None, compare=False, repr=False)
 
     def to_json_dict(self, game: Game) -> dict:
         d = {"notion": self.notion,
@@ -438,9 +443,13 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
     ``I:a``, as every plan plays one action there, so its best response is
     worth at most the sum of theirs, each at most ``walk(I:a)``; ties go to
     obedience.
+
+    Every positive-mass trigger's best response, commit or not, is kept in
+    the report's ``_responses``.
     """
     game = reach.game
     gaps, witnesses = [], []
+    responses: dict[Sequence, PureStrategy] = {}
     for i in range(game.n):
         units = _payoff_units(reach, i)
 
@@ -461,6 +470,7 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
                     commits.extend(c)
             if at is not None:  # the root obeys
                 t_val, t_strat = best_response(game, i, w, at)
+                responses[seq] = t_strat
                 if t_val > obey:
                     return t_val, [(seq, t_strat)]
             return obey, commits
@@ -469,7 +479,7 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
         gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
         witnesses.append(TriggerCommitWitness(i, tuple(commits)))
     best = max(range(game.n), key=lambda i: (gaps[i], -i))
-    return GapReport("efce", gaps[best], tuple(gaps), None, witnesses[best])
+    return GapReport("efce", gaps[best], tuple(gaps), None, witnesses[best], responses)
 
 
 class _StateBudget:

@@ -359,8 +359,8 @@ def _moved_rewrite(rewrite):
     the player's first infoset, which moves the outcome distribution."""
     from gametree.strategy import MixtureComponent, MixtureOfProducts, PureStrategy
 
-    def moved(game, pi, reach=None):
-        out = rewrite(game, pi, reach)
+    def moved(game, pi, reach=None, responses=None):
+        out = rewrite(game, pi, reach, responses)
         first = out.components[0]
         (beta, ps), *rest = first.strategies[0]
         other = next(a for a in game.infosets[0][0].actions if a != ps.actions[0])
@@ -393,7 +393,7 @@ def test_a_rewrite_above_the_causal_gap_exits_4(paths, capsys, monkeypatch):
     # left unrewritten, the ebos profile keeps its causal gap 0 but has bce
     # gap 1, which the rewrite theorem rules out for its output
     from gametree import convert
-    monkeypatch.setattr(convert, "efce_to_bce", lambda game, pi, reach=None: pi)
+    monkeypatch.setattr(convert, "efce_to_bce", lambda game, pi, reach=None, responses=None: pi)
     assert run(capsys, "convert", paths["ebos"], paths["ebos.profile"]) == (
         4, "", "internal error: the rewrite's bce gap 1 exceeds the causal gap 0\n")
 

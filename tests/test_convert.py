@@ -235,3 +235,94 @@ def test_regret_chain_on_converted_profiles(ebos, ebos_pi, lrr, lrr_pi, lrr_smal
             assert cf_regret <= restricted <= eps
             assert cf_regret == report.per_infoset[(i, iset_id)]
     assert exercised >= 1
+
+
+def _zero_weight_profiles(rng, count):
+    """Seeded 2- and 3-player profiles with a zero-alpha component and a
+    zero-beta plan per player, so some deviation points have zero mass."""
+    from gametree.randgen import random_pure_strategy
+    from gametree.strategy import MixtureComponent, MixtureOfProducts
+    out = []
+    while len(out) < count:
+        game = random_game(rng, max_nodes=30, max_pure_product=512)
+        mixes = tuple(tuple((beta, random_pure_strategy(rng, game, i))
+                            for beta in (F(1, 3), F(0), F(2, 3)))
+                      for i in range(game.n))
+        flipped = (mixes[0][::-1],) + mixes[1:]
+        out.append((game, MixtureOfProducts((MixtureComponent(F(1, 4), mixes),
+                                             MixtureComponent(F(0), flipped),
+                                             MixtureComponent(F(3, 4), flipped)))))
+    return out
+
+
+def test_efce_walk_responses_rewrite_exactly(ebos, ebos_pi, lrr, lrr_pi, lrr_small,
+                                             surj, surj_pi, monkeypatch):
+    # the efce walk hands out the best response of exactly the
+    # positive-mass sequences; fed those, the rewrite equals the standalone
+    # one, and zero-mass deviation points still fall back to _cbr
+    from gametree import convert
+    rng = random.Random(1616)
+    cases = [(ebos, ebos_pi), (lrr, lrr_pi), (lrr, lrr_small), (surj, surj_pi)]
+    cases += [(game, random_mixture(rng, game))
+              for game in (random_game(rng, max_nodes=30, max_pure_product=512)
+                           for _ in range(12))]
+    cases += _zero_weight_profiles(rng, 12)
+    fallbacks = []
+    cbr = convert._cbr
+
+    def counted(reach, units, seq, at):
+        fallbacks.append(reach.mass(seq.player, seq))
+        return cbr(reach, units, seq, at)
+
+    for game, pi in cases:
+        reach = ProfileReach(game, pi)
+        responses = gap(game, pi, "efce", reach=reach)._responses
+        positive = {seq for i in range(game.n) for seq in game.sequences(i)
+                    if not seq.is_empty and reach.mass(i, seq) > 0}
+        assert set(responses) == positive
+        for seq, response in responses.items():
+            assert response == counterfactual_best_response(
+                game, pi, seq.player, seq, reach)[0]
+        with monkeypatch.context() as m:
+            m.setattr(convert, "_cbr", counted)
+            fed = efce_to_bce(game, pi, reach, responses)
+        assert fed == efce_to_bce(game, pi)
+    assert fallbacks and not any(fallbacks)  # the zero-mass fallback ran, and only it
+
+
+def test_gt_convert_takes_positive_mass_responses_from_the_efce_walk(tmp_path,
+                                                                      monkeypatch, capsys):
+    # on the rewrite benchmark's seed-1 ops, convert calls best_response only
+    # through _cbr, and _cbr only at zero-mass deviation points; standalone,
+    # the same rewrites compute positive-mass responses themselves
+    import pathlib
+    from gametree import cli, convert, parse_game, parse_profile
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    import workloads
+    ops = workloads.build("rewrite", 1, str(tmp_path)).ops
+    assert len(ops) == 130
+    calls = {"best_response": 0, "positive": 0, "zero": 0}
+    best_response, cbr = convert.best_response, convert._cbr
+
+    def counted_best_response(*args):
+        calls["best_response"] += 1
+        return best_response(*args)
+
+    def counted_cbr(reach, units, seq, at):
+        calls["positive" if reach.mass(seq.player, seq) else "zero"] += 1
+        return cbr(reach, units, seq, at)
+
+    monkeypatch.setattr(convert, "best_response", counted_best_response)
+    monkeypatch.setattr(convert, "_cbr", counted_cbr)
+    for op in ops:
+        assert cli.main(list(op.argv)) == 0
+    capsys.readouterr()
+    assert calls["positive"] == 0
+    assert calls["best_response"] == calls["zero"]
+    for op in ops[:10]:
+        _convert, game_path, profile_path = op.argv
+        game = parse_game(pathlib.Path(game_path).read_text())
+        efce_to_bce(game, parse_profile(game, pathlib.Path(profile_path).read_text(),
+                                        "decompose"))
+    assert calls["positive"] > 0
