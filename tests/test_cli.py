@@ -582,6 +582,21 @@ def test_solve_objective_schema_errors_are_parse_errors(paths, capsys, text, mes
     assert (code, out, err) == (3, "", message + "\n")
 
 
+@pytest.mark.parametrize("document,message", [
+    ("ebos", "error: invalid JSON: Unterminated string starting at (line 4, column 13)"),
+    ("ebos.profile", "error: invalid JSON: Expecting value (line 4, column 4)"),
+])
+def test_gap_truncated_documents_are_parse_errors(paths, capsys, document, message):
+    # the game or profile document cut after its first 60 characters
+    path = paths["tmp"] / "truncated.json"
+    with open(paths[document], encoding="utf-8") as fh:
+        path.write_text(fh.read()[:60])
+    argv = {"ebos": (str(path), paths["ebos.profile"]),
+            "ebos.profile": (paths["ebos"], str(path))}[document]
+    code, out, err = run(capsys, "gap", *argv, "--notion", "efce")
+    assert (code, out, err) == (3, "", message + "\n")
+
+
 def test_missing_input_files_are_errors_not_crashes(paths, capsys):
     missing = str(paths["tmp"] / "nonexistent.json")
     for argv in (("gap", missing, paths["ebos.profile"], "--notion", "efce"),
