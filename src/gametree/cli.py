@@ -14,22 +14,22 @@ import argparse
 import functools
 import hashlib
 import io
-import json
 import sys
 import time
 from fractions import Fraction
+from typing import Optional
 
 from . import __version__
 from .convert import _checked_rewrite, counterfactual_best_response
 from .equilibrium import _solve_bce, _solve_program
 from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
-from .game import Game, Sequence, parse_game
+from .game import Game, Sequence, _decode_json, parse_game
 from .jsonout import dumps
 from .metrics import NOTIONS, ProfileReach, expected_utility, gap, outcome_distribution
 from .oracles import brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
-from .strategy import parse_profile, serialize_profile
+from .strategy import _rat, parse_profile, serialize_profile
 
 EXIT_OK, EXIT_SEMANTIC, EXIT_RESOURCE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -103,24 +103,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_game(path: str) -> Game:
-    with open(path, encoding="utf-8") as fh:
-        return parse_game(fh.read())
-
-
-def _load_profile(game: Game, path: str, behavior_mode="expand"):
-    with open(path, encoding="utf-8") as fh:
-        return parse_profile(game, fh.read(), behavior_mode)
-
-
-def _read(path: str) -> tuple[str, str]:
-    """The UTF-8 text of the document at ``path`` and the sha256 of its
-    bytes, from one read. The text decodes and translates newlines exactly
-    as ``open(path, encoding="utf-8").read()`` would."""
+def _read(path: str, hashes: Optional[dict] = None) -> str:
+    """The UTF-8 text of the document at ``path``, from one read of its
+    bytes, decoded and with newlines translated exactly as ``open(path,
+    encoding="utf-8").read()`` would. With ``hashes``, the sha256 of the
+    bytes is filed there under ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    return text, hashlib.sha256(data).hexdigest()
+    if hashes is not None:
+        hashes[path] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
 def _parse_objective(game: Game, text: str) -> dict[str, Fraction]:
@@ -128,22 +120,13 @@ def _parse_objective(game: Game, text: str) -> dict[str, Fraction]:
     defect raises :class:`ProfileParseError` with its path in the document,
     a terminal id the game lacks :class:`KeyError`; a missing ``"c"`` is the
     zero objective."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProfileParseError(
-            f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from e
+    doc = _decode_json(text, ProfileParseError)
     if not isinstance(doc, dict):
         raise ProfileParseError("objective must be an object with a \"c\" object")
     c = doc.get("c", {})
     if not isinstance(c, dict):
         raise ProfileParseError("must map terminal ids to rationals", "c")
-    objective = {}
-    for zid, value in c.items():
-        try:
-            objective[zid] = parse_rational(value)
-        except ValueError as e:
-            raise ProfileParseError(str(e), f"c/{zid}") from e
+    objective = {zid: _rat(parse_rational, value, f"c/{zid}") for zid, value in c.items()}
     for zid in objective:
         game.terminal(zid)  # unknown terminals are semantic errors
     return objective
@@ -186,14 +169,14 @@ def _sequence_arg(game: Game, player: int, text: str) -> Sequence:
 
 
 def cmd_validate(args) -> int:
-    game = _load_game(args.game)
+    game = parse_game(_read(args.game))
     report = game.validate()
     _emit(report.to_json_dict())
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
 def cmd_info(args) -> int:
-    game = _load_game(args.game)
+    game = parse_game(_read(args.game))
     per_player = {}
     for i, name in enumerate(game.players):
         pure = 1
@@ -212,15 +195,15 @@ def cmd_info(args) -> int:
 
 
 def cmd_outcome(args) -> int:
-    game = _load_game(args.game)
-    pi = _load_profile(game, args.profile)
+    game = parse_game(_read(args.game))
+    pi = parse_profile(game, _read(args.profile))
     _emit(outcome_distribution(game, pi).to_json_dict())
     return EXIT_OK
 
 
 def cmd_gap(args) -> int:
-    game = _load_game(args.game)
-    pi = _load_profile(game, args.profile)
+    game = parse_game(_read(args.game))
+    pi = parse_profile(game, _read(args.profile))
     if args.oracle:
         report = brute_force_gap(game, pi, args.notion, table_cap=args.table_cap)
     else:
@@ -232,8 +215,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    game = _load_game(args.game)
-    pi = _load_profile(game, args.profile, behavior_mode="decompose")
+    game = parse_game(_read(args.game))
+    pi = parse_profile(game, _read(args.profile), behavior_mode="decompose")
     reach = ProfileReach(game, pi)
     report = gap(game, pi, "efce", reach=reach)
     gap_in = report.overall
@@ -246,15 +229,15 @@ def cmd_convert(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    game = _load_game(args.game)
-    pi = _load_profile(game, args.profile, behavior_mode="decompose")
+    game = parse_game(_read(args.game))
+    pi = parse_profile(game, _read(args.profile), behavior_mode="decompose")
     _write(serialize_profile(game, pi), args)
     return EXIT_OK
 
 
 def cmd_cbr(args) -> int:
-    game = _load_game(args.game)
-    pi = _load_profile(game, args.profile)
+    game = parse_game(_read(args.game))
+    pi = parse_profile(game, _read(args.profile))
     player = _player_arg(game, args.player)
     seq = _sequence_arg(game, player, args.sequence)
     reach = ProfileReach(game, pi)
@@ -272,12 +255,11 @@ def cmd_cbr(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    game_text, game_sha = _read(args.game)
-    game = parse_game(game_text)
+    hashes = {}
+    game = parse_game(_read(args.game, hashes))
     objective = None
     if args.objective:
-        objective_text, objective_sha = _read(args.objective)
-        objective = _parse_objective(game, objective_text)
+        objective = _parse_objective(game, _read(args.objective, hashes))
     epsilon = parse_rational(args.epsilon)
     if args.notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
@@ -291,7 +273,7 @@ def cmd_solve(args) -> int:
     _write(serialize_profile(game, pi), args)
     report = {
         "command": "solve",
-        "inputs": {"game": {"path": args.game, "sha256": game_sha}},
+        "inputs": {"game": {"path": args.game, "sha256": hashes[args.game]}},
         "outputs": {"notion": args.notion,
                     "gap": format_rational(measured),
                     "expected_utility": [
@@ -302,7 +284,7 @@ def cmd_solve(args) -> int:
     }
     if args.objective:
         report["inputs"]["objective"] = {"path": args.objective,
-                                         "sha256": objective_sha}
+                                         "sha256": hashes[args.objective]}
     if objective is not None:
         report["outputs"]["objective_value"] = format_rational(value)
     print(dumps(report), file=sys.stderr)

@@ -396,13 +396,19 @@ class Game:
 # -- parsing and serialization -------------------------------------------
 
 
+def _decode_json(text: str, error: type = GameParseError):
+    """The JSON value ``text`` holds; a syntax error raises ``error`` with
+    where it sits. Every document the package reads is decoded here."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from e
+
+
 def parse_game(text: str) -> Game:
     """Parse a UTF-8 game document. Exact round-trip with
     :func:`serialize_game` after one canonicalization pass."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GameParseError(f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from e
+    doc = _decode_json(text)
     if not isinstance(doc, dict):
         raise GameParseError("top level must be an object")
     players = doc.get("players")

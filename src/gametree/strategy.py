@@ -20,7 +20,6 @@ exponential blowup.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,7 +27,7 @@ from operator import contains
 from typing import Iterator, Optional, Sequence as Seq, Union
 
 from .errors import InternalCheckError, ProfileError, ProfileParseError
-from .game import Game, Sequence, TerminalNode
+from .game import Game, Sequence, TerminalNode, _decode_json
 from .jsonout import dumps
 from .rational import format_rational, over_common_denominator, rational_reader
 
@@ -321,9 +320,15 @@ def behavior_product_expansion(game: Game, b: BehaviorStrategy,
 def _behavior_components(game: Game,
                          components: Seq[tuple[Fraction, Seq[BehaviorStrategy]]],
                          per_strategy) -> MixtureOfProducts:
+    """The mixture whose factors are ``per_strategy(b)`` for each behavior
+    strategy ``b``. ``per_strategy`` validates ``b`` and the weights are
+    checked here, so the mixture is valid as built."""
     total = sum((alpha for alpha, _ in components), ZERO)
     if total != 1:
         raise ProfileError(f"component weights sum to {format_rational(total)}, not 1")
+    for t, (alpha, _) in enumerate(components):
+        if alpha < 0:
+            raise ProfileError(f"component {t} has negative weight")
     built = []
     for alpha, behaviors in components:
         if len(behaviors) != game.n:
@@ -332,12 +337,9 @@ def _behavior_components(game: Game,
         for i, b in enumerate(behaviors):
             if b.player != i:
                 raise ProfileError("behavior strategies must be listed in player order")
-            b.validate(game)
             per_player.append(tuple(per_strategy(b)))
         built.append(MixtureComponent(alpha, tuple(per_player)))
-    mixture = MixtureOfProducts(tuple(built))
-    mixture.validate(game)
-    return mixture
+    return MixtureOfProducts(tuple(built))
 
 
 def mixture_from_behavior_products(
@@ -357,9 +359,10 @@ def mixture_from_behavior_products(
 
 
 def _behavior_sequence_form(game: Game, b: BehaviorStrategy) -> tuple[int, list[int]]:
-    """The sequence form of the validated ``b`` as ``(den, ints)`` over
-    ``game.sequences(b.player)``: each sequence's reach has its chain's
+    """The sequence form of ``b``, which it validates, as ``(den, ints)``
+    over ``game.sequences(b.player)``: each sequence's reach has its chain's
     product of local denominators as denominator, and ``den`` is their lcm."""
+    b.validate(game)
     game.require_valid()
     i = b.player
     reach = {Sequence.empty(i): (1, 1)}  # sequence -> (numerator, denominator)
@@ -443,23 +446,38 @@ def parse_profile(game: Game, text: str,
     game.require_valid()
     if behavior_mode not in ("expand", "decompose"):
         raise ValueError("behavior_mode must be 'expand' or 'decompose'")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProfileParseError(
-            f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from e
+    doc = _decode_json(text, ProfileParseError)
     if not isinstance(doc, dict) or not isinstance(doc.get("components"), list) \
             or not doc["components"]:
         raise ProfileParseError("profile must be an object with a non-empty "
                                 "\"components\" list")
     kinds = {("behaviors" if "behaviors" in c else "strategies")
              for c in doc["components"] if isinstance(c, dict)}
-    if kinds == {"behaviors"}:
-        return _parse_behavior_profile(game, doc, behavior_mode)
-    if kinds == {"strategies"}:
-        return _parse_mixture_profile(game, doc)
-    raise ProfileParseError("each component needs either \"strategies\" or \"behaviors\" "
-                            "(not a mix)")
+    if len(kinds) > 1:
+        raise ProfileParseError("each component needs either \"strategies\" or "
+                                "\"behaviors\" (not a mix)")
+    key = "behaviors" if kinds == {"behaviors"} else "strategies"
+    entry = _behavior_entry if key == "behaviors" else _mixture_entry
+    read = rational_reader()
+    items = []
+    for t, c in enumerate(doc["components"]):
+        where = f"components/{t}"
+        if not isinstance(c, dict) or "alpha" not in c:
+            raise ProfileParseError("component needs \"alpha\"", where)
+        alpha = _rat(read, c["alpha"], f"{where}/alpha")
+        per_player = c.get(key)
+        if not isinstance(per_player, list) or len(per_player) != game.n:
+            raise ProfileParseError(
+                f"\"{key}\" must list one entry per player ({game.n})", where)
+        items.append((alpha, tuple([entry(game, i, spec, read, f"{where}/{key}/{i}")
+                                    for i, spec in enumerate(per_player)])))
+    if key == "strategies":
+        pi = MixtureOfProducts(tuple(MixtureComponent(*item) for item in items))
+        pi.validate(game)
+        return pi
+    if behavior_mode == "decompose":
+        return mixture_from_behavior_products(game, items)
+    return expand_behavior_products(game, items)
 
 
 def _rat(read, value, where):
@@ -469,67 +487,34 @@ def _rat(read, value, where):
         raise ProfileParseError(str(e), where) from e
 
 
-def _parse_mixture_profile(game: Game, doc) -> MixtureOfProducts:
-    read = rational_reader()
-    comps = []
-    for t, c in enumerate(doc["components"]):
-        where = f"components/{t}"
-        if not isinstance(c, dict) or "alpha" not in c:
-            raise ProfileParseError("component needs \"alpha\"", where)
-        alpha = _rat(read, c["alpha"], f"{where}/alpha")
-        strategies = c.get("strategies")
-        if not isinstance(strategies, list) or len(strategies) != game.n:
-            raise ProfileParseError(
-                f"\"strategies\" must list one entry per player ({game.n})", where)
-        per_player = []
-        for i, mix in enumerate(strategies):
-            if not isinstance(mix, list) or not mix:
-                raise ProfileParseError("player entry must be a non-empty list",
-                                        f"{where}/strategies/{i}")
-            pairs = []
-            for k, item in enumerate(mix):
-                sub = f"{where}/strategies/{i}/{k}"
-                if not isinstance(item, dict) or "beta" not in item \
-                        or not isinstance(item.get("actions"), dict):
-                    raise ProfileParseError("entry needs \"beta\" and \"actions\"", sub)
-                beta = _rat(read, item["beta"], f"{sub}/beta")
-                pairs.append((beta, _pure_from_mapping(game, i, item["actions"])))
-            per_player.append(tuple(pairs))
-        comps.append(MixtureComponent(alpha, tuple(per_player)))
-    pi = MixtureOfProducts(tuple(comps))
-    pi.validate(game)
-    return pi
+def _mixture_entry(game: Game, i: int, mix, read, where: str):
+    """Player ``i``'s ``(beta, PureStrategy)`` pairs from a mixture-schema
+    entry at ``where``."""
+    if not isinstance(mix, list) or not mix:
+        raise ProfileParseError("player entry must be a non-empty list", where)
+    pairs = []
+    for k, item in enumerate(mix):
+        sub = f"{where}/{k}"
+        if not isinstance(item, dict) or "beta" not in item \
+                or not isinstance(item.get("actions"), dict):
+            raise ProfileParseError("entry needs \"beta\" and \"actions\"", sub)
+        beta = _rat(read, item["beta"], f"{sub}/beta")
+        pairs.append((beta, _pure_from_mapping(game, i, item["actions"])))
+    return tuple(pairs)
 
 
-def _parse_behavior_profile(game: Game, doc, behavior_mode: str) -> MixtureOfProducts:
-    read = rational_reader()
-    items = []
-    for t, c in enumerate(doc["components"]):
-        where = f"components/{t}"
-        if not isinstance(c, dict) or "alpha" not in c:
-            raise ProfileParseError("component needs \"alpha\"", where)
-        alpha = _rat(read, c["alpha"], f"{where}/alpha")
-        behaviors = c.get("behaviors")
-        if not isinstance(behaviors, list) or len(behaviors) != game.n:
-            raise ProfileParseError(
-                f"\"behaviors\" must list one entry per player ({game.n})", where)
-        per_player = []
-        for i, spec in enumerate(behaviors):
-            if not isinstance(spec, dict):
-                raise ProfileParseError("behavior entry must map infosets to "
-                                        "distributions", f"{where}/behaviors/{i}")
-            locals_ = {}
-            for iset_id, dist in spec.items():
-                if not isinstance(dist, dict):
-                    raise ProfileParseError("distribution must be an object",
-                                            f"{where}/behaviors/{i}/{iset_id}")
-                locals_[iset_id] = {a: _rat(read, p, f"{where}/behaviors/{i}/{iset_id}/{a}")
-                                    for a, p in dist.items()}
-            per_player.append(BehaviorStrategy(i, locals_))
-        items.append((alpha, per_player))
-    if behavior_mode == "decompose":
-        return mixture_from_behavior_products(game, items)
-    return expand_behavior_products(game, items)
+def _behavior_entry(game: Game, i: int, spec, read, where: str) -> BehaviorStrategy:
+    """Player ``i``'s behavior strategy from a behavior-schema entry at
+    ``where``, not yet validated."""
+    if not isinstance(spec, dict):
+        raise ProfileParseError("behavior entry must map infosets to distributions", where)
+    locals_ = {}
+    for iset_id, dist in spec.items():
+        if not isinstance(dist, dict):
+            raise ProfileParseError("distribution must be an object", f"{where}/{iset_id}")
+        locals_[iset_id] = {a: _rat(read, p, f"{where}/{iset_id}/{a}")
+                            for a, p in dist.items()}
+    return BehaviorStrategy(i, locals_)
 
 
 def _pure_from_mapping(game: Game, player: int, mapping: dict) -> PureStrategy:

@@ -612,19 +612,27 @@ def test_missing_input_files_are_errors_not_crashes(paths, capsys):
 
 
 def test_validations_per_op(paths, capsys, monkeypatch):
-    # a profile is validated where it is parsed and where its reach is
-    # built, and nowhere else: gap 2 (parse, reach); convert 3 (parse, input
-    # reach, output reach), or 2 when the rewrite changes nothing (lrr);
-    # solve 1 per LP round (its reach), and for bce 1 more for the
-    # rewritten profile's reach, if the rewrite changed it
+    # a mixture is validated where a mixture document is parsed and where its
+    # reach is built, and nowhere else; a behavior document's mixture is
+    # valid as built, from behavior strategies validated once each. gap 2
+    # (parse, reach), or 1 for a behavior document (reach); convert 3
+    # (parse, input reach, output reach), or 1 for lrr's behavior document
+    # (input reach; the rewrite changes nothing); solve 1 per LP round (its
+    # reach), and for bce 1 more for the rewritten profile's reach, if the
+    # rewrite changed it
     from gametree import equilibrium, metrics, strategy
-    validated, built, solves = [], [], []
+    validated, behaviors, built, solves = [], [], [], []
     validate, init, lp_solve = (strategy.MixtureOfProducts.validate,
                                 metrics.ProfileReach.__init__, equilibrium.lp_solve)
+    validate_behavior = strategy.BehaviorStrategy.validate
 
     def counting(self, game):
         validated.append(self)
         validate(self, game)
+
+    def counting_behavior(self, game):
+        behaviors.append(self)
+        validate_behavior(self, game)
 
     def building(self, game, pi):
         built.append(pi)
@@ -635,18 +643,22 @@ def test_validations_per_op(paths, capsys, monkeypatch):
         return lp_solve(lp)
 
     monkeypatch.setattr(strategy.MixtureOfProducts, "validate", counting)
+    monkeypatch.setattr(strategy.BehaviorStrategy, "validate", counting_behavior)
     monkeypatch.setattr(metrics.ProfileReach, "__init__", building)
     monkeypatch.setattr(equilibrium, "lp_solve", solving)
-    ops = [(("gap", paths["ebos"], paths["ebos.profile"], "--notion", notion), 2)
+    # (argv, mixture validations, behavior strategies in the document)
+    ops = [(("gap", paths["ebos"], paths["ebos.profile"], "--notion", notion), 2, 0)
            for notion in ("efce", "bce", "full-efce", "nfcce")]
-    ops += [(("gap", paths["lrr"], paths["lrr.behavior"], "--notion", "bce"), 2),
-            (("convert", paths["lrr"], paths["lrr.behavior"]), 2),
-            (("convert", paths["ebos"], paths["ebos.profile"]), 3),
-            (("convert", paths["surj"], paths["surj.profile"]), 3)]
-    for argv, want in ops:
-        validated.clear()
+    ops += [(("gap", paths["lrr"], paths["lrr.behavior"], "--notion", "bce"), 1, 1),
+            (("convert", paths["lrr"], paths["lrr.behavior"]), 1, 1),
+            (("convert", paths["ebos"], paths["ebos.profile"]), 3, 0),
+            (("convert", paths["surj"], paths["surj.profile"]), 3, 0)]
+    for argv, want, strategies in ops:
+        validated.clear(), behaviors.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(validated) == want, argv
+        # each behavior strategy validated exactly once
+        assert len(behaviors) == len(set(map(id, behaviors))) == strategies, argv
     counts = []
     for name in ("ebos", "lrr", "surj"):
         for notion in ("efce", "bce"):

@@ -90,3 +90,20 @@ def test_no_indented_json_dumps():
                     and any(kw.arg == "indent" for kw in node.keywords):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"indented json.dumps in the package: {found}"
+
+
+def test_one_json_decoder():
+    # every document the package reads is decoded by gametree.game's
+    # _decode_json, which reports a syntax error with its line and column;
+    # a new document kind reuses it instead of calling json.loads again
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json" \
+                    or isinstance(node, ast.ImportFrom) and node.module == "json" \
+                    and any(alias.name in ("load", "loads") for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [f.split(":")[0] for f in found] == ["game.py"], \
+        f"JSON decoded in more than one place: {found}"

@@ -486,6 +486,7 @@ MALFORMED_PROFILES = [
     ({"components": [_mixture_doc()["components"][0],
                      {"alpha": "0", "behaviors": [_B1, _B2]}]}, ProfileParseError,
      'each component needs either "strategies" or "behaviors" (not a mix)'),
+    ({"components": [5]}, ProfileParseError, 'components/0: component needs "alpha"'),
 ]
 
 
