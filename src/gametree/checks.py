@@ -22,7 +22,7 @@ from .convert import efce_to_bce
 from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
 from .metrics import (NOTIONS, ProfileReach, conditional_node_utility,
                       counterfactual_utility, counterfactually_outcome_equivalent,
-                      expected_utility, gap, outcome_equivalent)
+                      expected_utility, gap, outcome_distribution, outcome_equivalent)
 from .oracles import brute_force_gap, enumerate_pure, oracle_player_gap
 from .randgen import (random_game, random_behavior_strategy, random_mixture,
                       random_objective, random_pure_profile_mixture)
@@ -247,10 +247,14 @@ def check_7_optimal_values(count: int = 20) -> list[CheckResult]:
                            max_pure_product=64, max_pure_per_player=16)
         cases.append((f"random-{k}", game, random_objective(rng, game)))
     for tag, game, objective in cases:
-        _pe, ve = optimal_efce(game, objective)
-        _pb, vb = optimal_bce(game, objective)
-        if ve != vb:
-            bad.append((tag, ve, vb))
+        pe, ve = optimal_efce(game, objective)
+        pb, vb = optimal_bce(game, objective)
+        # the value each returned profile attains, sum_z c(z) P(z)
+        attained = [sum((objective.get(zid, ZERO) * p for zid, p in
+                         outcome_distribution(game, pi).probs.items()), ZERO)
+                    for pi in (pe, pb)]
+        if not ve == vb == attained[0] == attained[1]:
+            bad.append((tag, ve, vb, *attained))
     return [_result("7", f"optimal causal and history-seeing objective values "
                     f"coincide on {len(cases)} cases", not bad,
                     "equal values", f"failures: {bad[:3]}")]
