@@ -4,12 +4,16 @@ Games come out of the document parser, so everything downstream sees exactly
 what a user file would produce. Perfect recall is obtained by construction:
 decision nodes first get fresh singleton infosets, then nodes of one player
 whose own histories and action lists already coincide are randomly merged,
-which is precisely the condition validation checks.
+which is precisely the condition validation checks. The merge and the size
+caps run on the drawn document, and only a draft that meets the caps is
+parsed, once.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -28,37 +32,36 @@ def random_game(rng: random.Random, max_players: int = 3, max_nodes: int = 30,
                 chance_prob: float = 0.25,
                 max_pure_product: Optional[int] = None,
                 max_pure_per_player: Optional[int] = None) -> Game:
-    """A valid random game. The caps on pure-strategy counts resample until
-    satisfied, so keep them loose."""
+    """A valid random game. A draft over the node or pure-strategy caps is
+    redrawn before it is parsed, so keep the caps loose."""
     while True:
-        game = _attempt(rng, max_players, max_nodes, max_depth, merge_prob, chance_prob)
-        if not game.validate().ok:
-            raise InternalCheckError(
-                f"random_game built an invalid game: {game.validate().violations[0].message}")
-        sizes = []
-        for i in range(game.n):
-            count = 1
-            for iset in game.infosets[i]:
-                count *= len(iset.actions)
-            sizes.append(count)
-        if game.num_nodes > max_nodes:
+        doc, num_nodes, sizes = _attempt(rng, max_players, max_nodes, max_depth,
+                                         merge_prob, chance_prob)
+        if num_nodes > max_nodes:
             continue
         if max_pure_per_player is not None and any(s > max_pure_per_player for s in sizes):
             continue
-        product = 1
-        for s in sizes:
-            product *= s
-        if max_pure_product is not None and product > max_pure_product:
+        if max_pure_product is not None and math.prod(sizes) > max_pure_product:
             continue
+        game = parse_game(json.dumps(doc))
+        if not game.validate().ok:
+            raise InternalCheckError(
+                f"random_game built an invalid game: {game.validate().violations[0].message}")
         return game
 
 
-def _attempt(rng, max_players, max_nodes, max_depth, merge_prob, chance_prob) -> Game:
+def _attempt(rng, max_players, max_nodes, max_depth, merge_prob, chance_prob):
+    """One merged draft: its document, node count and per-player number of
+    pure strategies."""
     n = rng.randint(1, max_players)
     budget = [rng.randint(3, max_nodes)]
-    counter = [0]
+    start = budget[0]
+    ids = itertools.count(1)
+    # per player, decision nodes in preorder by (own history, labels); under
+    # singleton infosets the last own (infoset, action) pair fixes the history
+    classes: list[dict] = [{} for _ in range(n)]
 
-    def build(depth: int) -> dict:
+    def build(depth: int, last: dict) -> dict:
         budget[0] -= 1
         stop = depth >= max_depth or budget[0] <= 1 or \
             (depth > 0 and rng.random() < 0.35)
@@ -74,51 +77,33 @@ def _attempt(rng, max_players, max_nodes, max_depth, merge_prob, chance_prob) ->
             return {"kind": "chance", "actions": [
                 {"label": _ACTIONS[k],
                  "prob": format_rational(Fraction(weights[k], total)),
-                 "child": build(depth + 1)}
+                 "child": build(depth + 1, last)}
                 for k in range(width)]}
-        counter[0] += 1
-        return {"kind": "decision", "player": rng.randrange(n),
-                "infoset": f"s{counter[0]}",
-                "actions": [{"label": _ACTIONS[k], "child": build(depth + 1)}
-                            for k in range(width)]}
+        player, infoset = rng.randrange(n), f"s{next(ids)}"
+        node = {"kind": "decision", "player": player, "infoset": infoset}
+        classes[player].setdefault((last.get(player), width), []).append(node)
+        node["actions"] = [{"label": a,
+                            "child": build(depth + 1, {**last, player: (infoset, a)})}
+                           for a in _ACTIONS[:width]]
+        return node
 
-    doc = {"players": [f"P{i + 1}" for i in range(n)], "root": build(0)}
-    game = parse_game(json.dumps(doc))
-    renames = _merge_plan(rng, game, merge_prob)
-    if renames:
-        _apply_renames(doc["root"], renames)
-        game = parse_game(json.dumps(doc))
-    return game
-
-
-def _merge_plan(rng, game: Game, merge_prob: float) -> dict[str, str]:
-    """Rename singleton infosets so that same-history nodes share infosets."""
-    renames: dict[str, str] = {}
-    fresh = [0]
-    for i in range(game.n):
-        classes: dict = {}
-        for iset in game.infosets[i]:
-            key = (iset.own_history, iset.actions)
-            classes.setdefault(key, []).append(iset)
-        for group in classes.values():
+    doc = {"players": [f"P{i + 1}" for i in range(n)], "root": build(0, {})}
+    fresh = itertools.count(1)
+    sizes = []
+    for groups in classes:
+        for group in groups.values():
             if len(group) < 2:
                 continue
             rng.shuffle(group)
             target = None
-            for iset in group:
+            for node in group:
                 if target is None or rng.random() >= merge_prob:
-                    fresh[0] += 1
-                    target = f"m{fresh[0]}"
-                renames[iset.id] = target
-    return renames
-
-
-def _apply_renames(node: dict, renames: dict[str, str]):
-    if node["kind"] == "decision" and node["infoset"] in renames:
-        node["infoset"] = renames[node["infoset"]]
-    if node["kind"] != "terminal":
-        for item in node["actions"]:
-            _apply_renames(item["child"], renames)
+                    target = f"m{next(fresh)}"
+                node["infoset"] = target
+        widths = {node["infoset"]: len(node["actions"])
+                  for group in groups.values() for node in group}
+        sizes.append(math.prod(widths.values()))
+    return doc, start - budget[0], sizes
 
 
 def random_pure_strategy(rng: random.Random, game: Game, player: int) -> PureStrategy:
