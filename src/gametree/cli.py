@@ -43,7 +43,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ProfileError, KeyError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        text = e.args[0] if isinstance(e, KeyError) and e.args else e  # not its repr
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_SEMANTIC
     except ResourceGuardError as e:
         print(f"refused: {e}", file=sys.stderr)

@@ -420,9 +420,21 @@ def test_solve_with_objective(paths, capsys):
 def test_solve_rejects_unknown_objective_terminal(paths, capsys):
     obj = paths["tmp"] / "obj.json"
     obj.write_text(json.dumps({"c": {"nope": "1"}}))
-    code, _out, _err = run(capsys, "solve", paths["lrr"], "--notion", "efce",
-                           "--objective", str(obj))
-    assert code == 1
+    code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "efce",
+                         "--objective", str(obj))
+    assert (code, out, err) == (1, "", "error: no terminal 'nope'\n")
+
+
+@pytest.mark.parametrize("player, sequence, message", [
+    ("7", "empty", "no player with index 7"),
+    ("P1", "Nope:X", "player P1 has no infoset 'Nope'"),
+])
+def test_cbr_unknown_player_or_infoset_prints_the_message(paths, capsys, player,
+                                                          sequence, message):
+    # a KeyError is reported by its message, not by the repr of it
+    code, out, err = run(capsys, "cbr", paths["ebos"], paths["ebos.profile"],
+                         "--player", player, "--sequence", sequence)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_stdout_is_byte_identical_across_runs(paths, capsys):
