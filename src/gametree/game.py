@@ -384,14 +384,6 @@ class Game:
                 raise KeyError(f"no action {label!r} at node {'/'.join(node.path) or '.'}")
         return node
 
-    # -- chance ----------------------------------------------------------
-
-    def chance_reach(self, z: Union[TerminalNode, str]) -> Fraction:
-        """Product of chance probabilities on the root-to-terminal path."""
-        if isinstance(z, str):
-            z = self.terminal(z)
-        return z.chance_reach
-
 
 # -- parsing and serialization -------------------------------------------
 

@@ -193,12 +193,12 @@ def test_precedes_between_infosets_and_nodes(surj):
 def test_chance_reach_surj(surj):
     for z in surj.terminals:
         if z.terminal_id.startswith("MP/"):
-            assert surj.chance_reach(z) == Fraction(1, 2)
-    assert surj.chance_reach("Coop/E") == Fraction(1, 2)
+            assert z.chance_reach == Fraction(1, 2)
+    assert surj.terminal("Coop/E").chance_reach == Fraction(1, 2)
 
 
 def test_chance_reach_no_chance(lrr):
-    assert lrr.chance_reach("L") == 1
+    assert lrr.terminal("L").chance_reach == 1
 
 
 def test_chance_reach_stacked_chance():
@@ -210,7 +210,7 @@ def test_chance_reach_stacked_chance():
                     {"label": "d", "prob": "1/2", "child": terminal("0")}]}},
             {"label": "d", "prob": "1/2", "child": terminal("0")}]}}
     g = game_of(doc)
-    assert g.chance_reach("u/u") == Fraction(1, 4)
+    assert g.terminal("u/u").chance_reach == Fraction(1, 4)
 
 
 def test_every_pure_profile_reaches_probability_one():

@@ -41,38 +41,48 @@ CALLER_ALLOWLIST = {
 
 
 def test_every_package_definition_has_a_package_caller():
-    # each top-level function or class and each method must be named in the
-    # package outside its own body and __init__.py, so that no public path
-    # is left that only the tests keep alive; oracles.py holds the reference
-    # implementations and is exempt, and dunder methods are called by Python
+    # each top-level function or class must be named in the package outside
+    # its own body and __init__.py, and each method called there (a
+    # property read), so that no public path is left that only the tests
+    # keep alive; a method is not kept by an attribute that shares its name.
+    # oracles.py holds the reference implementations and is exempt, and
+    # dunder methods are called by Python
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert "oracles.py" in trees
-    mentions = {}  # name -> (file, line) of every Name or Attribute naming it
+    # name -> (file, line) of every Name or Attribute naming it, of every
+    # attribute read, and of every attribute call
+    mentions, reads, calls = {}, {}, {}
     for fname, tree in trees.items():
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
-            if name is not None:
-                mentions.setdefault(name, []).append((fname, node.lineno))
-    definitions = []
+            if isinstance(node, ast.Name):
+                mentions.setdefault(node.id, []).append((fname, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                mentions.setdefault(node.attr, []).append((fname, node.lineno))
+                if isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.attr, []).append((fname, node.lineno))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.setdefault(node.func.attr, []).append((fname, node.lineno))
+    definitions = []  # (file, definition, the uses that keep it)
     for fname, tree in trees.items():
         if fname == "oracles.py":
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.append((fname, node))
+                definitions.append((fname, node, mentions))
             if isinstance(node, ast.ClassDef):
-                definitions += [(fname, sub) for sub in node.body
-                                if isinstance(sub, ast.FunctionDef)
-                                and not (sub.name.startswith("__") and sub.name.endswith("__"))]
-    unnamed = [f"{fname}:{d.name}" for fname, d in definitions
-               if d.name not in CALLER_ALLOWLIST
-               and not any(f != fname or not d.lineno <= line <= d.end_lineno
-                           for f, line in mentions.get(d.name, ()))]
-    assert not unnamed, f"definitions no package code names: {unnamed}"
+                definitions += [
+                    (fname, sub, reads if any(isinstance(d, ast.Name) and d.id == "property"
+                                              for d in sub.decorator_list) else calls)
+                    for sub in node.body if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    unused = [f"{fname}:{d.name}" for fname, d, uses in definitions
+              if d.name not in CALLER_ALLOWLIST
+              and not any(f != fname or not d.lineno <= line <= d.end_lineno
+                          for f, line in uses.get(d.name, ()))]
+    assert not unused, f"definitions no package code uses: {unused}"
     stale = [name for name in CALLER_ALLOWLIST
-             if not any(d.name == name for _f, d in definitions)]
+             if not any(d.name == name for _f, d, _u in definitions)]
     assert not stale, f"allowlisted names the package no longer defines: {stale}"
 
 
