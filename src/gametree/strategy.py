@@ -71,10 +71,10 @@ class BehaviorStrategy:
     def local(self, infoset_id: str) -> dict[str, Fraction]:
         return self.locals[infoset_id]
 
-    def validate(self, game: Game):
+    def validate(self, game: Game) -> list[tuple[int, tuple[int, ...]]]:
         """Every infoset of the player covered, with a distribution over its
-        actions that sums to 1, as ints over its denominators' lcm, and has
-        no negative probability."""
+        actions that sums to 1 and has no negative probability; returns each
+        as ``(den, ints)`` in action order, infosets in the game's order."""
         i = self.player
         expected = {iset.id for iset in game.infosets[i]}
         if set(self.locals) != expected:
@@ -84,17 +84,20 @@ class BehaviorStrategy:
                 f"behavior strategy for {game.players[i]} must cover every infoset"
                 + (f"; missing {sorted(missing)}" if missing else "")
                 + (f"; unknown {sorted(extra)}" if extra else ""))
+        rows = []
         for iset in game.infosets[i]:
             dist = self.locals[iset.id]
             bad = set(dist) - set(iset.actions)
             if bad:
                 raise ProfileError(f"infoset {iset.id!r} has no action {sorted(bad)}")
-            den, probs = over_common_denominator(list(dist.values()))
+            den, probs = row = over_common_denominator([dist.get(a, ZERO) for a in iset.actions])
             if sum(probs) != den:
                 raise ProfileError(f"local distribution at {iset.id!r} sums to "
                                    f"{format_rational(Fraction(sum(probs), den))}")
             if any(p < 0 for p in probs):
                 raise ProfileError(f"negative probability at {iset.id!r}")
+            rows.append(row)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -362,17 +365,14 @@ def _behavior_sequence_form(game: Game, b: BehaviorStrategy) -> tuple[int, list[
     """The sequence form of ``b``, which it validates, as ``(den, ints)``
     over ``game.sequences(b.player)``: each sequence's reach has its chain's
     product of local denominators as denominator, and ``den`` is their lcm."""
-    b.validate(game)
+    rows = b.validate(game)
     game.require_valid()
     i = b.player
     reach = {Sequence.empty(i): (1, 1)}  # sequence -> (numerator, denominator)
-    for iset in game.infosets[i]:
+    for iset, (local, probs) in zip(game.infosets[i], rows):
         num, d = reach[iset.parent_seq]
-        dist = b.locals[iset.id]
-        local, probs = over_common_denominator([dist.get(a, ZERO) for a in iset.actions])
-        d *= local
         for seq, p in zip(iset.seqs, probs):
-            reach[seq] = (num * p, d)
+            reach[seq] = (num * p, d * local)
     pairs = [reach[seq] for seq in game.sequences(i)]
     den = lcm(*(d for _, d in pairs))
     return den, [num * (den // d) for num, d in pairs]

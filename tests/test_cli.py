@@ -644,7 +644,7 @@ def test_validations_per_op(paths, capsys, monkeypatch):
 
     def counting_behavior(self, game):
         behaviors.append(self)
-        validate_behavior(self, game)
+        return validate_behavior(self, game)
 
     def building(self, game, pi):
         built.append(pi)
