@@ -21,13 +21,13 @@ from typing import Optional
 
 from . import __version__
 from .convert import _checked_rewrite, counterfactual_best_response
-from .equilibrium import _solve_bce, _solve_program
+from .equilibrium import _solve
 from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, _decode_json, parse_game
 from .jsonout import dumps
 from .metrics import NOTIONS, ProfileReach, expected_utility, gap, outcome_distribution
-from .oracles import brute_force_gap
+from .oracles import DEFAULT_TABLE_CAP, brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
 from .strategy import _rat, parse_profile, serialize_profile
 
@@ -60,10 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"gt {__version__}")
     sub = p.add_subparsers(required=True, metavar="command")
 
-    def cmd(name, fn, help_, game=True, profile=False, out=False):
+    def cmd(name, fn, help_, profile=False, out=False):
         c = sub.add_parser(name, help=help_)
-        if game:
-            c.add_argument("game", help="path to a game JSON document")
+        c.add_argument("game", help="path to a game JSON document")
         if profile:
             c.add_argument("profile", help="path to a profile JSON document")
         if out:
@@ -80,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--notion", choices=NOTIONS, required=True)
     c.add_argument("--oracle", action="store_true",
                    help="use the brute-force table oracle instead of the DP")
-    c.add_argument("--table-cap", type=int, default=70_000,
+    c.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
                    help="oracle refusal threshold on |X|^|X|")
     c = cmd("convert", cmd_convert, "rewrite off-path recommendations to "
             "counterfactual best responses", profile=True, out=True)
@@ -133,13 +132,13 @@ def _parse_objective(game: Game, text: str) -> dict[str, Fraction]:
     return objective
 
 
-def _emit(doc, args=None):
-    _write(dumps(doc, ensure_ascii=False) + "\n", args)
+def _emit(doc):
+    _write(dumps(doc, ensure_ascii=False) + "\n")
 
 
 def _write(text: str, args=None):
     """``text`` to the -o file if one was given, else to stdout."""
-    out = getattr(args, "output", None) if args else None
+    out = getattr(args, "output", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -220,10 +219,9 @@ def cmd_convert(args) -> int:
     pi = parse_profile(game, _read(args.profile), behavior_mode="decompose")
     reach = ProfileReach(game, pi)
     report = gap(game, pi, "efce", reach=reach)
-    gap_in = report.overall
-    out, _reach_out, gap_out = _checked_rewrite(game, pi, reach, gap_in, report._responses)
-    _write(serialize_profile(game, out), args)
-    print(f"efce gap in:  {format_rational(gap_in)}\n"
+    reach_out, gap_out = _checked_rewrite(reach, report)
+    _write(serialize_profile(game, reach_out.pi), args)
+    print(f"efce gap in:  {format_rational(report.overall)}\n"
           f"bce gap out:  {format_rational(gap_out)}\n"
           "outcome-equivalent: True", file=sys.stderr)
     return EXIT_OK
@@ -261,16 +259,8 @@ def cmd_solve(args) -> int:
     objective = None
     if args.objective:
         objective = _parse_objective(game, _read(args.objective, hashes))
-    epsilon = parse_rational(args.epsilon)
-    if args.notion == "bce" and epsilon != 0:
-        raise ValueError("--epsilon applies to --notion efce only; "
-                         "the bce programs are exact")
-    # the solvers return the gap their own exit test measured on pi, and the
-    # reach it was measured with
-    if args.notion == "bce":
-        pi, value, measured, reach = _solve_bce(game, objective)
-    else:
-        pi, value, measured, reach, _responses = _solve_program(game, epsilon, objective)
+    pi, value, measured, reach = _solve(game, args.notion, parse_rational(args.epsilon),
+                                        objective)
     _write(serialize_profile(game, pi), args)
     report = {
         "command": "solve",

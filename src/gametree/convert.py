@@ -18,7 +18,8 @@ from typing import Optional, Union
 from .bestresponse import best_response
 from .errors import InternalCheckError
 from .game import Game, Infoset, Sequence
-from .metrics import ProfileReach, _payoff_units, _same_outcomes, _trigger_weights, gap
+from .metrics import (GapReport, ProfileReach, _payoff_units, _same_outcomes,
+                      _trigger_weights, gap)
 from .rational import format_rational
 from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy
 
@@ -145,22 +146,22 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     return MixtureOfProducts(tuple(new_components))
 
 
-def _checked_rewrite(game: Game, pi: MixtureOfProducts, reach: ProfileReach,
-                     causal_gap: Fraction, responses: dict[Sequence, PureStrategy]
-                     ) -> tuple[MixtureOfProducts, ProfileReach, Fraction]:
-    """:func:`efce_to_bce` of ``pi``, whose reach is ``reach``, with its
-    output's reach (a new one, which validates it, only if the output
-    differs) and bce gap; raises :class:`InternalCheckError` unless the
-    output keeps ``pi``'s outcomes and its bce gap is at most ``causal_gap``.
-    ``causal_gap`` and ``responses`` are the ``overall`` and ``_responses``
-    of ``pi``'s efce :func:`gap` report on ``reach``."""
-    out = efce_to_bce(game, pi, reach, responses)
+def _checked_rewrite(reach: ProfileReach, report: GapReport
+                     ) -> tuple[ProfileReach, Fraction]:
+    """:func:`efce_to_bce` of ``reach.pi`` with the best responses of
+    ``report``, its efce :func:`gap` report on ``reach``. Returns the
+    output's reach (``reach`` if nothing changed, else a new one, which
+    validates the output) and bce gap; raises :class:`InternalCheckError`
+    unless the output keeps the outcomes and its bce gap is at most
+    ``report.overall``."""
+    game, pi = reach.game, reach.pi
+    out = efce_to_bce(game, pi, reach, report._responses)
     reach_out = reach if out == pi else ProfileReach(game, out)
     if not _same_outcomes(reach, reach_out):
         raise InternalCheckError("the rewrite changed the outcome distribution")
     bce_gap = gap(game, out, "bce", reach=reach_out).overall
-    if bce_gap > causal_gap:
+    if bce_gap > report.overall:
         raise InternalCheckError(
             f"the rewrite's bce gap {format_rational(bce_gap)} exceeds the "
-            f"causal gap {format_rational(causal_gap)}")
-    return out, reach_out, bce_gap
+            f"causal gap {format_rational(report.overall)}")
+    return reach_out, bce_gap

@@ -42,7 +42,7 @@ from .convert import _checked_rewrite
 from .errors import InternalCheckError, ResourceGuardError
 from .game import Game, Node
 from .lp import EQ, LE, LinearProgram, lp_solve
-from .metrics import ProfileReach, gap
+from .metrics import GapReport, ProfileReach, gap
 from .rational import format_rational, over_common_denominator
 from .strategy import MixtureOfProducts, PureProfile, PureStrategy, pure_mixture
 from .witnesses import TriggerCommitWitness
@@ -55,19 +55,18 @@ DEFAULT_PROFILE_CAP = 50_000
 
 def _strategies(game: Game, cap: int) -> list[list[PureStrategy]]:
     """Each player's pure strategies in ``itertools.product`` order over the
-    player's infosets; more than ``cap`` pure profiles in all refuses."""
-    per_player = []
+    player's infosets; more than ``cap`` pure profiles in all refuses before
+    any strategy is built."""
     total = 1
-    for i in range(game.n):
-        strategies = [PureStrategy(i, combo) for combo in
-                      itertools.product(*(iset.actions for iset in game.infosets[i]))]
-        per_player.append(strategies)
-        total *= len(strategies)
+    for iset in itertools.chain.from_iterable(game.infosets):
+        total *= len(iset.actions)
         if total > cap:
             raise ResourceGuardError(
                 f"game has more than {cap} pure profiles; "
                 f"raise the cap to solve it anyway")
-    return per_player
+    return [[PureStrategy(i, combo) for combo in
+             itertools.product(*(iset.actions for iset in isets))]
+            for i, isets in enumerate(game.infosets)]
 
 
 def _reached(root: Node, choice: tuple) -> list[int]:
@@ -118,13 +117,11 @@ def _payoff_table(game: Game, rows: list[list[int]]) -> list[list[int]]:
 def _solve_program(game: Game, epsilon: Fraction,
                    objective: Optional[dict[str, Fraction]],
                    profile_cap: int = DEFAULT_PROFILE_CAP
-                   ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach, dict]:
-    """Row generation against the efce gap program. Returns the profile, the
-    program's optimal value, the profile's causal gap, which the loop's
-    exit test measured at most ``epsilon``, the :class:`ProfileReach` it
-    measured with and that measurement's best responses (its report's
-    ``_responses``). The program's rows are ints over the scales the module
-    docstring gives."""
+                   ) -> tuple[ProfileReach, GapReport, Fraction]:
+    """Row generation against the efce gap program. Returns the solution's
+    :class:`ProfileReach`, whose ``pi`` is the profile, the efce :func:`gap`
+    report of the loop's exit test (``overall`` at most ``epsilon``) and the
+    program's optimal value, whose rows are ints over the module's scales."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     game.require_valid()
@@ -150,7 +147,7 @@ def _solve_program(game: Game, epsilon: Fraction,
         reach = ProfileReach(game, mixture)
         report = gap(game, mixture, "efce", reach=reach)
         if report.overall <= epsilon:
-            return mixture, result.value / obj_scale, report.overall, reach, report._responses
+            return reach, report, result.value / obj_scale
         i = report.witness.player
         scale = game.payoff_rows[i][0]
         row = _witness_row(game, report.witness, strategies, table)
@@ -204,6 +201,25 @@ def _witness_row(game: Game, witness: TriggerCommitWitness,
     return row
 
 
+def _solve(game: Game, notion: str, epsilon: Fraction,
+           objective: Optional[dict[str, Fraction]],
+           profile_cap: int = DEFAULT_PROFILE_CAP
+           ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
+    """The one solver entry: the profile, the program's optimal value, the
+    profile's gap in ``notion`` ("efce" or "bce") as measured, and the reach
+    measured with. A bce profile is the exact causal one rewritten by
+    :func:`gametree.convert._checked_rewrite`, which keeps the outcomes and
+    so the value; a nonzero ``epsilon`` with "bce" raises ValueError."""
+    if notion == "bce" and epsilon != 0:
+        raise ValueError("--epsilon applies to --notion efce only; "
+                         "the bce programs are exact")
+    reach, report, value = _solve_program(game, epsilon, objective, profile_cap)
+    measured = report.overall
+    if notion == "bce":
+        reach, measured = _checked_rewrite(reach, report)
+    return reach.pi, value, measured, reach
+
+
 def compute_efce(game: Game, epsilon: Fraction = ZERO,
                  profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:
     """A distribution over pure profiles whose causal gap is at most
@@ -213,7 +229,7 @@ def compute_efce(game: Game, epsilon: Fraction = ZERO,
     returned profile is verified by measurement; a negative ``epsilon``
     raises :class:`ValueError`, since no profile has a negative causal gap.
     """
-    return _solve_program(game, epsilon, None, profile_cap)[0]
+    return _solve(game, "efce", epsilon, None, profile_cap)[0]
 
 
 def optimal_efce(game: Game, objective: dict[str, Fraction],
@@ -225,26 +241,14 @@ def optimal_efce(game: Game, objective: dict[str, Fraction],
     at least the true one, and its solution satisfies them all, so the two
     are equal.
     """
-    return _solve_program(game, ZERO, objective, profile_cap)[:2]
-
-
-def _solve_bce(game: Game, objective: Optional[dict[str, Fraction]],
-               profile_cap: int = DEFAULT_PROFILE_CAP
-               ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
-    """The exact causal solve with its off-path recommendations rewritten by
-    :func:`gametree.convert._checked_rewrite`: the profile, the program's
-    optimal value (the rewrite keeps the outcomes, on which the objective is
-    linear), the profile's bce gap (0) and the reach it was measured with."""
-    pi, value, causal_gap, reach, responses = _solve_program(game, ZERO, objective, profile_cap)
-    out, reach, measured = _checked_rewrite(game, pi, reach, causal_gap, responses)
-    return out, value, measured, reach
+    return _solve(game, "efce", ZERO, objective, profile_cap)[:2]
 
 
 def compute_bce(game: Game, profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:
     """An exact (gap-0) history-seeing equilibrium: solve for the causal one
     and rewrite its off-path recommendations, which
     :func:`gametree.convert._checked_rewrite` checks at gap 0 exactly."""
-    return _solve_bce(game, None, profile_cap)[0]
+    return _solve(game, "bce", ZERO, None, profile_cap)[0]
 
 
 def optimal_bce(game: Game, objective: dict[str, Fraction],
@@ -254,4 +258,4 @@ def optimal_bce(game: Game, objective: dict[str, Fraction],
     :func:`gametree.convert._checked_rewrite` checks that the rewrite keeps
     the outcome distribution, so the value equals the optimal causal value.
     """
-    return _solve_bce(game, objective, profile_cap)[:2]
+    return _solve(game, "bce", ZERO, objective, profile_cap)[:2]

@@ -282,10 +282,7 @@ class Game:
                 label, child = moves[m]
                 if m < len(actions) and actions[m] == label:
                     seq, after = iset.seqs[m], iset.after[m]
-                elif label in actions:  # a node listing the infoset's actions reordered
-                    k = actions.index(label)
-                    seq, after = iset.seqs[k], iset.after[k]
-                else:  # an action the infoset lacks: the game is invalid anyway
+                else:  # the node's actions differ from its infoset's: the game is invalid
                     seq, after = Sequence(i, iset.id, label), ([], [])
                 stack.append((child, node, path + (label,), chance,
                               head + (own + ((index, label),),) + tail,
@@ -388,13 +385,18 @@ class Game:
 # -- parsing and serialization -------------------------------------------
 
 
+_TOO_DEEP = "document is nested too deeply to read"
+
+
 def _decode_json(text: str, error: type = GameParseError):
-    """The JSON value ``text`` holds; a syntax error raises ``error`` with
-    where it sits. Every document the package reads is decoded here."""
+    """The JSON value ``text`` holds; a syntax error or nesting too deep to
+    decode raises ``error``. Every document the package reads is decoded here."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise error(f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})") from e
+    except RecursionError:
+        raise error(_TOO_DEEP) from None
 
 
 def parse_game(text: str) -> Game:
@@ -415,6 +417,8 @@ def parse_game(text: str) -> Game:
         root = _parse_node(doc["root"], len(players), rational_reader())
     except _Defect as e:
         raise GameParseError(e.message, "root" + (f"/{e.where}" if e.where else "")) from None
+    except RecursionError:  # decoded, but too deep for the recursive node parse
+        raise GameParseError(_TOO_DEEP) from None
     return Game(tuple(players), root)
 
 

@@ -108,7 +108,7 @@ def deviation_tables(game: Game, player: Union[int, str],
     if total > cap:
         raise ResourceGuardError(
             f"player {game.players[i]} has {len(xs)}^{len(xs)} = {total} deviation "
-            f"tables, above the cap of {cap}")
+            f"tables, above the cap of {cap}; raise it via --table-cap or table_cap=")
     for outs in itertools.product(xs, repeat=len(xs)):
         yield DeviationTable(i, tuple(zip(xs, outs)))
 

@@ -56,9 +56,6 @@ class PureProfile:
 
     strategies: tuple[PureStrategy, ...]
 
-    def __getitem__(self, i: int) -> PureStrategy:
-        return self.strategies[i]
-
 
 class BehaviorStrategy:
     """Independent randomization per infoset; each local distribution is a

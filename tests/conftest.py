@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -162,3 +163,34 @@ def _restricted_deviation_value(game, pi, i, witness, infoset_id):
         total += w * (pure_utility(game, PureProfile(tuple(strategies)), i)
                       - pure_utility(game, profile, i))
     return total
+
+
+@pytest.fixture()
+def plan_chain_text():
+    """A one-player game document: 40 binary infosets in a chain, so the
+    player alone has 2**40 pure plans."""
+    node = {"kind": "terminal", "payoffs": ["0"]}
+    for k in reversed(range(40)):
+        node = {"kind": "decision", "player": 0, "infoset": f"I{k}", "actions": [
+            {"label": "stop", "child": {"kind": "terminal", "payoffs": [str(k)]}},
+            {"label": "go", "child": node}]}
+    return json.dumps({"players": ["A"], "root": node})
+
+
+@pytest.fixture()
+def strategy_guard(monkeypatch):
+    """Counts the solver's ``PureStrategy`` constructions and raises after
+    100,000, so a solver that enumerates a huge game fails fast instead of
+    exhausting memory; returns the one-entry count list."""
+    from gametree import equilibrium
+    built = [0]
+    real = equilibrium.PureStrategy
+
+    def counted(*args):
+        built[0] += 1
+        if built[0] > 100_000:
+            raise RuntimeError("the solver built more than 100000 pure strategies")
+        return real(*args)
+
+    monkeypatch.setattr(equilibrium, "PureStrategy", counted)
+    return built

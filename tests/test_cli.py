@@ -110,6 +110,37 @@ def test_gap_oracle_refusal_exit_code(paths, capsys):
     assert "refused" in err
 
 
+def test_gap_oracle_table_cap(paths, capsys):
+    # lrr's player has 4 plans, so 4^4 = 256 efce deviation tables
+    code, out, err = run(capsys, "gap", paths["lrr"], paths["lrr.behavior"],
+                         "--notion", "efce", "--oracle", "--table-cap", "100")
+    assert (code, out, err) == (2, "", "refused: player P1 has 4^4 = 256 deviation "
+                                       "tables, above the cap of 100; raise it via "
+                                       "--table-cap or table_cap=\n")
+    code, out, _err = run(capsys, "gap", paths["lrr"], paths["lrr.behavior"],
+                          "--notion", "efce", "--oracle")
+    assert code == 0 and json.loads(out)["gap"] == "1/5"
+
+
+def test_gap_oracle_bce_lrr(paths, capsys):
+    code, out, _err = run(capsys, "gap", paths["lrr"], paths["lrr.behavior"],
+                          "--notion", "bce", "--oracle")
+    assert code == 0
+    report = json.loads(out)
+    assert report["gap"] == "1"
+    assert report["witness"]["kind"] == "table"
+    assert report["witness"]["infoset"] == "B"
+
+
+def test_gap_negative_behavior_weight(paths, capsys):
+    bad = paths["tmp"] / "negative.behavior.json"
+    bad.write_text(json.dumps({"components": [
+        {"alpha": "3/2", "behaviors": [{"R0": {"L": "9/10", "R": "1/10"}, "B": {"R'": "1"}}]},
+        {"alpha": "-1/2", "behaviors": [{"R0": {"L": "1"}, "B": {"R'": "1"}}]}]}))
+    code, out, err = run(capsys, "gap", paths["lrr"], str(bad), "--notion", "efce")
+    assert (code, out, err) == (1, "", "error: component 1 has negative weight\n")
+
+
 def test_gap_invalid_profile_exit_code(paths, capsys):
     bad = paths["tmp"] / "bad.profile.json"
     bad.write_text(json.dumps({"components": [{"alpha": "1", "strategies": [
@@ -339,6 +370,47 @@ def test_solve_rejects_negative_epsilon(paths, capsys):
     assert "epsilon must be >= 0" in err
 
 
+def test_solve_refuses_a_player_above_the_profile_cap(paths, capsys, plan_chain_text,
+                                                       strategy_guard):
+    chain = paths["tmp"] / "chain.game.json"
+    chain.write_text(plan_chain_text)
+    code, out, err = run(capsys, "solve", str(chain), "--notion", "efce")
+    assert (code, out, err) == (2, "", "refused: game has more than 50000 pure profiles; "
+                                       "raise the cap to solve it anyway\n")
+    assert strategy_guard == [0]
+
+
+def _chance_chain(depth):
+    """A one-player game document whose root is ``depth`` chance nodes in a
+    chain, built as text, since ``json.dumps`` recurses as deep as it."""
+    head = "".join(f'{{"kind": "chance", "actions": [{{"label": "c{k}", "prob": "1", '
+                   f'"child": ' for k in range(depth))
+    return ('{"players": ["A"], "root": ' + head
+            + '{"kind": "terminal", "payoffs": ["0"]}' + "}]}" * depth + "}")
+
+
+def test_validate_deep_chains(paths, capsys):
+    # 2,000 levels are too deep on every supported Python: json.loads gives
+    # up on 3.10 and 3.11 (from about 330 levels, fewer the deeper the
+    # caller's stack), the recursive node parse on 3.12 and 3.13; either way
+    # it is a parse error, not a traceback. 300 levels still read.
+    game = paths["tmp"] / "deep.game.json"
+    game.write_text(_chance_chain(300))
+    code, out, err = run(capsys, "validate", str(game))
+    assert (code, err) == (0, "") and json.loads(out)["ok"]
+    game.write_text(_chance_chain(2000))
+    assert run(capsys, "validate", str(game)) == (
+        3, "", "error: document is nested too deeply to read\n")
+
+
+def test_gap_deep_profile_is_a_parse_error(paths, capsys):
+    # nested far beyond every supported Python's json.loads limit
+    profile = paths["tmp"] / "deep.profile.json"
+    profile.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "gap", paths["lrr"], str(profile), "--notion", "efce")
+    assert (code, out, err) == (3, "", "error: document is nested too deeply to read\n")
+
+
 def test_internal_check_failure_exit_code(paths, capsys, monkeypatch):
     # a failed self-check is a bug, told apart from refusals (exit 2)
     from gametree import cli
@@ -347,7 +419,7 @@ def test_internal_check_failure_exit_code(paths, capsys, monkeypatch):
     def broken(*_args, **_kwargs):
         raise InternalCheckError("stub self-check failed")
 
-    monkeypatch.setattr(cli, "_solve_program", broken)
+    monkeypatch.setattr(cli, "_solve", broken)
     code, out, err = run(capsys, "solve", paths["lrr"], "--notion", "efce")
     assert code == 4
     assert out == ""
@@ -435,6 +507,12 @@ def test_cbr_unknown_player_or_infoset_prints_the_message(paths, capsys, player,
     code, out, err = run(capsys, "cbr", paths["ebos"], paths["ebos.profile"],
                          "--player", player, "--sequence", sequence)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cbr_unknown_action_prints_the_message(paths, capsys):
+    code, out, err = run(capsys, "cbr", paths["lrr"], paths["lrr.behavior"],
+                         "--player", "P1", "--sequence", "B:nope")
+    assert (code, out, err) == (1, "", "error: infoset 'B' has no action 'nope'\n")
 
 
 def test_stdout_is_byte_identical_across_runs(paths, capsys):

@@ -7,7 +7,8 @@ import pytest
 from gametree import (InternalCheckError, LinearProgram, ResourceGuardError,
                       compute_bce, compute_efce, deviation_tables, enumerate_pure,
                       equilibrium, fixtures, gap, is_causal, lp_solve, optimal_bce,
-                      optimal_efce, outcome_equivalent, profile_support, pure_utility)
+                      optimal_efce, outcome_equivalent, parse_game, profile_support,
+                      pure_utility)
 from gametree.metrics import _play_from, expected_utility
 from gametree.randgen import random_game, random_mixture, random_objective
 from gametree.strategy import PureProfile, PureStrategy, pure_terminal_reach
@@ -164,6 +165,15 @@ def test_optimal_value_dominates_sampled_equilibria(lrr, ebos):
 def test_profile_cap_refusal(ebos):
     with pytest.raises(ResourceGuardError):
         compute_efce(ebos, profile_cap=5)
+
+
+def test_profile_cap_refuses_before_enumerating(plan_chain_text, strategy_guard):
+    # one player alone exceeds the cap: the action counts refuse the game
+    # before a single plan is built
+    game = parse_game(plan_chain_text)
+    with pytest.raises(ResourceGuardError, match="more than 50000 pure profiles"):
+        compute_efce(game)
+    assert strategy_guard == [0]
 
 
 def test_random_games_solve_and_verify():

@@ -18,6 +18,11 @@ def test_simple_bounded_max():
     assert (r.status, r.x, r.value) == ("optimal", (F(1, 3),), F(1, 3))
 
 
+def test_add_refuses_an_unknown_relation():
+    with pytest.raises(ValueError, match="relation must be one of"):
+        LinearProgram(1).add({0: 1}, "<", 1)
+
+
 def test_infeasible_region():
     lp = LinearProgram(num_vars=1)
     lp.add({0: F(1)}, LE, F(0))

@@ -419,6 +419,11 @@ def test_conditional_node_utility_surj(surj, surj_pi):
     assert conditional_node_utility(surj, surj_pi, 1, ("Coop", "P")) == 1
 
 
+def test_conditional_node_utility_unknown_action(surj, surj_pi):
+    with pytest.raises(KeyError, match="no action 'nope' at node \\."):
+        conditional_node_utility(surj, surj_pi, 0, ["nope"])
+
+
 def test_gap_state_cap_env_override(surj, surj_pi, monkeypatch):
     monkeypatch.setenv("GT_STATE_CAP", "2")
     with pytest.raises(ResourceGuardError):
