@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import sys
 import time
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .jsonout import dumps
 from .metrics import NOTIONS, ProfileReach, expected_utility, gap, outcome_distribution
 from .oracles import DEFAULT_TABLE_CAP, brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
-from .strategy import _rat, parse_profile, serialize_profile
+from .strategy import _rat, _read_profile, parse_profile, serialize_profile
 
 EXIT_OK, EXIT_SEMANTIC, EXIT_RESOURCE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -106,13 +105,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read(path: str, hashes: Optional[dict] = None) -> str:
     """The UTF-8 text of the document at ``path``, from one read of its
     bytes, decoded and with newlines translated exactly as ``open(path,
-    encoding="utf-8").read()`` would. With ``hashes``, the sha256 of the
-    bytes is filed there under ``path``."""
+    encoding="utf-8").read()`` would: ``\r\n`` and a lone ``\r`` become
+    ``\n``, a byte-order mark is kept and invalid UTF-8 raises the same
+    :class:`UnicodeDecodeError`. With ``hashes``, the sha256 of the bytes is
+    filed there under ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if hashes is not None:
         hashes[path] = hashlib.sha256(data).hexdigest()
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _parse_objective(game: Game, text: str) -> dict[str, Fraction]:
@@ -196,14 +200,14 @@ def cmd_info(args) -> int:
 
 def cmd_outcome(args) -> int:
     game = parse_game(_read(args.game))
-    pi = parse_profile(game, _read(args.profile))
+    pi = _read_profile(game, _read(args.profile))  # validated by its reach
     _emit(outcome_distribution(game, pi).to_json_dict())
     return EXIT_OK
 
 
 def cmd_gap(args) -> int:
     game = parse_game(_read(args.game))
-    pi = parse_profile(game, _read(args.profile))
+    pi = _read_profile(game, _read(args.profile))  # validated by the oracle or reach
     if args.oracle:
         report = brute_force_gap(game, pi, args.notion, table_cap=args.table_cap)
     else:
@@ -216,7 +220,7 @@ def cmd_gap(args) -> int:
 
 def cmd_convert(args) -> int:
     game = parse_game(_read(args.game))
-    pi = parse_profile(game, _read(args.profile), behavior_mode="decompose")
+    pi = _read_profile(game, _read(args.profile), "decompose")  # validated by its reach
     reach = ProfileReach(game, pi)
     report = gap(game, pi, "efce", reach=reach)
     reach_out, gap_out = _checked_rewrite(reach, report)
@@ -236,10 +240,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_cbr(args) -> int:
     game = parse_game(_read(args.game))
-    pi = parse_profile(game, _read(args.profile))
+    pi = _read_profile(game, _read(args.profile))
+    reach = ProfileReach(game, pi)  # validates pi before the arguments are read
     player = _player_arg(game, args.player)
     seq = _sequence_arg(game, player, args.sequence)
-    reach = ProfileReach(game, pi)
     strategy, value = counterfactual_best_response(game, pi, player, seq, reach)
     # a zero-mass event falls back to the unconditional law, of mass 1
     mass = reach.event_mass(player, seq) or 1

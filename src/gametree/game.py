@@ -158,8 +158,9 @@ class Infoset:
         self.chain = chain
         self.subtree = []
         self.terminals_below = []  # (terminal index, offset into own_pairs[player])
-        self.seqs = tuple(Sequence(player, id_, a) for a in actions)
-        self.after = tuple(([], []) for _ in actions)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        self.seqs = tuple([tuple.__new__(Sequence, (player, id_, a)) for a in actions])
+        self.after = tuple([([], []) for _ in actions])
 
     def __repr__(self):  # pragma: no cover
         return f"Infoset(P{self.player}, {self.id!r}, actions={list(self.actions)})"
@@ -238,10 +239,10 @@ class Game:
                 terminals.append(node)
                 continue
             moves = node.moves
-            labels = [m[0] for m in moves]
+            labels = tuple([m[0] for m in moves])
             if not labels:
                 self._violate("tree-shape", path, "node has no actions")
-            if len(set(labels)) != len(labels):
+            if len(labels) > 1 and len(set(labels)) != len(labels):
                 self._violate("tree-shape", path, "duplicate action labels at one node")
             if kind == "chance":
                 self.num_chance_nodes += 1
@@ -259,7 +260,6 @@ class Game:
             # decision node
             node.order = count  # preorder rank: stack pops in preorder
             i = node.player
-            labels = tuple(labels)
             iset = by_key.get((i, node.infoset_id))
             if iset is None:
                 iset = self._add_infoset(i, node.infoset_id, labels, pairs[i],
@@ -309,7 +309,8 @@ class Game:
 
     def _ids(self, i: int, chain: tuple) -> tuple:
         """An own chain of player ``i`` with infoset ids in place of indices."""
-        return tuple((self.infosets[i][j].id, a) for j, a in chain)
+        isets = self.infosets[i]
+        return tuple([(isets[j].id, a) for j, a in chain])
 
     # -- validation -----------------------------------------------------
 

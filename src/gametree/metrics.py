@@ -363,20 +363,37 @@ def gap(game: Game, pi: MixtureOfProducts, notion: str,
     (infoset, recommendation history) state once, so ``state_cap`` bounds
     distinct states, the same count for either notion; beyond it they refuse
     (raising :class:`ResourceGuardError`) rather than truncate. The cap
-    defaults to the GT_STATE_CAP environment variable or 1e6.
+    defaults to the GT_STATE_CAP environment variable or 1,000,000, and is read
+    for these two notions only; a cap that is not a non-negative integer
+    raises :class:`ValueError`.
     """
     reach = ProfileReach.of(game, pi, reach)  # validates a new reach's profile
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}; choose from {NOTIONS}")
-    if state_cap is None:
-        state_cap = int(os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP))
     if notion == "efce":
         return _gap_efce(reach)
     if notion == "nfcce":
         return _gap_nfcce(reach)
     if notion == "bce":
-        return _gap_bce(reach, state_cap)
-    return _gap_full_efce(reach, state_cap)
+        return _gap_bce(reach, _state_cap(state_cap))
+    return _gap_full_efce(reach, _state_cap(state_cap))
+
+
+def _state_cap(state_cap: Optional[int]) -> int:
+    """``state_cap``, or when None the GT_STATE_CAP environment variable,
+    else :data:`DEFAULT_STATE_CAP`; raises :class:`ValueError` unless the
+    cap is a non-negative integer."""
+    value = state_cap
+    if state_cap is None:
+        value = os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP)
+        try:
+            state_cap = int(value)
+        except ValueError:
+            state_cap = -1
+    if state_cap < 0:
+        raise ValueError(f"the state cap ({STATE_CAP_ENV} or state_cap=) must be a "
+                         f"non-negative integer, got {value!r}")
+    return state_cap
 
 
 def _payoff_units(reach: ProfileReach, i: int) -> list[list[int]]:

@@ -34,19 +34,20 @@ def parse_rational(value) -> Fraction:
     Rejects floats, decimal notation, and non-positive denominators: the
     serialized form must be unambiguous and exact.
     """
-    if isinstance(value, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if not isinstance(value, str):
-        raise ValueError(f"expected rational string, got {type(value).__name__}")
+    if type(value) is not str:  # documents hold strings: test for them first
+        if isinstance(value, bool):
+            raise ValueError("booleans are not rationals")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, Fraction):
+            return value
+        if not isinstance(value, str):
+            raise ValueError(f"expected rational string, got {type(value).__name__}")
     m = _RATIONAL_RE.match(value.strip())
     if not m:
         raise ValueError(f"malformed rational {value!r} (expected 'p' or 'p/q' with q > 0)")
-    num, den = m.group(1), m.group(2)
-    return Fraction(int(num), int(den) if den else 1)
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def rational_reader():

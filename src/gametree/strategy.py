@@ -440,6 +440,16 @@ def parse_profile(game: Game, text: str,
     distribution, "decompose" applies the small-support decomposition, which
     preserves outcomes and the causal gap but not counterfactual gaps.
     """
+    return _read_profile(game, text, behavior_mode, validate=True)
+
+
+def _read_profile(game: Game, text: str, behavior_mode: str = "expand",
+                  validate: bool = False) -> MixtureOfProducts:
+    """:func:`parse_profile`, except that a mixture-schema document is
+    validated only with ``validate``: a caller that builds the profile's
+    :class:`gametree.metrics.ProfileReach`, or hands it to the oracle,
+    validates it there. A behavior document's mixture is valid as built
+    either way."""
     game.require_valid()
     if behavior_mode not in ("expand", "decompose"):
         raise ValueError("behavior_mode must be 'expand' or 'decompose'")
@@ -470,7 +480,8 @@ def parse_profile(game: Game, text: str,
                                     for i, spec in enumerate(per_player)])))
     if key == "strategies":
         pi = MixtureOfProducts(tuple(MixtureComponent(*item) for item in items))
-        pi.validate(game)
+        if validate:
+            pi.validate(game)
         return pi
     if behavior_mode == "decompose":
         return mixture_from_behavior_products(game, items)

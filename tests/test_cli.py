@@ -5,6 +5,7 @@ import pytest
 
 from gametree import fixtures, gap, parse_profile, serialize_game, serialize_profile
 from gametree.cli import main
+from gametree.metrics import NOTIONS
 from gametree.randgen import random_game, random_objective
 from gametree.rational import format_rational
 
@@ -702,12 +703,12 @@ def test_missing_input_files_are_errors_not_crashes(paths, capsys):
 
 
 def test_validations_per_op(paths, capsys, monkeypatch):
-    # a mixture is validated where a mixture document is parsed and where its
-    # reach is built, and nowhere else; a behavior document's mixture is
-    # valid as built, from behavior strategies validated once each. gap 2
-    # (parse, reach), or 1 for a behavior document (reach); convert 3
-    # (parse, input reach, output reach), or 1 for lrr's behavior document
-    # (input reach; the rewrite changes nothing); solve 1 per LP round (its
+    # a mixture is validated where its reach is built, and nowhere else: not
+    # where a mixture document is parsed, and a behavior document's mixture
+    # is valid as built, from behavior strategies validated once each. gap 1
+    # (reach), for either schema; convert 2 (input reach, output reach), or 1
+    # for lrr's behavior document (input reach; the rewrite changes
+    # nothing); solve 1 per LP round (its
     # reach), and for bce 1 more for the rewritten profile's reach, if the
     # rewrite changed it
     from gametree import equilibrium, metrics, strategy
@@ -737,12 +738,12 @@ def test_validations_per_op(paths, capsys, monkeypatch):
     monkeypatch.setattr(metrics.ProfileReach, "__init__", building)
     monkeypatch.setattr(equilibrium, "lp_solve", solving)
     # (argv, mixture validations, behavior strategies in the document)
-    ops = [(("gap", paths["ebos"], paths["ebos.profile"], "--notion", notion), 2, 0)
+    ops = [(("gap", paths["ebos"], paths["ebos.profile"], "--notion", notion), 1, 0)
            for notion in ("efce", "bce", "full-efce", "nfcce")]
     ops += [(("gap", paths["lrr"], paths["lrr.behavior"], "--notion", "bce"), 1, 1),
             (("convert", paths["lrr"], paths["lrr.behavior"]), 1, 1),
-            (("convert", paths["ebos"], paths["ebos.profile"]), 3, 0),
-            (("convert", paths["surj"], paths["surj.profile"]), 3, 0)]
+            (("convert", paths["ebos"], paths["ebos.profile"]), 2, 0),
+            (("convert", paths["surj"], paths["surj.profile"]), 2, 0)]
     for argv, want, strategies in ops:
         validated.clear(), behaviors.clear()
         assert run(capsys, *argv)[0] == 0
@@ -794,3 +795,67 @@ def test_solve_reads_each_document_as_text_once(paths, capsys, encoding):
     err = re.sub(r'"wall_time_s": [0-9.e-]+', '"wall_time_s": 0', err)
     blob = json.dumps([code, out, err.replace(str(tmp), "<tmp>")]).encode()
     assert hashlib.sha256(blob).hexdigest() == SOLVE_ENCODINGS[encoding]
+
+
+@pytest.mark.parametrize("data", [
+    b'{"a": 1}\r\n{"b": 2}\r\n', b'{"a":\r1}\r', b'\r\r\n\n\r\n\r', b'\xef\xbb\xbf{}\n',
+    b'{"a": "\xff"}', b'{"\xc3', b'\xe2\x82\xac\r\n\xe2\x82', b''])
+def test_read_decodes_as_open_does(tmp_path, data):
+    # CRLF, a lone CR, a BOM, invalid and truncated UTF-8, an empty file:
+    # the same text as open(path, encoding="utf-8").read(), or the same error
+    from gametree.cli import _read
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return read()
+        except UnicodeDecodeError as e:
+            return type(e), str(e)
+
+    def read_text():
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+    assert outcome(lambda: _read(str(path))) == outcome(read_text)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("alpha", "component weights sum to 2/3, not 1"),
+    ("beta", "component 1, player P2: strategy weights sum to 1/2"),
+])
+def test_profile_weights_are_checked_by_every_profile_command(paths, capsys, defect, message):
+    # each command validates a mixture document once, where it consumes it,
+    # with the same error; cbr reports it before a bad --player
+    doc = json.loads(fixtures.fixture_text("ebos.profile.json"))
+    if defect == "alpha":
+        for c in doc["components"]:
+            c["alpha"] = "1/3"
+    else:
+        doc["components"][1]["strategies"][1][0]["beta"] = "1/2"
+    bad = paths["tmp"] / "bad.profile.json"
+    bad.write_text(json.dumps(doc))
+    commands = [("gap", "--notion", notion) for notion in NOTIONS]
+    commands += [("gap", "--oracle", "--notion", notion) for notion in NOTIONS]
+    commands += [("outcome",), ("decompose",), ("convert",),
+                 ("cbr", "--player", "P1", "--sequence", "empty"),
+                 ("cbr", "--player", "nobody", "--sequence", "nope")]
+    for command, *rest in commands:
+        assert run(capsys, command, paths["ebos"], str(bad), *rest) == \
+            (1, "", f"error: {message}\n"), command
+
+
+@pytest.mark.parametrize("cap", ["1e6", "-5", "many"])
+def test_state_cap_is_read_by_the_history_notions_only(paths, capsys, monkeypatch, cap):
+    # efce and nfcce never use the cap, so a bad GT_STATE_CAP does not stop
+    # them; bce and full-efce refuse it by name
+    monkeypatch.setenv("GT_STATE_CAP", cap)
+    game, profile = paths["ebos"], paths["ebos.profile"]
+    for notion in ("efce", "nfcce"):
+        assert run(capsys, "gap", game, profile, "--notion", notion)[0] == 0
+    assert run(capsys, "solve", game, "--notion", "efce")[0] == 0
+    message = (f"error: the state cap (GT_STATE_CAP or state_cap=) must be a "
+               f"non-negative integer, got {cap!r}\n")
+    for notion in ("bce", "full-efce"):
+        assert run(capsys, "gap", game, profile, "--notion", notion) == (1, "", message)
+    assert run(capsys, "convert", game, profile) == (1, "", message)

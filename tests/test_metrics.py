@@ -432,6 +432,19 @@ def test_gap_state_cap_env_override(surj, surj_pi, monkeypatch):
     assert gap(surj, surj_pi, "bce").overall == 0
 
 
+def test_gap_state_cap_must_be_a_nonnegative_integer(surj, surj_pi, monkeypatch):
+    # a negative state_cap= is refused as a bad GT_STATE_CAP is (see
+    # tests/test_cli.py); a given cap leaves the variable unread, and the
+    # notions without history states read neither
+    monkeypatch.setenv("GT_STATE_CAP", "1e6")
+    for notion in ("bce", "full-efce"):
+        with pytest.raises(ValueError, match="GT_STATE_CAP or state_cap=.*got -1"):
+            gap(surj, surj_pi, notion, state_cap=-1)
+        assert gap(surj, surj_pi, notion, state_cap=100_000).overall == 0
+    for notion in ("efce", "nfcce"):
+        assert gap(surj, surj_pi, notion, state_cap=-1).notion == notion
+
+
 # -- the factorized profile reach against support expansion --------------------
 
 

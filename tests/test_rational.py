@@ -25,6 +25,30 @@ def test_parse_rejects_junk(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "booleans are not rationals"),
+    (1.5, "expected rational string, got float"),
+    (None, "expected rational string, got NoneType"),
+    ("1.5", "malformed rational '1.5' (expected 'p' or 'p/q' with q > 0)"),
+    ("3/0", "malformed rational '3/0' (expected 'p' or 'p/q' with q > 0)"),
+])
+def test_parse_rejection_messages(value, message):
+    with pytest.raises(ValueError) as e:
+        parse_rational(value)
+    assert str(e.value) == message
+
+
+def test_parse_accepts_padding_str_subclasses_and_fractions():
+    class Text(str):
+        pass
+
+    assert parse_rational(" 3/4 ") == Fraction(3, 4)
+    assert parse_rational(Text("-6/4")) == Fraction(-3, 2)
+    q = Fraction(2, 3)
+    assert parse_rational(q) is q
+    assert type(parse_rational("12")) is Fraction and parse_rational("12") == 12
+
+
 def test_format_round_trips():
     rng = random.Random(3)
     for _ in range(200):
