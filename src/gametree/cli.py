@@ -119,21 +119,18 @@ def _read(path: str, hashes: Optional[dict] = None) -> str:
     return text
 
 
-def _parse_objective(game: Game, text: str) -> dict[str, Fraction]:
+def _parse_objective(text: str) -> dict[str, Fraction]:
     """The ``{"c": {terminal id: "p/q"}}`` document ``text``. A schema
-    defect raises :class:`ProfileParseError` with its path in the document,
-    a terminal id the game lacks :class:`KeyError`; a missing ``"c"`` is the
-    zero objective."""
+    defect raises :class:`ProfileParseError` with its path in the document;
+    a missing ``"c"`` is the zero objective. Terminal ids are checked
+    against the game by the solver."""
     doc = _decode_json(text, ProfileParseError)
     if not isinstance(doc, dict):
         raise ProfileParseError("objective must be an object with a \"c\" object")
     c = doc.get("c", {})
     if not isinstance(c, dict):
         raise ProfileParseError("must map terminal ids to rationals", "c")
-    objective = {zid: _rat(parse_rational, value, f"c/{zid}") for zid, value in c.items()}
-    for zid in objective:
-        game.terminal(zid)  # unknown terminals are semantic errors
-    return objective
+    return {zid: _rat(parse_rational, value, f"c/{zid}") for zid, value in c.items()}
 
 
 def _emit(doc):
@@ -262,7 +259,7 @@ def cmd_solve(args) -> int:
     game = parse_game(_read(args.game, hashes))
     objective = None
     if args.objective:
-        objective = _parse_objective(game, _read(args.objective, hashes))
+        objective = _parse_objective(_read(args.objective, hashes))
     pi, value, measured, reach = _solve(game, args.notion, parse_rational(args.epsilon),
                                         objective)
     _write(serialize_profile(game, pi), args)

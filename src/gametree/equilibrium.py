@@ -3,16 +3,17 @@
 The causal-gap program puts one variable on every pure profile. Its
 incentive rows are generated, not enumerated: the efce gap dynamic program
 is the separation oracle. Each round solves the program over the rows found
-so far, measures the solution's causal gap, and stops once the gap is at
-most ``epsilon``; otherwise it adds the gap's witness as one row, whose
-coefficient at profile x is the deviator's utility swing when the witness
-rewrites x's own plan. A witness may fire several incomparable triggers at
-once, so its row bounds their combined swing, which is what the causal gap
-measures. Each added row cuts off the current solution and the causal class
-is finite, so the loop ends; its exit test is the re-verification of the
-returned profile. This is the exact separation scheme of Huang and von
-Stengel (2008) in the exact form of Jiang and Leyton-Brown (2015), over the
-enumerated pure profiles.
+so far (the first, with the sum row alone, in closed form: the first pure
+profile of largest objective cost), measures the solution's causal gap,
+and stops once the gap is at most ``epsilon``; otherwise it adds the gap's
+witness as one row, whose coefficient at profile x is the deviator's
+utility swing when the witness rewrites x's own plan. A witness may fire
+several incomparable triggers at once, so its row bounds their combined
+swing, which is what the causal gap measures. Each added row cuts off the
+current solution and the causal class is finite, so the loop ends; its
+exit test is the re-verification of the returned profile. This is the
+exact separation scheme of Huang and von Stengel (2008) in the exact form
+of Jiang and Leyton-Brown (2015), over the enumerated pure profiles.
 
 The program is built on ints. Each pure profile is walked once, every
 chance move followed, to the terminals it reaches; player ``i``'s utility
@@ -134,29 +135,48 @@ def _solve_program(game: Game, epsilon: Fraction,
     table = _payoff_table(game, rows)
     lp = LinearProgram(num_vars=len(table))
     lp.add({j: 1 for j in range(len(table))}, EQ, ONE)
+    costs = [0] * len(table)
     if objective is not None:
-        lp.objective = {j: v[-1] for j, v in enumerate(table) if v[-1] != 0}
+        costs = [v[-1] for v in table]
+        lp.objective = {j: c for j, c in enumerate(costs) if c != 0}
+    x, value = _first_vertex(costs)
     while True:
-        result = lp_solve(lp)
-        if result.status != "optimal":
-            raise InternalCheckError(
-                f"the incentive program reported {result.status}, which cannot "
-                f"happen for epsilon >= 0; this is a bug")
-        entries = [(x, _profile(strategies, j)) for j, x in enumerate(result.x) if x != 0]
+        entries = [(w, _profile(strategies, j)) for j, w in enumerate(x) if w != 0]
         mixture = pure_mixture(game, entries)
         reach = ProfileReach(game, mixture)
         report = gap(game, mixture, "efce", reach=reach)
         if report.overall <= epsilon:
-            return reach, report, result.value / obj_scale
+            return reach, report, Fraction(value, obj_scale)
         i = report.witness.player
         scale = game.payoff_rows[i][0]
         row = _witness_row(game, report.witness, strategies, table)
-        swing = sum((result.x[j] * c for j, c in row.items() if result.x[j]), ZERO)
+        swing = sum((x[j] * c for j, c in row.items() if x[j]), ZERO)
         if swing <= epsilon * scale:
             raise InternalCheckError(
                 f"the witness of causal gap {format_rational(report.overall)} "
                 f"swings the solution by only {format_rational(swing / scale)}")
         lp.add(row, LE, epsilon * scale)
+        result = lp_solve(lp)
+        if result.status != "optimal":
+            raise InternalCheckError(
+                f"the incentive program reported {result.status}, which cannot "
+                f"happen for epsilon >= 0; this is a bug")
+        x, value = result.x, result.value
+
+
+def _first_vertex(costs: list[int]) -> tuple[list[Fraction], int]:
+    """``(x, value)`` that :func:`lp_solve` returns for max ``costs . x``
+    under the sum row ``sum x == 1`` alone, taken without solving: weight 1
+    on the first column of largest cost, and that cost.
+
+    With the sum row alone, phase 1 pivots the artificial out on column 0,
+    and Bland's rule then enters the first column whose cost beats the
+    current one, so indices and costs rise until the first column of
+    largest cost."""
+    value = max(costs)
+    x = [ZERO] * len(costs)
+    x[costs.index(value)] = ONE
+    return x, value
 
 
 def _profile(strategies: list[list[PureStrategy]], j: int) -> PureProfile:
@@ -209,7 +229,13 @@ def _solve(game: Game, notion: str, epsilon: Fraction,
     profile's gap in ``notion`` ("efce" or "bce") as measured, and the reach
     measured with. A bce profile is the exact causal one rewritten by
     :func:`gametree.convert._checked_rewrite`, which keeps the outcomes and
-    so the value; a nonzero ``epsilon`` with "bce" raises ValueError."""
+    so the value. A terminal id ``objective`` names that the game lacks
+    raises KeyError, and a nonzero ``epsilon`` with "bce" ValueError."""
+    if objective is not None:
+        known = {z.terminal_id for z in game.terminals}
+        for zid in objective:
+            if zid not in known:
+                game.terminal(zid)  # raises the KeyError that names it
     if notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
                          "the bce programs are exact")

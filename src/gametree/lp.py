@@ -22,9 +22,12 @@ or the rows that do are all scaled alike: phase 1 sums the artificials.
 Scaling the objective scales every reduced cost alike and the value with
 it.
 
-Coefficients may be ints or Fractions. The solution is read off the final
-tableau as ints over one denominator (the shifts of lower bounds folded
-in), certified on those ints, and built as Fractions once.
+Every number in a program (coefficient, right-hand side, objective entry,
+bound) must be an int or a Fraction; a float raises TypeError before any
+pivot, as its binary value is not the number it was written as. The
+solution is read off the final tableau as ints over one denominator (the
+shifts of lower bounds folded in), certified on those ints, and built as
+Fractions once.
 
 Every returned optimum is certified against the original program, not the
 tableau, before it leaves this module. Primal: every constraint and bound
@@ -57,6 +60,13 @@ ONE = Fraction(1)
 LE, EQ, GE = "<=", "==", ">="
 
 
+def _exact(value, what: str):
+    """TypeError naming ``what`` unless ``value`` is an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, "
+                        f"got {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: dict[int, Fraction]
@@ -68,9 +78,11 @@ class Constraint:
 class LinearProgram:
     """max (or min) c.x subject to rational rows and per-variable bounds.
 
-    Objective and row coefficients may be ints or Fractions; right-hand
-    sides are kept as Fractions. ``bounds[j]`` is (lo, hi) with None for
-    unbounded; variables default to lo = 0, hi = +inf.
+    Coefficients, right-hand sides, objective entries and bounds must be
+    ints or Fractions, else TypeError (rows in :meth:`add`, the rest in
+    :func:`lp_solve`); right-hand sides are kept as Fractions. ``bounds[j]``
+    is (lo, hi) with None for unbounded; variables default to lo = 0,
+    hi = +inf.
     """
 
     num_vars: int
@@ -82,6 +94,10 @@ class LinearProgram:
     def add(self, coeffs: dict[int, Fraction], rel: str, rhs: Fraction):
         if rel not in (LE, EQ, GE):
             raise ValueError(f"relation must be one of {LE!r}, {EQ!r}, {GE!r}")
+        r = len(self.constraints)
+        for j, c in coeffs.items():
+            _exact(c, f"row {r}: the coefficient of variable {j}")
+        _exact(rhs, f"row {r}: the right-hand side")
         self.constraints.append(Constraint(dict(coeffs), rel, Fraction(rhs)))
 
     def bound(self, j: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
@@ -99,6 +115,12 @@ class LPResult:
 
 def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve exactly; certificates are checked before returning an optimum."""
+    for j, c in lp.objective.items():
+        _exact(c, f"the objective entry of variable {j}")
+    for j, bound in enumerate(lp.bounds or ()):
+        for side, v in zip(("lower", "upper"), bound):
+            if v is not None:
+                _exact(v, f"the {side} bound of variable {j}")
     std = _Standardized(lp)
     tab = _Tableau(std)
     if not tab.phase_one():

@@ -615,10 +615,11 @@ def test_solve_reports_the_gap_of_its_profile(tmp_path, capsys):
 
 
 def test_solve_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch):
-    # each LP round's profile gets one reach, which its causal gap reads and,
+    # each round's profile gets one reach, which its causal gap reads and,
     # for the last round, the rewrite or the printed utilities; bce adds one
     # for the rewritten profile, if the rewrite changed it, which its bce gap
-    # and the utilities read
+    # and the utilities read. The first round's profile is taken without an
+    # LP solve, so there is one round more than LP solves
     from gametree import equilibrium, metrics
     built, solves = [], []
     init, lp_solve = metrics.ProfileReach.__init__, equilibrium.lp_solve
@@ -646,7 +647,7 @@ def test_solve_builds_one_reach_per_profile(tmp_path, capsys, monkeypatch):
             code, out, _ = run(capsys, "solve", str(path), "--notion", notion, *extra)
             assert code == 0
             printed = parse_profile(game, out)
-            rounds, rewritten = built[:len(solves)], built[len(solves):]
+            rounds, rewritten = built[:len(solves) + 1], built[len(solves) + 1:]
             assert len(set(rounds)) == len(rounds)
             if notion == "efce" or printed == rounds[-1]:
                 assert rewritten == [] and rounds[-1] == printed

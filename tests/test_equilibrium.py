@@ -263,3 +263,81 @@ def test_a_witness_outside_the_enumeration_is_an_internal_error(lrr):
     table = equilibrium._payoff_table(lrr, [row for _s, row in lrr.payoff_rows])
     with pytest.raises(InternalCheckError, match="outside the enumeration"):
         equilibrium._witness_row(lrr, Stray(), strategies, table)
+
+
+@pytest.mark.parametrize("solver", [optimal_efce, optimal_bce])
+def test_an_objective_naming_no_terminal_is_refused(lrr, solver):
+    # the first unknown id in the objective's order is named; no zero
+    # objective is optimized in its place
+    with pytest.raises(KeyError, match="no terminal 'nope'"):
+        solver(lrr, {"L": F(1), "nope": F(1), "zap": F(2)})
+    # checked before the rule that bce takes no epsilon
+    with pytest.raises(KeyError, match="no terminal 'zap'"):
+        equilibrium._solve(lrr, "bce", F(1, 4), {"zap": F(1)})
+
+
+def _solver_test_games():
+    """``(game, objective)`` for the games the solver tests draw: the
+    fixtures, the draws of this file's solver tests and the solver family of
+    ``tests/test_lp.py``, each with the objective its test draws (None where
+    it draws none)."""
+    cases = [(fixtures.load_game(name), None) for name in fixtures.GAMES]
+    rng = random.Random(97)
+    for _ in range(30):
+        game = random_game(rng, max_players=2, max_nodes=10, max_depth=3,
+                           max_pure_product=16, max_pure_per_player=4)
+        cases.append((game, random_objective(rng, game)))
+    rng = random.Random(3)
+    cases += [(random_game(rng, max_players=2, max_nodes=20, max_pure_product=64,
+                           max_pure_per_player=16), None) for _ in range(300)]
+    rng = random.Random(50)
+    for _ in range(10):
+        game = random_game(rng, max_nodes=16, max_pure_product=64)
+        cases.append((game, random_objective(rng, game)))
+    rng = random.Random(9)
+    games = [random_game(rng, max_players=3, max_nodes=20, max_pure_product=64,
+                         max_pure_per_player=16) for _ in range(32)]
+    cases += [(game, random_objective(rng, game)) for game in games for _ in range(2)]
+    return cases
+
+
+def _first_round(costs):
+    """What ``lp_solve`` returns for the first round's program: the sum row
+    alone, with ``costs`` as the objective, built as the solver builds it."""
+    lp = LinearProgram(num_vars=len(costs))
+    lp.add({j: 1 for j in range(len(costs))}, "==", F(1))
+    lp.objective = {j: c for j, c in enumerate(costs) if c != 0}
+    result = lp_solve(lp)
+    assert result.status == "optimal"
+    return result.x, result.value
+
+
+def test_the_first_candidate_is_the_vertex_lp_solve_returns():
+    # the closed-form first round equals lp_solve on the one-row program,
+    # x and value, with no objective, the drawn one, welfare, a constant
+    # (every cost tied), -1 everywhere (tied and negative) and distinct
+    # negative costs
+    kinds = set()
+    for game, drawn in _solver_test_games():
+        objectives = [drawn, u_objective(game),
+                      {z.terminal_id: F(3) for z in game.terminals},
+                      {z.terminal_id: F(-1) for z in game.terminals},
+                      {z.terminal_id: F(-1 - z.index, 1 + z.index % 3)
+                       for z in game.terminals}]
+        for objective in [None] + [c for c in objectives if c is not None]:
+            if objective is None:
+                costs = [0] * len(equilibrium._payoff_table(game, []))
+            else:
+                _scale, row = equilibrium._objective_row(game, objective)
+                costs = [v[0] for v in equilibrium._payoff_table(game, [row])]
+            x, value = equilibrium._first_vertex(costs)
+            assert (tuple(x), value) == _first_round(costs)
+            kinds.add("tied" if costs.count(value) > 1 else "unique")
+            kinds.add("negative" if value < 0 else "nonnegative")
+    rng = random.Random(21)
+    for _ in range(400):
+        lo = rng.choice((-5, -3))
+        costs = [rng.randint(lo, rng.choice((-1, 3))) for _ in range(rng.randint(1, 40))]
+        x, value = equilibrium._first_vertex(costs)
+        assert (tuple(x), value) == _first_round(costs)
+    assert kinds == {"tied", "unique", "negative", "nonnegative"}

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 from fractions import Fraction
 
@@ -378,7 +379,7 @@ def _solver_programs(monkeypatch):
     rng = random.Random(9)
     games = [fixtures.load_game(name) for name in ("ebos", "lrr", "surj")]
     games += [random_game(rng, max_players=3, max_nodes=20, max_pure_product=64,
-                          max_pure_per_player=16) for _ in range(24)]
+                          max_pure_per_player=16) for _ in range(32)]
     programs = []
     solve = equilibrium.lp_solve
 
@@ -564,3 +565,94 @@ def test_scaled_rows_and_objective_pivot_alike(monkeypatch):
         scaled_rows += any(a != b.coeffs for a, b in zip(
             (c.coeffs for c in scaled.constraints), lp.constraints))
     assert scaled_rows > 600
+
+
+# -- only exact numbers -------------------------------------------------------------
+
+
+def _no_pivot(monkeypatch):
+    def pivot(tab, r, j, z):
+        raise AssertionError("pivoted on a program holding a float")
+
+    monkeypatch.setattr(lpmod._Tableau, "_pivot", pivot)
+
+
+def test_a_float_coefficient_is_refused(monkeypatch):
+    _no_pivot(monkeypatch)
+    lp = LinearProgram(num_vars=2, objective={0: F(1)})
+    lp.add({0: F(1)}, LE, F(1))
+    with pytest.raises(TypeError, match=r"^row 1: the coefficient of variable 1 must "
+                                        r"be an int or a Fraction, got float 0\.5$"):
+        lp.add({0: 1, 1: 0.5}, LE, F(1))
+    assert len(lp.constraints) == 1
+
+
+def test_a_float_right_hand_side_is_refused(monkeypatch):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    _no_pivot(monkeypatch)
+    lp = LinearProgram(num_vars=1, objective={0: F(1)})
+    with pytest.raises(TypeError, match=r"^row 0: the right-hand side must be an int "
+                                        r"or a Fraction, got float 0\.1$"):
+        lp.add({0: 1}, LE, 0.1)
+    assert lp.constraints == []
+
+
+def test_a_float_objective_entry_is_refused(monkeypatch):
+    _no_pivot(monkeypatch)
+    lp = LinearProgram(num_vars=2, objective={0: F(1), 1: 2.5})
+    lp.add({0: 1, 1: 1}, LE, F(1))
+    with pytest.raises(TypeError, match=r"^the objective entry of variable 1 must be "
+                                        r"an int or a Fraction, got float 2\.5$"):
+        lp_solve(lp)
+
+
+@pytest.mark.parametrize("bounds,message", [
+    ([(F(0), None), (0.25, None)], "the lower bound of variable 1"),
+    ([(None, 1.5), (F(0), None)], "the upper bound of variable 0"),
+])
+def test_a_float_bound_is_refused(monkeypatch, bounds, message):
+    _no_pivot(monkeypatch)
+    lp = LinearProgram(num_vars=2, objective={0: F(1), 1: F(1)}, bounds=bounds)
+    lp.add({0: 1, 1: 1}, LE, F(3))
+    with pytest.raises(TypeError, match=f"^{message} must be an int or a Fraction, "
+                                        f"got float"):
+        lp_solve(lp)
+
+
+# -- the pivots, pinned ---------------------------------------------------------------
+
+# sha256 over every program's (row, column) pivots and final basis under
+# lp_solve, or the error it raised: the hand-built programs, the 600 seeded
+# random ones of the Fraction-tableau test and the solver family. A revision
+# of the simplex that keeps Bland's rule and the tableau's column order
+# keeps every pivot, so it must keep this digest.
+PIVOTS_DIGEST = "e9cc3173925068a1fd9d1c74e8c03241afb97b7000fc5d229549671fd58f453c"
+
+
+def test_the_pivots_are_pinned(monkeypatch):
+    rng = random.Random(2024)
+    programs = _hand_built_programs() + [_random_program(rng) for _ in range(600)]
+    programs += _solver_programs(monkeypatch)
+    init, pivot = lpmod._Tableau.__init__, lpmod._Tableau._pivot
+    tableaus, pivots = [], []
+
+    def building(tab, std):
+        tableaus.append(tab)
+        init(tab, std)
+
+    def pivoting(tab, r, j, z):
+        pivots.append((r, j))
+        pivot(tab, r, j, z)
+
+    monkeypatch.setattr(lpmod._Tableau, "__init__", building)
+    monkeypatch.setattr(lpmod._Tableau, "_pivot", pivoting)
+    h = hashlib.sha256()
+    for lp in programs:
+        tableaus.clear(), pivots.clear()
+        try:
+            outcome = lp_solve(lp).status
+        except InternalCheckError:
+            outcome = "InternalCheckError"
+        [tab] = tableaus
+        h.update(repr((outcome, pivots, tab.basis)).encode("ascii"))
+    assert h.hexdigest() == PIVOTS_DIGEST
