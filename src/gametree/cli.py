@@ -217,9 +217,8 @@ def cmd_gap(args) -> int:
 
 def cmd_convert(args) -> int:
     game = parse_game(_read(args.game))
-    pi = _read_profile(game, _read(args.profile), "decompose")  # validated by its reach
-    reach = ProfileReach(game, pi)
-    report = gap(game, pi, "efce", reach=reach)
+    reach = ProfileReach(game, _read_profile(game, _read(args.profile), "decompose"))
+    report = gap(game, reach, "efce")
     reach_out, gap_out = _checked_rewrite(reach, report)
     _write(serialize_profile(game, reach_out.pi), args)
     print(f"efce gap in:  {format_rational(report.overall)}\n"
@@ -241,7 +240,7 @@ def cmd_cbr(args) -> int:
     reach = ProfileReach(game, pi)  # validates pi before the arguments are read
     player = _player_arg(game, args.player)
     seq = _sequence_arg(game, player, args.sequence)
-    strategy, value = counterfactual_best_response(game, pi, player, seq, reach)
+    strategy, value = counterfactual_best_response(game, reach, player, seq)
     # a zero-mass event falls back to the unconditional law, of mass 1
     mass = reach.event_mass(player, seq) or 1
     _emit({"player": game.players[player], "sequence": seq.label(),
@@ -260,16 +259,16 @@ def cmd_solve(args) -> int:
     objective = None
     if args.objective:
         objective = _parse_objective(_read(args.objective, hashes))
-    pi, value, measured, reach = _solve(game, args.notion, parse_rational(args.epsilon),
-                                        objective)
-    _write(serialize_profile(game, pi), args)
+    reach, value, measured = _solve(game, args.notion, parse_rational(args.epsilon),
+                                    objective)
+    _write(serialize_profile(game, reach.pi), args)
     report = {
         "command": "solve",
         "inputs": {"game": {"path": args.game, "sha256": hashes[args.game]}},
         "outputs": {"notion": args.notion,
                     "gap": format_rational(measured),
                     "expected_utility": [
-                        format_rational(expected_utility(game, pi, i, reach))
+                        format_rational(expected_utility(game, reach, i))
                         for i in range(game.n)]},
         "wall_time_s": round(time.time() - started, 3),
         "version": __version__,

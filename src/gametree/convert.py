@@ -24,9 +24,8 @@ from .rational import format_rational
 from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy
 
 
-def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
-                                 player: Union[int, str], seq: Sequence,
-                                 reach: Optional[ProfileReach] = None
+def counterfactual_best_response(game: Game, pi: Union[MixtureOfProducts, ProfileReach],
+                                 player: Union[int, str], seq: Sequence
                                  ) -> tuple[PureStrategy, Fraction]:
     """The pure plan maximizing conditional utility at ``seq``'s infoset,
     given that the recommendation plays to ``seq``.
@@ -37,15 +36,11 @@ def counterfactual_best_response(game: Game, pi: MixtureOfProducts,
     Zero-mass conditioning falls back to the unconditional law (such
     sequences are never deviation points of support strategies, so the
     choice cannot affect :func:`efce_to_bce`).
-
-    ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
-    pi)``; one built from another game or profile raises
-    :class:`ValueError`.
     """
     i = game.player_index(player)
     if seq.player != i:
         raise ValueError(f"sequence {seq.label()} is not player {game.players[i]}'s")
-    reach = ProfileReach.of(game, pi, reach)
+    reach = ProfileReach.of(game, pi)
     at = None if seq.is_empty else game.infoset(i, seq.infoset)
     value, strategy = _cbr(reach, _payoff_units(reach, i), seq, at)
     value = Fraction(value, reach.value_scale(i))
@@ -75,9 +70,7 @@ def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
     raise ValueError(f"strategy reaches infoset {infoset_id!r}; no deviation point")
 
 
-def efce_to_bce(game: Game, pi: MixtureOfProducts,
-                reach: Optional[ProfileReach] = None,
-                responses: Optional[dict[Sequence, PureStrategy]] = None
+def efce_to_bce(game: Game, pi: Union[MixtureOfProducts, ProfileReach]
                 ) -> MixtureOfProducts:
     """Rewrite off-path recommendations with counterfactual best responses.
 
@@ -86,19 +79,18 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
     response's, so the output is valid. It is outcome-equivalent to the
     input, and its worst-case counterfactual (history-seeing) gap is at most
     the input's causal gap: :func:`_checked_rewrite` checks both facts.
-
-    ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
-    pi)``; one built from another game or profile raises
-    :class:`ValueError`. Each deviation point's response is weighted over
-    the terminals below its infoset only.
-
-    ``responses``, when given, must be the ``_responses`` of the efce
-    :func:`gap` report measured on this reach: the efce walk has already
-    found the response of every positive-mass deviation point, so only
-    zero-mass points are computed here.
+    Each deviation point's response is weighted over the terminals below
+    its infoset only.
     """
-    reach = ProfileReach.of(game, pi, reach)  # validates a new reach's profile
-    known = responses or {}
+    return _rewrite(ProfileReach.of(game, pi), {})
+
+
+def _rewrite(reach: ProfileReach, known: dict[Sequence, PureStrategy]
+             ) -> MixtureOfProducts:
+    """:func:`efce_to_bce` of ``reach.pi``. ``known`` is empty or the
+    ``_responses`` of the efce :func:`gap` report on ``reach``, which hold
+    every positive-mass deviation point's response; the rest are computed."""
+    game, pi = reach.game, reach.pi
     units: dict[int, list] = {}  # player -> its payoff rows, built on first use
     cbr_cache: dict[Sequence, tuple] = {}  # a sequence names its player
     new_components = []
@@ -148,18 +140,18 @@ def efce_to_bce(game: Game, pi: MixtureOfProducts,
 
 def _checked_rewrite(reach: ProfileReach, report: GapReport
                      ) -> tuple[ProfileReach, Fraction]:
-    """:func:`efce_to_bce` of ``reach.pi`` with the best responses of
-    ``report``, its efce :func:`gap` report on ``reach``. Returns the
+    """:func:`_rewrite` of ``reach`` with the best responses of ``report``,
+    its efce :func:`gap` report on ``reach``. Returns the
     output's reach (``reach`` if nothing changed, else a new one, which
     validates the output) and bce gap; raises :class:`InternalCheckError`
     unless the output keeps the outcomes and its bce gap is at most
     ``report.overall``."""
     game, pi = reach.game, reach.pi
-    out = efce_to_bce(game, pi, reach, report._responses)
+    out = _rewrite(reach, report._responses)
     reach_out = reach if out == pi else ProfileReach(game, out)
     if not _same_outcomes(reach, reach_out):
         raise InternalCheckError("the rewrite changed the outcome distribution")
-    bce_gap = gap(game, out, "bce", reach=reach_out).overall
+    bce_gap = gap(game, reach_out, "bce").overall
     if bce_gap > report.overall:
         raise InternalCheckError(
             f"the rewrite's bce gap {format_rational(bce_gap)} exceeds the "

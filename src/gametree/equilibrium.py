@@ -144,7 +144,7 @@ def _solve_program(game: Game, epsilon: Fraction,
         entries = [(w, _profile(strategies, j)) for j, w in enumerate(x) if w != 0]
         mixture = pure_mixture(game, entries)
         reach = ProfileReach(game, mixture)
-        report = gap(game, mixture, "efce", reach=reach)
+        report = gap(game, reach, "efce")
         if report.overall <= epsilon:
             return reach, report, Fraction(value, obj_scale)
         i = report.witness.player
@@ -224,10 +224,11 @@ def _witness_row(game: Game, witness: TriggerCommitWitness,
 def _solve(game: Game, notion: str, epsilon: Fraction,
            objective: Optional[dict[str, Fraction]],
            profile_cap: int = DEFAULT_PROFILE_CAP
-           ) -> tuple[MixtureOfProducts, Fraction, Fraction, ProfileReach]:
-    """The one solver entry: the profile, the program's optimal value, the
-    profile's gap in ``notion`` ("efce" or "bce") as measured, and the reach
-    measured with. A bce profile is the exact causal one rewritten by
+           ) -> tuple[ProfileReach, Fraction, Fraction]:
+    """The one solver entry: the profile's reach (its ``pi`` is the
+    profile), the program's optimal value, and the profile's gap in
+    ``notion`` ("efce" or "bce") as measured on that reach. A bce profile
+    is the exact causal one rewritten by
     :func:`gametree.convert._checked_rewrite`, which keeps the outcomes and
     so the value. A terminal id ``objective`` names that the game lacks
     raises KeyError, and a nonzero ``epsilon`` with "bce" ValueError."""
@@ -243,7 +244,7 @@ def _solve(game: Game, notion: str, epsilon: Fraction,
     measured = report.overall
     if notion == "bce":
         reach, measured = _checked_rewrite(reach, report)
-    return reach.pi, value, measured, reach
+    return reach, value, measured
 
 
 def compute_efce(game: Game, epsilon: Fraction = ZERO,
@@ -255,7 +256,7 @@ def compute_efce(game: Game, epsilon: Fraction = ZERO,
     returned profile is verified by measurement; a negative ``epsilon``
     raises :class:`ValueError`, since no profile has a negative causal gap.
     """
-    return _solve(game, "efce", epsilon, None, profile_cap)[0]
+    return _solve(game, "efce", epsilon, None, profile_cap)[0].pi
 
 
 def optimal_efce(game: Game, objective: dict[str, Fraction],
@@ -267,14 +268,15 @@ def optimal_efce(game: Game, objective: dict[str, Fraction],
     at least the true one, and its solution satisfies them all, so the two
     are equal.
     """
-    return _solve(game, "efce", ZERO, objective, profile_cap)[:2]
+    reach, value, _measured = _solve(game, "efce", ZERO, objective, profile_cap)
+    return reach.pi, value
 
 
 def compute_bce(game: Game, profile_cap: int = DEFAULT_PROFILE_CAP) -> MixtureOfProducts:
     """An exact (gap-0) history-seeing equilibrium: solve for the causal one
     and rewrite its off-path recommendations, which
     :func:`gametree.convert._checked_rewrite` checks at gap 0 exactly."""
-    return _solve(game, "bce", ZERO, None, profile_cap)[0]
+    return _solve(game, "bce", ZERO, None, profile_cap)[0].pi
 
 
 def optimal_bce(game: Game, objective: dict[str, Fraction],
@@ -284,4 +286,5 @@ def optimal_bce(game: Game, objective: dict[str, Fraction],
     :func:`gametree.convert._checked_rewrite` checks that the rewrite keeps
     the outcome distribution, so the value equals the optimal causal value.
     """
-    return _solve(game, "bce", ZERO, objective, profile_cap)[:2]
+    reach, value, _measured = _solve(game, "bce", ZERO, objective, profile_cap)
+    return reach.pi, value

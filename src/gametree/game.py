@@ -18,7 +18,8 @@ A :class:`Game` is immutable after construction and safe for concurrent
 read-only use. Parsing never raises on semantic defects that are expressible
 in the schema (broken perfect recall, chance probabilities that do not sum
 to one, ...); those are reported by :meth:`Game.validate` as data. Schema
-errors raise :class:`GameParseError` with a document path.
+errors raise :class:`GameParseError` with a document path, and so does a
+tree deeper than :data:`MAX_DEPTH` (300) levels, without one.
 """
 
 from __future__ import annotations
@@ -212,7 +213,8 @@ class Game:
         object interned in :attr:`Infoset.seqs`, or the player's one empty
         sequence) and that sequence's ``(terminals, children)`` entry of
         :attr:`Infoset.after`, so no sequence is built or looked up per
-        node."""
+        node. A node more than :data:`MAX_DEPTH` moves below the root
+        raises :class:`GameParseError`."""
         n = self.n
         empties = tuple(Sequence.empty(i) for i in range(n))
         terminals, infosets, by_key = self.terminals, self.infosets, self._infoset_by_key
@@ -220,6 +222,8 @@ class Game:
         count = 0
         while stack:
             node, parent, path, chance, pairs, lasts, afters = stack.pop()
+            if len(path) > MAX_DEPTH:
+                raise GameParseError(_TOO_DEEP)
             node.parent = parent
             node.path = path
             count += 1
@@ -387,6 +391,10 @@ class Game:
 
 
 _TOO_DEEP = "document is nested too deeply to read"
+# the deepest tree a Game holds: every supported interpreter reads a game
+# document this deep, where json.loads or the recursive node parse gives
+# out a little deeper on some of them
+MAX_DEPTH = 300
 
 
 def _decode_json(text: str, error: type = GameParseError):

@@ -24,10 +24,12 @@ it.
 
 Every number in a program (coefficient, right-hand side, objective entry,
 bound) must be an int or a Fraction; a float raises TypeError before any
-pivot, as its binary value is not the number it was written as. The
-solution is read off the final tableau as ints over one denominator (the
-shifts of lower bounds folded in), certified on those ints, and built as
-Fractions once.
+pivot, as its binary value is not the number it was written as. A
+relation other than LE, EQ, GE, a variable index outside
+``range(num_vars)`` and a ``bounds`` list of another length raise
+ValueError before any pivot too. The solution is read off the final
+tableau as ints over one denominator (the shifts of lower bounds folded
+in), certified on those ints, and built as Fractions once.
 
 Every returned optimum is certified against the original program, not the
 tableau, before it leaves this module. Primal: every constraint and bound
@@ -69,9 +71,21 @@ def _exact(value, what: str):
 
 @dataclass(frozen=True)
 class Constraint:
+    """One row, checked when it is made however it reaches a program: the
+    relation must be one of LE, EQ, GE (else ValueError) and every number
+    an int or a Fraction (else TypeError); the right-hand side is kept as a
+    Fraction."""
     coeffs: dict[int, Fraction]
     rel: str
     rhs: Fraction
+
+    def __post_init__(self):
+        if self.rel not in (LE, EQ, GE):
+            raise ValueError(f"relation must be one of {LE!r}, {EQ!r}, {GE!r}")
+        for j, c in self.coeffs.items():
+            _exact(c, f"the coefficient of variable {j}")
+        _exact(self.rhs, "the right-hand side")
+        object.__setattr__(self, "rhs", Fraction(self.rhs))
 
 
 @dataclass
@@ -79,10 +93,10 @@ class LinearProgram:
     """max (or min) c.x subject to rational rows and per-variable bounds.
 
     Coefficients, right-hand sides, objective entries and bounds must be
-    ints or Fractions, else TypeError (rows in :meth:`add`, the rest in
-    :func:`lp_solve`); right-hand sides are kept as Fractions. ``bounds[j]``
-    is (lo, hi) with None for unbounded; variables default to lo = 0,
-    hi = +inf.
+    ints or Fractions, else TypeError (rows when the :class:`Constraint` is
+    made, the rest in :func:`lp_solve`); right-hand sides are kept as
+    Fractions. ``bounds[j]`` is (lo, hi) with None for unbounded; variables
+    default to lo = 0, hi = +inf.
     """
 
     num_vars: int
@@ -92,13 +106,11 @@ class LinearProgram:
     bounds: Optional[list[tuple[Optional[Fraction], Optional[Fraction]]]] = None
 
     def add(self, coeffs: dict[int, Fraction], rel: str, rhs: Fraction):
-        if rel not in (LE, EQ, GE):
-            raise ValueError(f"relation must be one of {LE!r}, {EQ!r}, {GE!r}")
-        r = len(self.constraints)
-        for j, c in coeffs.items():
-            _exact(c, f"row {r}: the coefficient of variable {j}")
-        _exact(rhs, f"row {r}: the right-hand side")
-        self.constraints.append(Constraint(dict(coeffs), rel, Fraction(rhs)))
+        try:
+            row = Constraint(dict(coeffs), rel, rhs)
+        except TypeError as e:  # name the row it would have been
+            raise TypeError(f"row {len(self.constraints)}: {e}") from None
+        self.constraints.append(row)
 
     def bound(self, j: int) -> tuple[Optional[Fraction], Optional[Fraction]]:
         if self.bounds is None:
@@ -114,7 +126,19 @@ class LPResult:
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
-    """Solve exactly; certificates are checked before returning an optimum."""
+    """Solve exactly; certificates are checked before returning an optimum.
+
+    A program naming a variable outside ``range(num_vars)``, or whose
+    ``bounds`` has another length, raises ValueError before any pivot."""
+    n = lp.num_vars
+    if lp.bounds is not None and len(lp.bounds) != n:
+        raise ValueError(f"bounds has {len(lp.bounds)} entries for {n} variables")
+    named = [("the objective", lp.objective)]
+    named += [(f"row {r}", row.coeffs) for r, row in enumerate(lp.constraints)]
+    for what, coeffs in named:
+        for j in coeffs:
+            if not (isinstance(j, int) and 0 <= j < n):
+                raise ValueError(f"{what} names variable {j!r}, outside range({n})")
     for j, c in lp.objective.items():
         _exact(c, f"the objective entry of variable {j}")
     for j, bound in enumerate(lp.bounds or ()):

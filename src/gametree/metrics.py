@@ -95,8 +95,9 @@ class ProfileReach:
     left out, over ``scale``.
 
     The profile is validated here (:meth:`MixtureOfProducts.validate`), so
-    a reach always stands for a valid profile, and a function handed one
-    through ``reach=`` (see :meth:`of`) need not validate again.
+    a reach always stands for a valid profile. Every function that builds a
+    reach through :meth:`of` takes the profile or its reach in one
+    argument, and validates nothing again when handed the reach.
     """
 
     def __init__(self, game: Game, pi: MixtureOfProducts):
@@ -136,16 +137,15 @@ class ProfileReach:
                 self.joint[z] += o * r
 
     @classmethod
-    def of(cls, game: Game, pi: MixtureOfProducts,
-           reach: Optional["ProfileReach"] = None) -> "ProfileReach":
-        """The reach of ``(game, pi)``: a new one when ``reach`` is None, else
-        ``reach`` itself, which must be built from ``game`` and ``pi`` (or a
-        profile equal to it); anything else raises :class:`ValueError`."""
-        if reach is None:
+    def of(cls, game: Game, pi: Union[MixtureOfProducts, "ProfileReach"]
+           ) -> "ProfileReach":
+        """``pi`` itself when it is a reach of ``game``, else a new reach of
+        ``(game, pi)``; a reach of another game raises :class:`ValueError`."""
+        if not isinstance(pi, ProfileReach):
             return cls(game, pi)
-        if reach.game is not game or (reach.pi is not pi and reach.pi != pi):
-            raise ValueError("reach= was built for another game or profile")
-        return reach
+        if pi.game is not game:
+            raise ValueError("the reach was built for another game")
+        return pi
 
     def event_mass(self, i: int, seq: Sequence) -> Fraction:
         """P[x_i(seq) = 1]: the mass of the recommendations playing to ``seq``."""
@@ -187,12 +187,12 @@ def _expected(reach: ProfileReach, i: int) -> int:
     return sum(p * r for p, r in zip(reach.game.payoff_rows[i][1], reach.joint))
 
 
-def expected_utility(game: Game, pi: MixtureOfProducts, player: Union[int, str],
-                     reach: Optional[ProfileReach] = None) -> Fraction:
+def expected_utility(game: Game, pi: Union[MixtureOfProducts, ProfileReach],
+                     player: Union[int, str]) -> Fraction:
     """E[u_i] under the correlated profile, computed factorized per component
     (never expanding the product support)."""
     i = game.player_index(player)
-    reach = ProfileReach.of(game, pi, reach)
+    reach = ProfileReach.of(game, pi)
     return Fraction(_expected(reach, i), reach.value_scale(i))
 
 
@@ -204,11 +204,10 @@ class OutcomeDistribution:
         return {zid: format_rational(p) for zid, p in self.probs.items()}
 
 
-def outcome_distribution(game: Game, pi: MixtureOfProducts,
-                         reach: Optional[ProfileReach] = None) -> OutcomeDistribution:
-    """The probability of each terminal under ``pi``; ``reach``, when given,
-    must be built from ``(game, pi)``."""
-    den, ints = _outcome_ints(ProfileReach.of(game, pi, reach))
+def outcome_distribution(game: Game, pi: Union[MixtureOfProducts, ProfileReach]
+                         ) -> OutcomeDistribution:
+    """The probability of each terminal under ``pi``."""
+    den, ints = _outcome_ints(ProfileReach.of(game, pi))
     return OutcomeDistribution({z.terminal_id: Fraction(p, den)
                                 for z, p in zip(game.terminals, ints)})
 
@@ -226,9 +225,10 @@ def _outcome_ints(reach: ProfileReach) -> tuple[int, list[int]]:
     return den, ints
 
 
-def outcome_equivalent(game: Game, a: MixtureOfProducts, b: MixtureOfProducts) -> bool:
+def outcome_equivalent(game: Game, a: Union[MixtureOfProducts, ProfileReach],
+                       b: Union[MixtureOfProducts, ProfileReach]) -> bool:
     """Exact equality of the induced terminal distributions."""
-    return _same_outcomes(ProfileReach(game, a), ProfileReach(game, b))
+    return _same_outcomes(ProfileReach.of(game, a), ProfileReach.of(game, b))
 
 
 def _same_outcomes(a: ProfileReach, b: ProfileReach) -> bool:
@@ -239,12 +239,13 @@ def _same_outcomes(a: ProfileReach, b: ProfileReach) -> bool:
     return all(p * den_b == q * den_a for p, q in zip(ints_a, ints_b))
 
 
-def counterfactually_outcome_equivalent(game: Game, a: MixtureOfProducts,
-                                        b: MixtureOfProducts) -> bool:
+def counterfactually_outcome_equivalent(game: Game,
+                                        a: Union[MixtureOfProducts, ProfileReach],
+                                        b: Union[MixtureOfProducts, ProfileReach]) -> bool:
     """Equality of E[x_i(z|I) x_{-i}(z)] for every player, infoset and
     terminal below it - a strictly stronger notion than outcome equivalence
     (chance is a common factor and is left out)."""
-    reach_a, reach_b = ProfileReach(game, a), ProfileReach(game, b)
+    reach_a, reach_b = ProfileReach.of(game, a), ProfileReach.of(game, b)
     return all(r * reach_b.scale == cf_b[z] * reach_a.scale
                for i in range(game.n)
                for cf_a, cf_b in zip(_cf_reach_profiles(reach_a, i),
@@ -329,7 +330,7 @@ class GapReport:
     witness: object
     # efce only: the best response of every positive-mass trigger the walk
     # weighed, keyed by its sequence; the counterfactual best responses
-    # gametree.convert.efce_to_bce needs there. Not part of the output.
+    # gametree.convert._rewrite needs there. Not part of the output.
     _responses: Optional[dict[Sequence, PureStrategy]] = field(
         default=None, compare=False, repr=False)
 
@@ -346,14 +347,9 @@ class GapReport:
         return d
 
 
-def gap(game: Game, pi: MixtureOfProducts, notion: str,
-        state_cap: Optional[int] = None,
-        reach: Optional[ProfileReach] = None) -> GapReport:
+def gap(game: Game, pi: Union[MixtureOfProducts, ProfileReach], notion: str,
+        state_cap: Optional[int] = None) -> GapReport:
     """Exact worst-case regret of ``pi`` under the given notion.
-
-    ``reach``, when given, must be the :class:`ProfileReach` of ``(game,
-    pi)``; one built from another game or profile raises
-    :class:`ValueError`.
 
     efce and nfcce weight each trigger over the terminals below its infoset
     only (see :func:`_trigger_weights`).
@@ -367,7 +363,7 @@ def gap(game: Game, pi: MixtureOfProducts, notion: str,
     for these two notions only; a cap that is not a non-negative integer
     raises :class:`ValueError`.
     """
-    reach = ProfileReach.of(game, pi, reach)  # validates a new reach's profile
+    reach = ProfileReach.of(game, pi)  # validates a new reach's profile
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}; choose from {NOTIONS}")
     if notion == "efce":

@@ -391,17 +391,18 @@ def _chance_chain(depth):
 
 
 def test_validate_deep_chains(paths, capsys):
-    # 2,000 levels are too deep on every supported Python: json.loads gives
-    # up on 3.10 and 3.11 (from about 330 levels, fewer the deeper the
-    # caller's stack), the recursive node parse on 3.12 and 3.13; either way
-    # it is a parse error, not a traceback. 300 levels still read.
+    # a Game holds at most MAX_DEPTH = 300 levels on every supported Python:
+    # 301 levels decode and parse, and the tree walk refuses them; 2,000 are
+    # refused earlier, by json.loads on 3.10 and 3.11 and by the recursive
+    # node parse on 3.12 and 3.13. Each is a parse error, not a traceback.
     game = paths["tmp"] / "deep.game.json"
     game.write_text(_chance_chain(300))
     code, out, err = run(capsys, "validate", str(game))
     assert (code, err) == (0, "") and json.loads(out)["ok"]
-    game.write_text(_chance_chain(2000))
-    assert run(capsys, "validate", str(game)) == (
-        3, "", "error: document is nested too deeply to read\n")
+    for depth in (301, 2000):
+        game.write_text(_chance_chain(depth))
+        assert run(capsys, "validate", str(game)) == (
+            3, "", "error: document is nested too deeply to read\n"), depth
 
 
 def test_gap_deep_profile_is_a_parse_error(paths, capsys):
@@ -432,8 +433,8 @@ def _moved_rewrite(rewrite):
     the player's first infoset, which moves the outcome distribution."""
     from gametree.strategy import MixtureComponent, MixtureOfProducts, PureStrategy
 
-    def moved(game, pi, reach=None, responses=None):
-        out = rewrite(game, pi, reach, responses)
+    def moved(reach, known):
+        game, out = reach.game, rewrite(reach, known)
         first = out.components[0]
         (beta, ps), *rest = first.strategies[0]
         other = next(a for a in game.infosets[0][0].actions if a != ps.actions[0])
@@ -448,7 +449,7 @@ def test_a_rewrite_that_moves_the_outcomes_exits_4(paths, capsys, monkeypatch):
     # gt convert and the bce solvers check every rewrite they make; a failed
     # check prints nothing on stdout and writes no -o file
     from gametree import convert
-    monkeypatch.setattr(convert, "efce_to_bce", _moved_rewrite(convert.efce_to_bce))
+    monkeypatch.setattr(convert, "_rewrite", _moved_rewrite(convert._rewrite))
     objective = paths["tmp"] / "ebos.objective.json"
     terminal = fixtures.load_game("ebos").terminals[0].terminal_id
     objective.write_text(json.dumps({"c": {terminal: "1"}}))
@@ -466,7 +467,7 @@ def test_a_rewrite_above_the_causal_gap_exits_4(paths, capsys, monkeypatch):
     # left unrewritten, the ebos profile keeps its causal gap 0 but has bce
     # gap 1, which the rewrite theorem rules out for its output
     from gametree import convert
-    monkeypatch.setattr(convert, "efce_to_bce", lambda game, pi, reach=None, responses=None: pi)
+    monkeypatch.setattr(convert, "_rewrite", lambda reach, known: reach.pi)
     assert run(capsys, "convert", paths["ebos"], paths["ebos.profile"]) == (
         4, "", "internal error: the rewrite's bce gap 1 exceeds the causal gap 0\n")
 
@@ -522,6 +523,57 @@ def test_stdout_is_byte_identical_across_runs(paths, capsys):
     _c, second, _ = run(capsys, "gap", paths["lrr"], paths["lrr.behavior"],
                         "--notion", "bce")
     assert first == second
+
+
+# runs each argv of the JSON list in sys.argv[1] in this one process, each
+# stdout after a header naming the command and followed by its exit code
+_RUN_ALL = """
+import json, sys
+from gametree.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("$ gt", *argv, flush=True)
+    print("exit", main(argv), flush=True)
+"""
+
+
+def test_stdout_is_byte_identical_across_hash_seeds(paths):
+    # stdout must not depend on the order of str-keyed sets or dicts, which
+    # a process's string-hash seed fixes; one process cannot see that
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    from gametree import parse_game
+    argvs = []
+    for name, profile in (("ebos", "ebos.profile"), ("lrr", "lrr.behavior"),
+                          ("surj", "surj.profile")):
+        game_path, profile_path = paths[name], paths[profile]
+        game = parse_game(pathlib.Path(game_path).read_text(encoding="utf-8"))
+        objective = paths["tmp"] / f"{name}.objective.json"
+        objective.write_text(json.dumps({"c": {z.terminal_id: str(k % 3)
+                                               for k, z in enumerate(game.terminals)}}))
+        argvs += [["validate", game_path], ["info", game_path],
+                  ["outcome", game_path, profile_path]]
+        argvs += [["gap", game_path, profile_path, "--notion", n] for n in NOTIONS]
+        argvs += [["convert", game_path, profile_path],
+                  ["decompose", game_path, profile_path]]
+        argvs += [["cbr", game_path, profile_path, "--player", str(i),
+                   "--sequence", seq.label()]
+                  for i in range(game.n) for seq in game.sequences(i)]
+        argvs += [["solve", game_path, "--notion", n, "--objective", str(objective)]
+                  for n in ("efce", "bce")]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0].count(b"\nexit 0\n") == len(argvs)
+    assert outs[0] == outs[1]
 
 
 def test_paper_check_wiring(capsys, monkeypatch):
@@ -709,9 +761,9 @@ def test_validations_per_op(paths, capsys, monkeypatch):
     # is valid as built, from behavior strategies validated once each. gap 1
     # (reach), for either schema; convert 2 (input reach, output reach), or 1
     # for lrr's behavior document (input reach; the rewrite changes
-    # nothing); solve 1 per LP round (its
-    # reach), and for bce 1 more for the rewritten profile's reach, if the
-    # rewrite changed it
+    # nothing); solve 1 per round (its reach), where rounds = LP solves + 1
+    # as the first round's candidate takes no LP, and for bce 1 more for
+    # the rewritten profile's reach, if the rewrite changed it
     from gametree import equilibrium, metrics, strategy
     validated, behaviors, built, solves = [], [], [], []
     validate, init, lp_solve = (strategy.MixtureOfProducts.validate,
@@ -756,7 +808,7 @@ def test_validations_per_op(paths, capsys, monkeypatch):
         for notion in ("efce", "bce"):
             validated.clear(), built.clear(), solves.clear()
             assert run(capsys, "solve", paths[name], "--notion", notion)[0] == 0
-            rewritten = len(built) - len(solves)
+            rewritten = len(built) - len(solves)  # the LP-free round's, + any rewrite's
             assert len(validated) == len(solves) + rewritten
             counts.append(len(validated))
     assert counts == [3, 3, 1, 1, 5, 5]

@@ -200,7 +200,7 @@ def test_cbr_table_values_recompute_from_recorded_reach(ebos, ebos_pi, lrr, lrr_
         reach = ProfileReach(game, pi)
         for i in range(game.n):
             for seq in game.sequences(i):
-                assert counterfactual_best_response(game, pi, i, seq, reach) == \
+                assert counterfactual_best_response(game, reach, i, seq) == \
                     reference_cbr(game, pi, i, seq)[:2]
 
 
@@ -276,16 +276,16 @@ def test_efce_walk_responses_rewrite_exactly(ebos, ebos_pi, lrr, lrr_pi, lrr_sma
 
     for game, pi in cases:
         reach = ProfileReach(game, pi)
-        responses = gap(game, pi, "efce", reach=reach)._responses
+        responses = gap(game, reach, "efce")._responses
         positive = {seq for i in range(game.n) for seq in game.sequences(i)
                     if not seq.is_empty and reach.mass(i, seq) > 0}
         assert set(responses) == positive
         for seq, response in responses.items():
             assert response == counterfactual_best_response(
-                game, pi, seq.player, seq, reach)[0]
+                game, reach, seq.player, seq)[0]
         with monkeypatch.context() as m:
             m.setattr(convert, "_cbr", counted)
-            fed = efce_to_bce(game, pi, reach, responses)
+            fed = convert._rewrite(reach, responses)
         assert fed == efce_to_bce(game, pi)
     assert fallbacks and not any(fallbacks)  # the zero-mass fallback ran, and only it
 

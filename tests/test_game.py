@@ -440,3 +440,26 @@ def test_sequences_are_interned_once_per_game(ebos, lrr, surj):
                     assert iset.parent_seq is parent.seqs[parent.actions.index(a)]
                 else:
                     assert iset.parent_seq is empty
+
+
+# -- lookups by sequence and by path -------------------------------------------
+
+
+def test_a_sequence_without_an_infoset_is_the_players_empty_one(ebos):
+    for i, name in enumerate(ebos.players):
+        for player in (i, name):
+            seq = ebos.sequence(player, None)
+            assert seq == Sequence.empty(i) == ebos.sequences(i)[0]
+            assert seq.is_empty and seq.player == i
+
+
+def test_node_at_follows_a_path_and_names_where_it_stops(ebos):
+    z = ebos.terminals[0]
+    assert ebos.node_at(z.path) is z
+    assert ebos.node_at(()) is ebos.root
+    with pytest.raises(KeyError) as info:
+        ebos.node_at(z.path + ("on",))
+    assert info.value.args == (f"path descends past terminal {z.terminal_id!r}",)
+    with pytest.raises(KeyError) as info:
+        ebos.node_at(z.path[:2] + ("nope",))
+    assert info.value.args == ("no action 'nope' at node NotU/X1",)

@@ -7,7 +7,7 @@ import pytest
 
 from gametree import lp as lpmod
 from gametree.errors import InternalCheckError
-from gametree.lp import EQ, GE, LE, LinearProgram, LPResult, lp_solve
+from gametree.lp import EQ, GE, LE, Constraint, LinearProgram, LPResult, lp_solve
 
 F = Fraction
 
@@ -616,6 +616,59 @@ def test_a_float_bound_is_refused(monkeypatch, bounds, message):
     lp.add({0: 1, 1: 1}, LE, F(3))
     with pytest.raises(TypeError, match=f"^{message} must be an int or a Fraction, "
                                         f"got float"):
+        lp_solve(lp)
+
+
+# -- a malformed program, however its rows were added ----------------------------
+
+
+@pytest.mark.parametrize("coeffs,rhs,message", [
+    ({0: 0.5}, F(1), r"^the coefficient of variable 0 must be an int or a Fraction, "
+                     r"got float 0\.5$"),
+    ({0: F(1)}, 0.5, r"^the right-hand side must be an int or a Fraction, got float 0\.5$"),
+], ids=["coefficient", "right-hand side"])
+def test_a_float_in_a_row_made_without_add_is_refused(coeffs, rhs, message):
+    # a row appended to lp.constraints is checked when it is made, as add's are
+    with pytest.raises(TypeError, match=message):
+        Constraint(coeffs, LE, rhs)
+
+
+def test_an_unknown_relation_in_a_row_made_without_add_is_refused():
+    # "<" used to be solved and certified as "=="
+    with pytest.raises(ValueError, match="relation must be one of"):
+        Constraint({0: F(1)}, "<", F(1))
+
+
+def test_a_row_made_without_add_keeps_its_right_hand_side_as_a_fraction():
+    assert type(Constraint({0: 1}, LE, 2).rhs) is Fraction
+
+
+@pytest.mark.parametrize("row,objective,message", [
+    ({2: 1}, {0: F(1)}, r"^row 1 names variable 2, outside range\(2\)$"),
+    ({-1: 1}, {0: F(1)}, r"^row 1 names variable -1, outside range\(2\)$"),
+    ({0: 1}, {0: F(1), 3: F(1)}, r"^the objective names variable 3, outside range\(2\)$"),
+    ({0: 1}, {-2: F(1)}, r"^the objective names variable -2, outside range\(2\)$"),
+], ids=["row past the end", "row negative", "objective past the end",
+        "objective negative"])
+def test_a_variable_index_outside_the_program_is_refused(monkeypatch, row, objective,
+                                                          message):
+    # a negative index used to name a variable counted from the end
+    _no_pivot(monkeypatch)
+    lp = LinearProgram(num_vars=2, objective=objective)
+    lp.add({0: 1, 1: 1}, LE, F(1))
+    lp.add(row, LE, F(1))
+    with pytest.raises(ValueError, match=message):
+        lp_solve(lp)
+
+
+@pytest.mark.parametrize("bounds", [[(F(0), None)], [(F(0), None)] * 3],
+                         ids=["short", "long"])
+def test_bounds_of_another_length_are_refused(monkeypatch, bounds):
+    _no_pivot(monkeypatch)
+    lp = LinearProgram(num_vars=2, objective={0: F(1)}, bounds=bounds)
+    lp.add({0: 1, 1: 1}, LE, F(1))
+    with pytest.raises(ValueError, match=rf"^bounds has {len(bounds)} entries for 2 "
+                                         rf"variables$"):
         lp_solve(lp)
 
 

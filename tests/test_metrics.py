@@ -560,40 +560,44 @@ def test_trigger_weights_match_conditional_reach_below_each_trigger(
     assert zero_mass > 0
 
 
+def _seven_measures(game, pi):
+    """One call of each function that builds a reach, on ``pi``: the
+    profile or its reach."""
+    return [lambda notion=notion: gap(game, pi, notion) for notion in NOTIONS] + [
+        lambda: expected_utility(game, pi, 0),
+        lambda: outcome_distribution(game, pi),
+        lambda: outcome_equivalent(game, pi, pi),
+        lambda: counterfactually_outcome_equivalent(game, pi, pi),
+        lambda: counterfactual_best_response(game, pi, 0, Sequence.empty(0)),
+        lambda: efce_to_bce(game, pi)]
+
+
 def test_gap_with_a_built_reach_reports_the_same(games_and_profiles):
     for game, pi in games_and_profiles(36):
         reach = ProfileReach(game, pi)
         for notion in NOTIONS:
-            assert json.dumps(gap(game, pi, notion, reach=reach).to_json_dict(game)) == \
+            assert json.dumps(gap(game, reach, notion).to_json_dict(game)) == \
                 json.dumps(gap(game, pi, notion).to_json_dict(game))
-        assert outcome_distribution(game, pi, reach) == outcome_distribution(game, pi)
-        assert efce_to_bce(game, pi, reach) == efce_to_bce(game, pi)
-        # a reach built from an equal copy of the profile serves it too
-        twin = ProfileReach(game, MixtureOfProducts(pi.components))
-        assert gap(game, pi, "efce", reach=twin) == gap(game, pi, "efce")
+        assert [call() for call in _seven_measures(game, reach)[len(NOTIONS):]] == \
+            [call() for call in _seven_measures(game, pi)[len(NOTIONS):]]
+        converted = efce_to_bce(game, pi)
+        assert outcome_equivalent(game, reach, ProfileReach(game, converted))
+        assert outcome_equivalent(game, converted, reach)
+        assert counterfactually_outcome_equivalent(game, pi, reach)
+        assert ProfileReach.of(game, reach) is reach
 
 
-def test_reach_built_for_another_profile_or_game_raises(games_and_profiles):
+def test_a_reach_of_another_game_raises(games_and_profiles):
     cases = games_and_profiles(37)
-    checked = 0
-    for k in range(0, len(cases), 4):  # four profiles per game
-        game, pi = cases[k]
-        twin_game = parse_game(serialize_game(game))
-        wrong = [ProfileReach(twin_game, pi)]
-        wrong += [ProfileReach(game, other) for _, other in cases[k + 1:k + 4] if other != pi]
-        for reach in wrong:
-            for notion in NOTIONS:
-                with pytest.raises(ValueError, match="another game or profile"):
-                    gap(game, pi, notion, reach=reach)
-            for call in (lambda: outcome_distribution(game, pi, reach),
-                         lambda: efce_to_bce(game, pi, reach),
-                         lambda: expected_utility(game, pi, 0, reach),
-                         lambda: counterfactual_best_response(game, pi, 0, Sequence.empty(0),
-                                                              reach)):
-                with pytest.raises(ValueError, match="another game or profile"):
-                    call()
-            checked += 1
-    assert checked >= 12
+    assert len(cases) >= 12
+    for game, pi in cases:
+        reach = ProfileReach(parse_game(serialize_game(game)), pi)
+        calls = _seven_measures(game, reach)
+        calls += [lambda: outcome_equivalent(game, pi, reach),
+                  lambda: counterfactually_outcome_equivalent(game, pi, reach)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^the reach was built for another game$"):
+                call()
 
 
 # -- a profile is validated where its reach is built ----------------------------
@@ -629,16 +633,27 @@ def test_every_entry_point_refuses_an_invalid_profile_alike(ebos, ebos_pi, case)
         assert str(info.value) == message
 
 
-def test_a_reach_passed_in_stands_for_a_validated_profile(ebos, ebos_pi):
-    # reach= is accepted only for the profile it was built from, and it
-    # cannot be built from an invalid one, so nothing downstream trusts an
-    # unvalidated profile
-    bad, _message = _invalid_profiles(ebos, ebos_pi)[0]
+def test_a_reach_passed_in_stands_for_a_validated_profile(ebos, ebos_pi, monkeypatch):
+    # a reach cannot be built from an invalid profile, and a function handed
+    # a reach in place of its profile validates nothing again
+    bad, message = _invalid_profiles(ebos, ebos_pi)[0]
+    with pytest.raises(ProfileError, match=message):
+        ProfileReach(ebos, bad)
     reach = ProfileReach(ebos, ebos_pi)
-    with pytest.raises(ValueError, match="another game or profile"):
-        gap(ebos, bad, "efce", reach=reach)
-    with pytest.raises(ValueError, match="another game or profile"):
-        efce_to_bce(ebos, bad, reach)
+    validated = []
+    validate = MixtureOfProducts.validate
+
+    def counted(self, game):
+        validated.append(self)
+        return validate(self, game)
+
+    monkeypatch.setattr(MixtureOfProducts, "validate", counted)
+    for call in _seven_measures(ebos, reach):
+        call()
+    assert validated == []
+    for call in _seven_measures(ebos, ebos_pi):
+        call()
+    assert len(validated) >= len(_seven_measures(ebos, ebos_pi))
 
 
 def test_reach_keeps_the_sequences_each_plan_plays_to(games_and_profiles):
