@@ -25,10 +25,11 @@ print()
 print("Sequences of P1 (the empty sequence, then one per infoset-action):")
 for seq in ebos.sequences(0):
     print("  ", seq.label())
-print("Order is precomputed: each infoset holds its own history (own_history,")
-print("and as infoset indices chain) and the infosets weakly after it (subtree):")
+print("Order is precomputed: each infoset holds its own history as (infoset")
+print("index, action) pairs (chain) and the infosets weakly after it (subtree):")
 for iset in ebos.infosets[0]:
-    print(f"   {iset.id}: history {list(iset.own_history)}, "
+    history = [(ebos.infosets[0][j].id, a) for j, a in iset.chain]
+    print(f"   {iset.id}: history {history}, "
           f"subtree {[j.id for j in iset.subtree]}")
 root, after_u = ebos.infoset(0, "Root"), ebos.infoset(0, "AfterU")
 print("so Root:U lies on the way to AfterU:X1 ->", (root.index, "U") in after_u.chain)

@@ -41,6 +41,7 @@ def counterfactual_best_response(game: Game, pi: Union[MixtureOfProducts, Profil
     if seq.player != i:
         raise ValueError(f"sequence {seq.label()} is not player {game.players[i]}'s")
     reach = ProfileReach.of(game, pi)
+    game.sequence(i, seq.infoset, seq.action)  # an unknown infoset or action raises KeyError
     at = None if seq.is_empty else game.infoset(i, seq.infoset)
     value, strategy = _cbr(reach, _payoff_units(reach, i), seq, at)
     value = Fraction(value, reach.value_scale(i))
@@ -54,9 +55,10 @@ def _cbr(reach: ProfileReach, units: list[list[int]], seq: Sequence,
     player's :func:`gametree.metrics._payoff_units`, and its unconditioned
     value over ``reach.value_scale(i)``."""
     i = seq.player
-    w = _trigger_weights(reach, units, seq, at)
+    below = range(len(reach.game.terminals)) if at is None else at.terminals_below
+    w = _trigger_weights(reach, units, seq, below)
     if w is None:  # a zero-mass event: the unconditional law, of mass 1
-        w = _trigger_weights(reach, units, Sequence.empty(i), at)
+        w = _trigger_weights(reach, units, Sequence.empty(i), below)
     return best_response(reach.game, i, w, at)
 
 

@@ -128,13 +128,13 @@ class TerminalNode(Node):
 class Infoset:
     """A player's information set: the nodes it cannot tell apart.
 
-    ``own_history`` is the shared list of (infoset id, action) pairs of that
-    player on the path from the root (excluding this infoset itself), and
-    ``parent_seq`` the corresponding :class:`Sequence`. ``chain`` is the same
-    history as (infoset index, action) pairs, outermost first, and
-    ``subtree`` lists the player's infosets weakly after this one (itself
-    included) in discovery order; together they are the player's ancestry
-    index, built once by :class:`Game`.
+    ``chain`` is the shared history of that player's own (infoset index,
+    action) pairs on the path from the root, outermost first and excluding
+    this infoset itself, and ``parent_seq`` its last pair as a
+    :class:`Sequence`. ``subtree`` lists the player's infosets weakly after
+    this one (itself included) in discovery order, and ``terminals_below``
+    the indices of the terminals below it, in preorder; together they are
+    the player's ancestry index, built once by :class:`Game`.
 
     Per action position ``m``, ``seqs[m]`` is the interned :class:`Sequence`
     of (this infoset, ``actions[m]``), and ``after[m]`` the pair
@@ -145,20 +145,19 @@ class Infoset:
     it up.
     """
 
-    __slots__ = ("player", "id", "index", "actions", "nodes", "own_history",
-                 "parent_seq", "chain", "subtree", "terminals_below", "seqs", "after")
+    __slots__ = ("player", "id", "index", "actions", "nodes", "parent_seq", "chain",
+                 "subtree", "terminals_below", "seqs", "after")
 
-    def __init__(self, player, id_, index, actions, own_history, parent_seq, chain):
+    def __init__(self, player, id_, index, actions, parent_seq, chain):
         self.player = player
         self.id = id_
         self.index = index
         self.actions = actions
         self.nodes = []
-        self.own_history = own_history
         self.parent_seq = parent_seq
         self.chain = chain
         self.subtree = []
-        self.terminals_below = []  # (terminal index, offset into own_pairs[player])
+        self.terminals_below = []
         # tuple.__new__ skips the named tuple's Python-level __new__
         self.seqs = tuple([tuple.__new__(Sequence, (player, id_, a)) for a in actions])
         self.after = tuple([([], []) for _ in actions])
@@ -236,10 +235,9 @@ class Game:
                 node.last_seq = lasts
                 for i in range(n):
                     afters[i][0].append(z)
-                    if pairs[i]:
-                        isets = infosets[i]
-                        for offset, (idx, _a) in enumerate(pairs[i]):
-                            isets[idx].terminals_below.append((z, offset))
+                    isets = infosets[i]
+                    for idx, _a in pairs[i]:
+                        isets[idx].terminals_below.append(z)
                 terminals.append(node)
                 continue
             moves = node.moves
@@ -276,7 +274,8 @@ class Game:
                 if iset.chain != pairs[i]:
                     self._violate("perfect-recall", path,
                                   f"infoset {node.infoset_id!r} mixes own histories "
-                                  f"{list(iset.own_history)} and {list(self._ids(i, pairs[i]))}")
+                                  f"{list(self._ids(i, iset.chain))} and "
+                                  f"{list(self._ids(i, pairs[i]))}")
             iset.nodes.append(node)
             node.infoset = iset
             actions, index = iset.actions, iset.index
@@ -299,7 +298,7 @@ class Game:
                      parent_seq: Sequence, parent_after: tuple) -> Infoset:
         """Index player ``i``'s infoset ``id_`` where the walk first meets it."""
         isets = self.infosets[i]
-        iset = Infoset(i, id_, len(isets), actions, self._ids(i, chain), parent_seq, chain)
+        iset = Infoset(i, id_, len(isets), actions, parent_seq, chain)
         parent_after[1].append(iset)
         for j, _a in chain:
             isets[j].subtree.append(iset)

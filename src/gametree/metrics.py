@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 from .bestresponse import best_response
 from .errors import InternalCheckError, ResourceGuardError
@@ -56,12 +56,14 @@ def counterfactual_utility(game: Game, profile: PureProfile,
                            player: Union[int, str], infoset_id: str) -> Fraction:
     """Utility collected below an infoset, weighting only chance and the
     other players' reach: own play above the infoset is not required."""
+    game.require_valid()  # under perfect recall the infoset's pair sits at len(chain)
     i = game.player_index(player)
     iset = game.infoset(i, infoset_id)
     others = [(j, profile.strategies[j]) for j in range(game.n) if j != i]
     mine = profile.strategies[i]
+    offset = len(iset.chain)
     total = ZERO
-    for z_idx, offset in iset.terminals_below:
+    for z_idx in iset.terminals_below:
         z = game.terminals[z_idx]
         if not pure_terminal_reach(game, mine, z, offset):
             continue
@@ -263,7 +265,7 @@ def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, int]]:
     scan per (plan, terminal) serves every infoset on z's path: the own
     factor there is a prefix sum of the betas binned by that depth."""
     game = reach.game
-    out = [{z_idx: 0 for z_idx, _ in iset.terminals_below} for iset in game.infosets[i]]
+    out = [dict.fromkeys(iset.terminals_below, 0) for iset in game.infosets[i]]
     for plans, other in zip(reach.plans[i], reach.others[i]):
         for z in game.terminals:
             o, pairs = other[z.index], z.own_pairs[i]
@@ -401,15 +403,12 @@ def _payoff_units(reach: ProfileReach, i: int) -> list[list[int]]:
 
 
 def _trigger_weights(reach: ProfileReach, units: list[list[int]], seq: Sequence,
-                     at: Optional[Infoset],
-                     terminals: Optional[list[int]] = None) -> Optional[list[int]]:
+                     below: Collection[int]) -> Optional[list[int]]:
     """``payoff * chance * E[x_{-i}(z) 1[x_i(seq) = 1]]`` per terminal, over
-    ``reach.value_scale(i)``, for the trigger ``seq`` at infoset ``at`` (None
-    for the empty sequence).
+    ``reach.value_scale(i)``, for the trigger ``seq``.
 
-    Filled in only below ``at`` (everywhere for the empty trigger): those
-    are the terminals ``best_response(at=at)`` and the obey sum read; or,
-    when ``terminals`` is given, only at those terminals. None when no
+    Filled in only at the terminal indices ``below``, 0 elsewhere: the
+    caller passes those its best response and obey sum read. None when no
     component puts mass on ``seq``."""
     w = None
     for masses, unit in zip(reach.masses[seq.player], units):
@@ -418,12 +417,6 @@ def _trigger_weights(reach: ProfileReach, units: list[list[int]], seq: Sequence,
             continue
         if w is None:
             w = [0] * len(unit)
-            if terminals is not None:
-                below = terminals
-            elif at is None:
-                below = range(len(unit))
-            else:
-                below = [z for z, _ in at.terminals_below]
         for z in below:
             w[z] += m * unit[z]
     return w
@@ -435,7 +428,8 @@ def _gap_nfcce(reach: ProfileReach) -> GapReport:
     game = reach.game
     gaps, witnesses = [], []
     for i in range(game.n):
-        w = _trigger_weights(reach, _payoff_units(reach, i), Sequence.empty(i), None)
+        w = _trigger_weights(reach, _payoff_units(reach, i), Sequence.empty(i),
+                             range(len(game.terminals)))
         value, strat = best_response(game, i, w)
         gaps.append(Fraction(max(0, value - _expected(reach, i)), reach.value_scale(i)))
         witnesses.append(ConstantWitness(i, strat))
@@ -471,7 +465,8 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
             children)`` entry of :attr:`Infoset.after`."""
             terminals, children = after
             # the root only obeys, so it reads its own terminals alone
-            w = _trigger_weights(reach, units, seq, at, terminals if at is None else None)
+            w = _trigger_weights(reach, units, seq,
+                                 terminals if at is None else at.terminals_below)
             if w is None:
                 return 0, []
             obey = sum(w[z] for z in terminals)

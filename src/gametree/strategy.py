@@ -205,8 +205,11 @@ def pure_terminal_reach(game: Game, ps: PureStrategy, z: TerminalNode,
 
 def sequence_form(game: Game,
                   strategy: Union[PureStrategy, BehaviorStrategy]) -> SequenceFormVector:
-    """Reach probabilities of every sequence under the given plan."""
+    """Reach probabilities of every sequence under the given plan; a
+    behavior strategy is validated first."""
     game.require_valid()
+    if isinstance(strategy, BehaviorStrategy):
+        strategy.validate(game)
     i = strategy.player
     reach: dict[Sequence, Fraction] = {Sequence.empty(i): ONE}
     for iset in game.infosets[i]:

@@ -1,14 +1,14 @@
 """The ancestry index built by ``Game``: chains, subtrees and node links.
 
-Every check compares the index with a reference built only from the
-infosets' ``own_history`` ids and from walking a node's parent chain, on
-seeded random 2- and 3-player games with chance nodes. The ancestry order
-is read off the index alone: sequences and nodes by their own chains,
-infosets by their subtrees.
+Every check compares the index with a reference built only from walking a
+node's parent chain, on seeded random 2- and 3-player games with chance
+nodes. The ancestry order is read off the index alone: sequences and nodes
+by their own chains, infosets by their subtrees.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -44,26 +44,39 @@ def _points(game, i):
     return game.sequences(i) + list(game.infosets[i])
 
 
+@cache
+def _ref_histories(game):
+    """Per (player, infoset id): the own (infoset id, action) pairs above the
+    infoset's nodes, from the parent chain; every node of the infoset has
+    the same ones."""
+    out = {}
+    for node in _nodes(game):
+        if node.kind == "decision":
+            pairs, _at = _ref_node_path(node, node.player)
+            assert out.setdefault((node.player, node.infoset_id), pairs) == pairs
+    return out
+
+
 def _ref_history(game, x):
     """Own (infoset id, action) pairs weakly above ``x``, a sequence's own
-    pair included, from ``own_history`` alone."""
+    pair included, outermost first, from the parent chain."""
     if isinstance(x, Infoset):
-        return x.own_history
+        return _ref_histories(game)[(x.player, x.id)]
     if x.is_empty:
         return ()
-    return game.infoset(x.player, x.infoset).own_history + ((x.infoset, x.action),)
+    return _ref_histories(game)[(x.player, x.infoset)] + ((x.infoset, x.action),)
 
 
 def _ref_node_path(node, player):
-    """Own (infoset id, action) pairs strictly above ``node`` and the own
-    infoset id it sits at, from the parent chain."""
+    """Own (infoset id, action) pairs strictly above ``node``, outermost
+    first, and the own infoset id it sits at, from the parent chain."""
     pairs, child, cur = [], node, node.parent
     while cur is not None:
         if cur.kind == "decision" and cur.player == player:
             pairs.append((cur.infoset_id, child.path[len(cur.path)]))
         child, cur = cur, cur.parent
     at = node.infoset_id if node.kind == "decision" and node.player == player else None
-    return set(pairs), at
+    return tuple(reversed(pairs)), at
 
 
 def _ref_precedes(game, a, b):
@@ -130,11 +143,24 @@ def test_chains_and_node_links_match_the_id_histories():
         for i in range(game.n):
             for iset in game.infosets[i]:
                 assert tuple((game.infosets[i][j].id, a) for j, a in iset.chain) \
-                    == iset.own_history
+                    == _ref_history(game, iset)
                 assert all(h.infoset is iset for h in iset.nodes)
         for node in _nodes(game):
             if node.kind == "decision":
                 assert node.infoset is game.infoset(node.player, node.infoset_id)
+
+
+def test_terminals_below_are_the_terminals_after_the_subtree():
+    # in preorder, each once: those the infoset and its subtree list in
+    # their after entries, and those whose parent chain passes the infoset
+    for game in GAMES:
+        for i in range(game.n):
+            for iset in game.infosets[i]:
+                after = {z for j in iset.subtree for terminals, _ in j.after
+                         for z in terminals}
+                assert iset.terminals_below == sorted(after)
+                assert after == {z.index for z in game.terminals if any(
+                    j == iset.id for j, _ in _ref_node_path(z, i)[0])}
 
 
 def test_subtrees_are_the_weak_successors_in_discovery_order():
@@ -181,8 +207,8 @@ def test_best_response_reaches_the_brute_force_maximum():
                 if at is None:
                     below = [(z, 0) for z in game.terminals]
                 else:
-                    below = [(game.terminals[z], offset)
-                             for z, offset in at.terminals_below]
+                    below = [(game.terminals[z], len(at.chain))
+                             for z in at.terminals_below]
 
                 def value(ps):
                     return sum((weights[z.index] for z, offset in below

@@ -37,6 +37,13 @@ def test_cbr_rejects_another_players_sequence(ebos, ebos_pi):
         counterfactual_best_response(ebos, ebos_pi, 0, ebos.sequence(1, "Event", "X2"))
 
 
+def test_cbr_rejects_an_action_the_infoset_lacks(lrr, lrr_small):
+    with pytest.raises(KeyError, match="infoset 'R0' has no action 'bogus'"):
+        counterfactual_best_response(lrr, lrr_small, 0, Sequence(0, "R0", "bogus"))
+    with pytest.raises(KeyError, match="player P1 has no infoset 'nowhere'"):
+        counterfactual_best_response(lrr, lrr_small, 0, Sequence(0, "nowhere", "L"))
+
+
 def test_cbr_all_zero_subtree_ties_lexicographically():
     import json
     from gametree import parse_game

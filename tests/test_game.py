@@ -247,6 +247,26 @@ def test_serialize_round_trip_random_games():
             [z.terminal_id for z in g.terminals]
 
 
+@pytest.mark.parametrize("kind", ["chance", "decision"])
+def test_serialize_round_trips_the_deepest_game(kind):
+    # a Game holds MAX_DEPTH = 300 levels on every supported Python, and
+    # every game it holds serializes; the document is built as text, since
+    # json.dumps recurses as deep as it
+    def level(k):
+        if kind == "chance":
+            return '{"kind": "chance", "actions": [{"label": "m", "prob": "1", "child": '
+        return (f'{{"kind": "decision", "player": 0, "infoset": "I{k}", '
+                f'"actions": [{{"label": "m", "child": ')
+
+    text = ('{"players": ["A"], "root": ' + "".join(map(level, range(300)))
+            + '{"kind": "terminal", "payoffs": ["1"]}' + "}]}" * 300 + "}")
+    game = parse_game(text)
+    assert game.validate().ok and game.num_nodes == 301
+    once = serialize_game(game)
+    assert serialize_game(parse_game(once)) == once
+    assert game.terminals[0].terminal_id == "/".join(["m"] * 300)
+
+
 def test_sequence_is_a_named_tuple_of_its_fields():
     # hashing and equality are the tuple's, so a sequence equals its fields
     s = Sequence(0, "I", "a")

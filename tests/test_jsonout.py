@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gametree.jsonout import dumps
+from gametree.jsonout import INDENT, dumps
 
 # the characters json escapes, and some it writes as they are only with
 # ensure_ascii=False
@@ -41,3 +41,18 @@ def test_emitter_refuses_what_it_cannot_write_as_json_does():
                 {"a": [{None: "null key"}]}):
         with pytest.raises(TypeError):
             dumps(doc)
+
+
+def test_emitter_writes_any_depth():
+    # the layout takes no recursion: nesting beyond the interpreter's
+    # recursion limit is written as json would write it
+    depth = 1_500
+    doc = 1
+    for k in range(depth):
+        doc = [doc] if k % 2 else {"k": doc}
+    heads, tails = [], []
+    for k in reversed(range(depth)):  # outermost first
+        pad = "\n" + INDENT * (depth - k - 1)
+        heads.append(f"[{pad}{INDENT}" if k % 2 else f'{{{pad}{INDENT}"k": ')
+        tails.append(pad + ("]" if k % 2 else "}"))
+    assert dumps(doc) == "".join(heads) + "1" + "".join(reversed(tails))

@@ -310,10 +310,11 @@ def test_gap_bce_witness_lists_states_in_support_order():
     def arrives(game, profile, iset):
         mine = profile.strategies[iset.player]
         others = [ps for ps in profile.strategies if ps.player != iset.player]
+        offset = len(iset.chain)
         return any(game.terminals[z].chance_reach
                    and pure_terminal_reach(game, mine, game.terminals[z], offset)
                    and all(pure_terminal_reach(game, ps, game.terminals[z]) for ps in others)
-                   for z, offset in iset.terminals_below)
+                   for z in iset.terminals_below)
 
     for game, pi, report in _deep_history_cases("bce"):
         w = report.witness
@@ -481,11 +482,12 @@ def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
         for i in range(game.n):
             got = _cf_reach_profiles(reach, i)
             for iset in game.infosets[i]:
-                want = {z_idx: F(0) for z_idx, _ in iset.terminals_below}
+                want = {z_idx: F(0) for z_idx in iset.terminals_below}
                 for w, profile in support:
-                    for z_idx, offset in iset.terminals_below:
+                    for z_idx in iset.terminals_below:
                         z = game.terminals[z_idx]
-                        if (pure_terminal_reach(game, profile.strategies[i], z, offset)
+                        if (pure_terminal_reach(game, profile.strategies[i], z,
+                                                len(iset.chain))
                                 and all(pure_terminal_reach(game, profile.strategies[j], z)
                                         for j in range(game.n) if j != i)):
                             want[z_idx] += w
@@ -536,8 +538,8 @@ def test_efce_to_bce_refuses_a_corrupted_mass_table(ebos, ebos_pi, monkeypatch):
 def test_trigger_weights_match_conditional_reach_below_each_trigger(
         games_and_profiles, expanded_conditional_reach):
     # a trigger's weights are payoff * chance * conditional reach on every
-    # terminal below its infoset (all terminals for the empty trigger), and
-    # None exactly when the trigger has no mass
+    # terminal below its infoset (all terminals for the empty trigger), 0 on
+    # the others, and None exactly when the trigger has no mass
     zero_mass = 0
     for game, pi in games_and_profiles(35):
         reach = ProfileReach(game, pi)
@@ -545,9 +547,8 @@ def test_trigger_weights_match_conditional_reach_below_each_trigger(
             units = _payoff_units(reach, i)
             for seq in game.sequences(i):
                 at = None if seq.is_empty else game.infoset(i, seq.infoset)
-                below = (range(len(game.terminals)) if at is None
-                         else [z for z, _ in at.terminals_below])
-                w = _trigger_weights(reach, units, seq, at)
+                below = range(len(game.terminals)) if at is None else at.terminals_below
+                w = _trigger_weights(reach, units, seq, below)
                 mass, cond = expanded_conditional_reach(game, pi, i, seq)
                 if mass == 0:
                     assert w is None
@@ -557,6 +558,7 @@ def test_trigger_weights_match_conditional_reach_below_each_trigger(
                     t = game.terminals[z]
                     assert F(w[z], reach.value_scale(i)) == \
                         t.payoffs[i] * t.chance_reach * cond[z]
+                assert not any(w[z] for z in set(range(len(w))) - set(below))
     assert zero_mass > 0
 
 

@@ -419,6 +419,17 @@ def test_behavior_validation_messages(lrr):
         assert str(info.value) == message
 
 
+def test_sequence_form_refuses_an_invalid_behavior_strategy(lrr):
+    # an action the infoset lacks would otherwise be dropped unread
+    b = BehaviorStrategy(0, {"R0": {"L": F(1, 2), "R": F(1, 2), "bogus": F(1, 2)},
+                             "B": {"L'": F(1), "R'": F(0)}})
+    with pytest.raises(ProfileError) as info:
+        sequence_form(lrr, b)
+    assert str(info.value) == "infoset 'R0' has no action ['bogus']"
+    with pytest.raises(ProfileError, match="local distribution at 'R0' sums to 1/2"):
+        sequence_form(lrr, BehaviorStrategy(0, {"R0": {"L": F(1, 2)}, "B": {"L'": F(1)}}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 3))
 def test_int_behavior_decomposition_matches_the_sequence_form_route(rng, count):
