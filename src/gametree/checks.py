@@ -111,18 +111,19 @@ def check_2_lrr() -> list[CheckResult]:
     return out
 
 
-def _random_games(seed: int, count: int, **kw):
-    rng = random.Random(seed)
-    return rng, [random_game(rng, **kw) for _ in range(count)]
+_MAIN_SUITE_COUNT = 200
 
 
-_MAIN_SUITE_SEED = 411
-_MAIN_SUITE_KW = dict(max_players=3, max_nodes=30, max_pure_product=96,
-                      max_pure_per_player=24)
+def _main_suite():
+    """The seeded random games criteria 3 and 6 run on, and the generator
+    that drew them."""
+    rng = random.Random(411)
+    return rng, [random_game(rng, max_players=3, max_nodes=30, max_pure_product=96,
+                             max_pure_per_player=24) for _ in range(_MAIN_SUITE_COUNT)]
 
 
-def check_3_main_theorem(count: int = 200) -> list[CheckResult]:
-    rng, games = _random_games(_MAIN_SUITE_SEED, count, **_MAIN_SUITE_KW)
+def check_3_main_theorem() -> list[CheckResult]:
+    rng, games = _main_suite()
     exact_bad = []
     perturbed_bad = []
     perturbed = 0
@@ -143,7 +144,7 @@ def check_3_main_theorem(count: int = 200) -> list[CheckResult]:
                     or gap(game, converted, "bce").overall > eps:
                 perturbed_bad.append(k)
     return [
-        _result("3a", f"exact equilibria of {count} random games convert to "
+        _result("3a", f"exact equilibria of {_MAIN_SUITE_COUNT} random games convert to "
                 f"outcome-equivalent gap-0 profiles", not exact_bad,
                 "no failures", f"failures at {exact_bad[:5]}"),
         _result("3b", f"{perturbed} perturbed profiles keep converted gap <= "
@@ -152,7 +153,7 @@ def check_3_main_theorem(count: int = 200) -> list[CheckResult]:
     ]
 
 
-def check_4_oracle_agreement(count: int = 50) -> list[CheckResult]:
+def check_4_oracle_agreement() -> list[CheckResult]:
     rng = random.Random(97)
     bad = []
     checked = 0
@@ -176,7 +177,7 @@ def check_4_oracle_agreement(count: int = 50) -> list[CheckResult]:
         game = fixtures.load_game(name)
         feasible = [i for i in range(game.n) if len(enumerate_pure(game, i)) <= 4]
         compare(name, game, fixtures.load_profile(game, name), feasible)
-    for k in range(count):
+    for k in range(50):
         game = random_game(rng, max_players=2, max_nodes=10, max_depth=3,
                            max_pure_product=16, max_pure_per_player=4)
         pi = random_mixture(rng, game, max_components=2) if k % 2 else \
@@ -187,7 +188,7 @@ def check_4_oracle_agreement(count: int = 50) -> list[CheckResult]:
                     "exact agreement", f"disagreements: {bad[:5]}")]
 
 
-def check_5_decomposition(per_fixture: int = 100) -> list[CheckResult]:
+def check_5_decomposition() -> list[CheckResult]:
     rng = random.Random(5150)
     bad = []
     total = 0
@@ -195,7 +196,7 @@ def check_5_decomposition(per_fixture: int = 100) -> list[CheckResult]:
         game = fixtures.load_game(name)
         for i in range(game.n):
             seq_count = len(game.sequences(i))
-            for _ in range(per_fixture):
+            for _ in range(100):
                 total += 1
                 b = random_behavior_strategy(rng, game, i)
                 v = sequence_form(game, b)
@@ -219,22 +220,22 @@ def check_5_decomposition(per_fixture: int = 100) -> list[CheckResult]:
                     f"failures: {bad[:5]}")]
 
 
-def check_6_exact_bce(count: int = 200) -> list[CheckResult]:
+def check_6_exact_bce() -> list[CheckResult]:
     bad = []
     for name in fixtures.GAMES:
         game = fixtures.load_game(name)
         if gap(game, compute_bce(game), "bce").overall != 0:
             bad.append(name)
-    _rng, games = _random_games(_MAIN_SUITE_SEED, count, **_MAIN_SUITE_KW)
+    _rng, games = _main_suite()
     for k, game in enumerate(games):
         if gap(game, compute_bce(game), "bce").overall != 0:
             bad.append(k)
     return [_result("6", f"compute_bce returns exact gap-0 profiles on all "
-                    f"fixtures and {count} random games", not bad,
+                    f"fixtures and {_MAIN_SUITE_COUNT} random games", not bad,
                     "all gap 0", f"failures: {bad[:5]}")]
 
 
-def check_7_optimal_values(count: int = 20) -> list[CheckResult]:
+def check_7_optimal_values() -> list[CheckResult]:
     rng = random.Random(6161)
     bad = []
     cases = []
@@ -242,7 +243,7 @@ def check_7_optimal_values(count: int = 20) -> list[CheckResult]:
         game = fixtures.load_game(name)
         cases.append((name, game,
                       {z.terminal_id: sum(z.payoffs, ZERO) for z in game.terminals}))
-    for k in range(count):
+    for k in range(20):
         game = random_game(rng, max_players=3, max_nodes=20,
                            max_pure_product=64, max_pure_per_player=16)
         cases.append((f"random-{k}", game, random_objective(rng, game)))
@@ -320,7 +321,7 @@ def check_9_counterfactual_counterexample() -> list[CheckResult]:
     return out
 
 
-def check_10_factorized_reach(count: int = 25) -> list[CheckResult]:
+def check_10_factorized_reach() -> list[CheckResult]:
     rng = random.Random(1010)
     bad = []
     total = 0
@@ -352,7 +353,7 @@ def check_10_factorized_reach(count: int = 25) -> list[CheckResult]:
     cases = [(name, fixtures.load_game(name)) for name in fixtures.GAMES]
     profiles = {name: fixtures.load_profile(g, name) for name, g in cases}
     work = [(name, g, profiles[name]) for name, g in cases]
-    for k in range(count):
+    for k in range(25):
         game = random_game(rng, max_players=3, max_nodes=18,
                            max_pure_product=64, max_pure_per_player=16)
         work.append((f"random-{k}", game, random_mixture(rng, game)))

@@ -148,7 +148,15 @@ def _write(text: str, args=None):
 
 
 def _player_arg(game: Game, value: str) -> int:
-    return game.player_index(int(value)) if value.isdigit() else game.player_index(value)
+    """The player ``value`` names, else the player at index ``value``; a
+    value that names one player and is the index of another is refused."""
+    if value not in game.players:
+        return game.player_index(int(value) if value.isdecimal() else value)
+    named = game.players.index(value)
+    if value.isdecimal() and int(value) < game.n and int(value) != named:
+        raise ValueError(f"player {value!r} is ambiguous: it names the player at index "
+                         f"{named} and is the index of player {game.players[int(value)]!r}")
+    return named
 
 
 def _sequence_arg(game: Game, player: int, text: str) -> Sequence:

@@ -21,7 +21,7 @@ from .game import Game, Infoset, Sequence
 from .metrics import (GapReport, ProfileReach, _payoff_units, _same_outcomes,
                       _trigger_weights, gap)
 from .rational import format_rational
-from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy
+from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy, _check_plan
 
 
 def counterfactual_best_response(game: Game, pi: Union[MixtureOfProducts, ProfileReach],
@@ -66,6 +66,7 @@ def deviation_point(game: Game, ps: PureStrategy, infoset_id: str) -> Sequence:
     """The unique own sequence Ja with x(Ja) = 1, J preceding the infoset,
     and Ja not leading to it - defined exactly when ``ps`` does not reach the
     infoset (perfect recall makes it unique)."""
+    _check_plan(game, game.player_index(ps.player), ps)
     for j, a in game.infoset(ps.player, infoset_id).chain:
         if ps.actions[j] != a:
             return Sequence(ps.player, game.infosets[ps.player][j].id, ps.actions[j])

@@ -391,8 +391,8 @@ class Game:
 
 _TOO_DEEP = "document is nested too deeply to read"
 # the deepest tree a Game holds: every supported interpreter reads a game
-# document this deep, where json.loads or the recursive node parse gives
-# out a little deeper on some of them
+# document this deep, where json.loads (3.10, 3.11) or the node parse, one
+# frame per level (3.12, 3.13), gives out deeper
 MAX_DEPTH = 300
 
 
@@ -423,97 +423,70 @@ def parse_game(text: str) -> Game:
         raise GameParseError("missing \"root\"")
     try:
         root = _parse_node(doc["root"], len(players), rational_reader())
-    except _Defect as e:
-        raise GameParseError(e.message, "root" + (f"/{e.where}" if e.where else "")) from None
     except RecursionError:  # decoded, but too deep for the recursive node parse
         raise GameParseError(_TOO_DEEP) from None
     return Game(tuple(players), root)
 
 
-class _Defect(Exception):
-    """A schema defect at ``where``, a path relative to the node being
-    parsed; each enclosing level prefixes its own part while the defect
-    unwinds, so the happy path builds no path strings."""
-
-    def __init__(self, message: str, where: str = ""):
-        super().__init__(message)
-        self.message = message
-        self.where = where
-
-    def within(self, part: str) -> "_Defect":
-        self.where = f"{part}/{self.where}" if self.where else part
-        return self
-
-
-def _parse_node(spec, n: int, rational) -> Node:
+def _parse_node(spec, n: int, rational, where=None) -> Node:
+    """The node ``spec`` describes. ``where`` locates it: None at the root,
+    else the pair (its parent's ``where``, its action position), so the
+    happy path builds no path strings."""
     if not isinstance(spec, dict):
-        raise _Defect("node must be an object")
+        raise _defect("node must be an object", where)
     kind = spec.get("kind")
     if kind == "terminal":
         payoffs = spec.get("payoffs")
         if not isinstance(payoffs, list):
-            raise _Defect("terminal needs a \"payoffs\" list")
+            raise _defect("terminal needs a \"payoffs\" list", where)
         if len(payoffs) != n:
-            raise _Defect(f"payoff vector has {len(payoffs)} entries for {n} players")
+            raise _defect(f"payoff vector has {len(payoffs)} entries for {n} players", where)
         try:
             return TerminalNode(tuple(map(rational, payoffs)))
         except ValueError as e:
-            raise _Defect(str(e), "payoffs") from e
-    if kind == "chance":
-        moves = []
-        for k, item in enumerate(_actions_of(spec)):
-            try:
-                label = _label_of(item)
-                if "prob" not in item:
-                    raise _Defect("chance action needs \"prob\"")
-                try:
-                    prob = rational(item["prob"])
-                except ValueError as e:
-                    raise _Defect(str(e), "prob") from e
-                moves.append((label, prob, _child_of(item, n, rational)))
-            except _Defect as e:
-                raise e.within(f"actions/{k}")
-        return ChanceNode(moves)
-    if kind == "decision":
+            raise _defect(str(e), where, "/payoffs") from None
+    chance = kind == "chance"
+    if not chance:
+        if kind != "decision":
+            raise _defect(f"unknown node kind {kind!r}", where)
         player = spec.get("player")
         if not isinstance(player, int) or isinstance(player, bool) or not 0 <= player < n:
-            raise _Defect(f"\"player\" must be an integer in [0, {n}), got {player!r}")
+            raise _defect(f"\"player\" must be an integer in [0, {n}), got {player!r}", where)
         infoset = spec.get("infoset")
         if not isinstance(infoset, str) or not infoset:
-            raise _Defect("\"infoset\" must be a non-empty string")
-        moves = []
-        for k, item in enumerate(_actions_of(spec)):
-            try:
-                moves.append((_label_of(item), _child_of(item, n, rational)))
-            except _Defect as e:
-                raise e.within(f"actions/{k}")
-        return DecisionNode(player, infoset, moves)
-    raise _Defect(f"unknown node kind {kind!r}")
-
-
-def _actions_of(spec):
+            raise _defect("\"infoset\" must be a non-empty string", where)
     actions = spec.get("actions")
     if not isinstance(actions, list):
-        raise _Defect("node needs an \"actions\" list")
-    return actions
+        raise _defect("node needs an \"actions\" list", where)
+    moves = []
+    for k, item in enumerate(actions):
+        if not isinstance(item, dict):
+            raise _defect("action must be an object", where, f"/actions/{k}")
+        label = item.get("label")
+        if not isinstance(label, str) or not label:
+            raise _defect("action needs a non-empty string \"label\"", where, f"/actions/{k}")
+        if chance:
+            if "prob" not in item:
+                raise _defect("chance action needs \"prob\"", where, f"/actions/{k}")
+            try:
+                prob = rational(item["prob"])
+            except ValueError as e:
+                raise _defect(str(e), where, f"/actions/{k}/prob") from None
+        if "child" not in item:
+            raise _defect("action needs a \"child\" node", where, f"/actions/{k}")
+        child = _parse_node(item["child"], n, rational, (where, k))
+        moves.append((label, prob, child) if chance else (label, child))
+    return ChanceNode(moves) if chance else DecisionNode(player, infoset, moves)
 
 
-def _label_of(item):
-    if not isinstance(item, dict):
-        raise _Defect("action must be an object")
-    label = item.get("label")
-    if not isinstance(label, str) or not label:
-        raise _Defect("action needs a non-empty string \"label\"")
-    return label
-
-
-def _child_of(item, n: int, rational) -> Node:
-    if "child" not in item:
-        raise _Defect("action needs a \"child\" node")
-    try:
-        return _parse_node(item["child"], n, rational)
-    except _Defect as e:
-        raise e.within("child")
+def _defect(message: str, where, part: str = "") -> GameParseError:
+    """The error for a schema defect at ``part`` of the node ``where``
+    locates; the only place a node's document path is built."""
+    steps = []
+    while where is not None:
+        where, k = where
+        steps.append(f"/actions/{k}/child")
+    return GameParseError(message, "root" + "".join(reversed(steps)) + part)
 
 
 def serialize_game(game: Game) -> str:

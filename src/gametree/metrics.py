@@ -31,8 +31,8 @@ from .bestresponse import best_response
 from .errors import InternalCheckError, ResourceGuardError
 from .game import Game, Infoset, Node, Sequence
 from .rational import format_rational, over_common_denominator
-from .strategy import (MixtureOfProducts, PureProfile, PureStrategy, profile_support,
-                       pure_terminal_reach)
+from .strategy import (MixtureOfProducts, PureProfile, PureStrategy, _check_profile,
+                       profile_support, pure_terminal_reach)
 from .witnesses import ConstantWitness, HistoryPolicyWitness, TriggerCommitWitness
 
 ZERO = Fraction(0)
@@ -48,7 +48,9 @@ STATE_CAP_ENV = "GT_STATE_CAP"
 
 def pure_utility(game: Game, profile: PureProfile, player: Union[int, str]) -> Fraction:
     """Expected utility of a pure profile (expectation over chance only)."""
+    game.require_valid()  # a valid game lists an infoset's actions at each of its nodes
     i = game.player_index(player)
+    _check_profile(game, profile)
     return _play_from(game.root, profile, lambda z: z.payoffs[i])
 
 
@@ -58,6 +60,7 @@ def counterfactual_utility(game: Game, profile: PureProfile,
     other players' reach: own play above the infoset is not required."""
     game.require_valid()  # under perfect recall the infoset's pair sits at len(chain)
     i = game.player_index(player)
+    _check_profile(game, profile)
     iset = game.infoset(i, infoset_id)
     others = [(j, profile.strategies[j]) for j in range(game.n) if j != i]
     mine = profile.strategies[i]
@@ -298,7 +301,9 @@ def conditional_node_utility(game: Game, pi: MixtureOfProducts,
     """Expected utility of restarting play at the node addressed by ``path``,
     with everyone (chance included) continuing as sampled. Used to compare
     conditional values inside off-path subtrees."""
+    game.require_valid()
     i = game.player_index(player)
+    pi.validate(game)
     node = game.node_at(tuple(path))
     total = ZERO
     for w, profile in profile_support(pi):

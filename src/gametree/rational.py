@@ -84,12 +84,12 @@ def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     return den, tuple([q.numerator * (den // d) for q, d in zip(values, dens)])
 
 
-def decimal_repr(q: Fraction, digits: int = 20) -> str:
-    """Display-only decimal approximation to ``digits`` significant digits.
+def decimal_repr(q: Fraction) -> str:
+    """Display-only decimal approximation to 20 significant digits.
 
     Never feeds back into computation.
     """
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 20
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)

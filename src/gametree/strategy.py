@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import contains
 from typing import Iterator, Optional, Sequence as Seq, Union
 
 from .errors import InternalCheckError, ProfileError, ProfileParseError
@@ -149,7 +148,6 @@ class MixtureOfProducts:
         if sum(alphas) != den:
             raise ProfileError(f"component weights sum to "
                                f"{format_rational(Fraction(sum(alphas), den))}, not 1")
-        options = [[iset.actions for iset in isets] for isets in game.infosets]
         for t, c in enumerate(self.components):
             if alphas[t] < 0:
                 raise ProfileError(f"component {t} has negative weight")
@@ -165,14 +163,30 @@ class MixtureOfProducts:
                 for b, (_, ps) in zip(betas, mix):
                     if b < 0:
                         raise ProfileError(f"component {t} has a negative strategy weight")
-                    if ps.player != i or len(ps.actions) != len(options[i]):
-                        raise ProfileError(
-                            f"component {t} holds a strategy that is not a total plan "
-                            f"for player {game.players[i]}")
-                    if not all(map(contains, options[i], ps.actions)):
-                        iset, a = next((iset, a) for iset, a in zip(game.infosets[i], ps.actions)
-                                       if a not in iset.actions)
-                        raise ProfileError(f"infoset {iset.id!r} has no action {a!r}")
+                    _check_plan(game, i, ps, t)
+
+
+def _check_profile(game: Game, profile: PureProfile):
+    """Refuse ``profile`` unless it holds a total plan per player, as
+    :meth:`MixtureOfProducts.validate` refuses the one component
+    :func:`pure_mixture` makes of it."""
+    if len(profile.strategies) != game.n:
+        raise ProfileError(f"component 0 covers {len(profile.strategies)} players, "
+                           f"game has {game.n}")
+    for i, ps in enumerate(profile.strategies):
+        _check_plan(game, i, ps)
+
+
+def _check_plan(game: Game, i: int, ps: PureStrategy, t: int = 0):
+    """Refuse ``ps`` unless it is a total plan of player ``i``, as
+    :meth:`MixtureOfProducts.validate` refuses a plan of component ``t``."""
+    isets = game.infosets[i]
+    if ps.player != i or len(ps.actions) != len(isets):
+        raise ProfileError(f"component {t} holds a strategy that is not a total plan "
+                           f"for player {game.players[i]}")
+    for iset, a in zip(isets, ps.actions):
+        if a not in iset.actions:
+            raise ProfileError(f"infoset {iset.id!r} has no action {a!r}")
 
 
 # -- reach indicators --------------------------------------------------------
@@ -205,11 +219,13 @@ def pure_terminal_reach(game: Game, ps: PureStrategy, z: TerminalNode,
 
 def sequence_form(game: Game,
                   strategy: Union[PureStrategy, BehaviorStrategy]) -> SequenceFormVector:
-    """Reach probabilities of every sequence under the given plan; a
-    behavior strategy is validated first."""
+    """Reach probabilities of every sequence under the given plan, which
+    is validated first."""
     game.require_valid()
     if isinstance(strategy, BehaviorStrategy):
         strategy.validate(game)
+    else:
+        _check_plan(game, game.player_index(strategy.player), strategy)
     i = strategy.player
     reach: dict[Sequence, Fraction] = {Sequence.empty(i): ONE}
     for iset in game.infosets[i]:

@@ -298,6 +298,26 @@ def test_cbr_sequence_refuses_an_ambiguous_label(paths, capsys):
     assert code == 0 and json.loads(out)["sequence"] == "a:on"
 
 
+def test_cbr_player_refuses_a_name_that_is_another_players_index(paths, capsys):
+    # "0" names the second player and is the index of the first; a digit
+    # string that names no player stays an index
+    doc = json.loads(fixtures.fixture_text("ebos.game.json"))
+    game = paths["tmp"] / "digits.game.json"
+    for players, value, want in ((["1", "0"], "0", None), (["1", "B"], "0", "1"),
+                                 (["A", "1"], "1", "1")):
+        game.write_text(json.dumps(dict(doc, players=players)))
+        code, out, err = run(capsys, "cbr", str(game), paths["ebos.profile"],
+                             "--player", value, "--sequence", "empty")
+        if want is None:
+            assert (code, out, err) == (1, "", "error: player '0' is ambiguous: it names the "
+                                        "player at index 1 and is the index of player '1'\n")
+        else:
+            assert code == 0 and json.loads(out)["player"] == want, err
+    # a digit that is not a decimal digit is no index
+    assert run(capsys, "cbr", str(game), paths["ebos.profile"], "--player", "²",
+               "--sequence", "empty") == (1, "", "error: unknown player '²'\n")
+
+
 def test_cbr_sequence_needs_a_colon(paths, capsys):
     code, out, err = run(capsys, "cbr", paths["ebos"], paths["ebos.profile"], "--player",
                          "P1", "--sequence", "Root")

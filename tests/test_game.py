@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,21 @@ def test_serialize_round_trips_the_deepest_game(kind):
     assert game.terminals[0].terminal_id == "/".join(["m"] * 300)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 12),
+                    reason="json.loads counts against the recursion limit below 3.12")
+def test_the_deepest_game_parses_from_deep_in_the_stack():
+    # the node parse takes one frame per tree level, so a game of MAX_DEPTH
+    # levels still parses from 500 frames below the caller
+    text = ('{"players": ["A"], "root": '
+            + '{"kind": "chance", "actions": [{"label": "m", "prob": "1", "child": ' * 300
+            + '{"kind": "terminal", "payoffs": ["1"]}' + "}]}" * 300 + "}")
+
+    def below(frames):
+        return parse_game(text) if frames == 0 else below(frames - 1)
+
+    assert below(500).num_nodes == 301
+
+
 def test_sequence_is_a_named_tuple_of_its_fields():
     # hashing and equality are the tuple's, so a sequence equals its fields
     s = Sequence(0, "I", "a")
@@ -374,6 +390,11 @@ MALFORMED_GAMES = [
      "root/actions/0/child: unknown node kind 'leaf'"),
     ({"players": ["A"], "root": chance(("l", "x", {"kind": "leaf"}))},
      f"root/actions/0/prob: malformed rational 'x' {RAT}"),
+    # two levels down, the outer level's action position is rendered first
+    ({"players": ["A"], "root": decision(
+        0, "i", ("a", terminal("0")),
+        ("b", chance(("l", "1", terminal("2/x")), ("r", "0", terminal("0")))))},
+     f"root/actions/1/child/actions/0/child/payoffs: malformed rational '2/x' {RAT}"),
 ]
 
 

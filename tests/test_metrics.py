@@ -14,8 +14,10 @@ from gametree.metrics import (NOTIONS, _cf_reach_profiles, _cf_values, _payoff_u
                               _trigger_weights, conditional_node_utility, pure_utility)
 from gametree.randgen import random_game, random_mixture, random_pure_profile_mixture
 from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
-                               pure_reaches_sequence, pure_terminal_reach)
-from gametree.convert import efce_to_bce
+                               PureStrategy, pure_reaches_sequence, pure_terminal_reach,
+                               sequence_form)
+from gametree.convert import deviation_point, efce_to_bce
+from gametree.errors import InvalidGameError
 from gametree.witnesses import recommendation_history
 
 F = Fraction
@@ -633,6 +635,60 @@ def test_every_entry_point_refuses_an_invalid_profile_alike(ebos, ebos_pi, case)
         with pytest.raises(ProfileError) as info:
             call()
         assert str(info.value) == message
+
+
+NOT_A_PLAN = "component 0 holds a strategy that is not a total plan for player P1"
+
+
+@pytest.mark.parametrize("actions,message", [
+    (("bogus", "L'"), "infoset 'R0' has no action 'bogus'"),
+    (("L", "L'", "extra"), NOT_A_PLAN),
+    (("L",), NOT_A_PLAN),
+], ids=["unknown action", "extra action", "missing action"])
+def test_the_reference_functions_refuse_a_plan_not_of_the_game(lrr, actions, message):
+    # in MixtureOfProducts.validate's words, a plan and a pure profile
+    # read as the one component pure_mixture makes of them
+    plan = PureStrategy(0, actions)
+    calls = [lambda: sequence_form(lrr, plan),
+             lambda: pure_utility(lrr, PureProfile((plan,)), 0),
+             lambda: counterfactual_utility(lrr, PureProfile((plan,)), 0, "B"),
+             lambda: deviation_point(lrr, plan, "R0")]
+    for call in calls:
+        with pytest.raises(ProfileError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ProfileError) as info:
+        pure_mixture(lrr, [(F(1), PureProfile((plan,)))]).validate(lrr)
+    assert str(info.value) == message
+
+
+def test_pure_utility_refuses_a_profile_missing_a_player(ebos):
+    plan = PureStrategy(0, tuple(iset.actions[0] for iset in ebos.infosets[0]))
+    with pytest.raises(ProfileError, match="^component 0 covers 1 players, game has 2$"):
+        pure_utility(ebos, PureProfile((plan,)), 0)
+
+
+def test_pure_utilities_refuse_an_invalid_game():
+    # infoset j lists x at one node and y at the other: plan x meets a node
+    # without it, which is bad input, not a failed self-check
+    game = parse_game(json.dumps({"players": ["A", "B"], "root": {"kind": "chance", "actions": [
+        {"label": c, "prob": "1/2", "child": {"kind": "decision", "player": 1, "infoset": "j",
+                                            "actions": [{"label": a, "child": {
+                                                "kind": "terminal", "payoffs": ["0", "0"]}}]}}
+        for c, a in (("l", "x"), ("r", "y"))]}}))
+    profile = PureProfile((PureStrategy(0, ()), PureStrategy(1, ("x",))))
+    calls = [lambda: pure_utility(game, profile, 0),
+             lambda: conditional_node_utility(game, pure_mixture(game, [(F(1), profile)]), 0, ())]
+    for call in calls:
+        with pytest.raises(InvalidGameError, match="^game fails validation"):
+            call()
+
+
+def test_conditional_node_utility_validates_its_mixture(surj, surj_pi):
+    doubled = MixtureOfProducts(tuple(MixtureComponent(2 * c.alpha, c.strategies)
+                                      for c in surj_pi.components))
+    with pytest.raises(ProfileError, match="^component weights sum to 2, not 1$"):
+        conditional_node_utility(surj, doubled, 0, ("Coop", "P"))
 
 
 def test_a_reach_passed_in_stands_for_a_validated_profile(ebos, ebos_pi, monkeypatch):
