@@ -18,8 +18,16 @@ print(f"nodes:     {ebos.num_nodes} ({len(ebos.terminals)} terminals)")
 for i, name in enumerate(ebos.players):
     ids = [iset.id for iset in ebos.infosets[i]]
     print(f"{name} infosets: {ids}")
-print("P2's single infoset spans", len(ebos.infosets[1][0].nodes),
-      "nodes: it moves without seeing P1's choices.")
+# nodes link only down (infosets list no nodes), so count an infoset's nodes
+# by walking from the root
+p2, stack, spans = ebos.infosets[1][0], [ebos.root], 0
+while stack:
+    node = stack.pop()
+    if node.kind == "decision" and node.infoset is p2:
+        spans += 1
+    if node.kind != "terminal":
+        stack.extend(move[-1] for move in node.moves)
+print("P2's single infoset spans", spans, "nodes: it moves without seeing P1's choices.")
 
 print()
 print("Sequences of P1 (the empty sequence, then one per infoset-action):")

@@ -91,7 +91,7 @@ class ValidationReport:
 
 
 class Node:
-    __slots__ = ("parent", "path")
+    __slots__ = ()
 
     kind = "node"
 
@@ -126,7 +126,8 @@ class TerminalNode(Node):
 
 
 class Infoset:
-    """A player's information set: the nodes it cannot tell apart.
+    """A player's information set: the nodes it cannot tell apart. It holds
+    no list of them; each decision node links to its infoset instead.
 
     ``chain`` is the shared history of that player's own (infoset index,
     action) pairs on the path from the root, outermost first and excluding
@@ -145,7 +146,7 @@ class Infoset:
     it up.
     """
 
-    __slots__ = ("player", "id", "index", "actions", "nodes", "parent_seq", "chain",
+    __slots__ = ("player", "id", "index", "actions", "parent_seq", "chain",
                  "subtree", "terminals_below", "seqs", "after")
 
     def __init__(self, player, id_, index, actions, parent_seq, chain):
@@ -153,7 +154,6 @@ class Infoset:
         self.id = id_
         self.index = index
         self.actions = actions
-        self.nodes = []
         self.parent_seq = parent_seq
         self.chain = chain
         self.subtree = []
@@ -168,6 +168,10 @@ class Infoset:
 
 class Game:
     """Immutable indexed view of a parsed game tree.
+
+    Nodes link down only: each holds its ``moves``, and a decision node
+    also its ``infoset``. Reach a node's parent or path by walking from
+    ``root``; :meth:`node_at` follows a path down.
 
     ``root_after[i]`` is player ``i``'s ``(terminals, children)`` pair of
     the empty sequence, in the shape of :attr:`Infoset.after`: the
@@ -217,14 +221,12 @@ class Game:
         n = self.n
         empties = tuple(Sequence.empty(i) for i in range(n))
         terminals, infosets, by_key = self.terminals, self.infosets, self._infoset_by_key
-        stack = [(self.root, None, (), ONE, ((),) * n, empties, tuple(self.root_after))]
+        stack = [(self.root, (), ONE, ((),) * n, empties, tuple(self.root_after))]
         count = 0
         while stack:
-            node, parent, path, chance, pairs, lasts, afters = stack.pop()
+            node, path, chance, pairs, lasts, afters = stack.pop()
             if len(path) > MAX_DEPTH:
                 raise GameParseError(_TOO_DEEP)
-            node.parent = parent
-            node.path = path
             count += 1
             kind = node.kind
             if kind == "terminal":
@@ -256,8 +258,7 @@ class Game:
                     if prob < 0:
                         self._violate("chance-sum", path,
                                       f"negative probability on action {label!r}")
-                    stack.append((child, node, path + (label,), chance * prob,
-                                  pairs, lasts, afters))
+                    stack.append((child, path + (label,), chance * prob, pairs, lasts, afters))
                 continue
             # decision node
             node.order = count  # preorder rank: stack pops in preorder
@@ -276,7 +277,6 @@ class Game:
                                   f"infoset {node.infoset_id!r} mixes own histories "
                                   f"{list(self._ids(i, iset.chain))} and "
                                   f"{list(self._ids(i, pairs[i]))}")
-            iset.nodes.append(node)
             node.infoset = iset
             actions, index = iset.actions, iset.index
             head, own, tail = pairs[:i], pairs[i], pairs[i + 1:]
@@ -287,7 +287,7 @@ class Game:
                     seq, after = iset.seqs[m], iset.after[m]
                 else:  # the node's actions differ from its infoset's: the game is invalid
                     seq, after = Sequence(i, iset.id, label), ([], [])
-                stack.append((child, node, path + (label,), chance,
+                stack.append((child, path + (label,), chance,
                               head + (own + ((index, label),),) + tail,
                               lhead + (seq,) + ltail, ahead + (after,) + atail))
         self.num_nodes = count
@@ -373,7 +373,7 @@ class Game:
         raise KeyError(f"no terminal {terminal_id!r}")
 
     def node_at(self, path: Iterable[str]) -> Node:
-        node = self.root
+        node, walked = self.root, []
         for label in path:
             if node.kind == "terminal":
                 raise KeyError(f"path descends past terminal {node.terminal_id!r}")
@@ -382,7 +382,8 @@ class Game:
                     node = m[-1]
                     break
             else:
-                raise KeyError(f"no action {label!r} at node {'/'.join(node.path) or '.'}")
+                raise KeyError(f"no action {label!r} at node {'/'.join(walked) or '.'}")
+            walked.append(label)
         return node
 
 

@@ -126,8 +126,7 @@ class ProfileReach:
                               for beta, ps in mix)
                 walks = [_plan_sequences(game, i, ps) if beta else frozenset()
                          for beta, ps in plans]
-                masses = _sequence_masses(game, i, [(beta, walk) for (beta, _), walk
-                                                    in zip(plans, walks)])
+                masses = _sequence_masses([(beta, walk) for (beta, _), walk in zip(plans, walks)])
                 # a plan reaches z exactly when it reaches z's last own sequence
                 rows.append([masses.get(z.last_seq[i], 0) for z in game.terminals])
                 self.plans[i].append(plans)
@@ -168,9 +167,9 @@ class ProfileReach:
         return self.game.payoff_rows[i][0] * self.scale
 
 
-def _sequence_masses(game: Game, i: int, walks) -> dict[Sequence, int]:
-    """Per sequence of player ``i``: the beta of the plans playing to it,
-    from ``(beta, sequences the plan plays to)`` pairs."""
+def _sequence_masses(walks) -> dict[Sequence, int]:
+    """Per sequence: the beta of the plans playing to it, from ``(beta,
+    sequences the plan plays to)`` pairs of one player."""
     masses: dict[Sequence, int] = {}
     for beta, walk in walks:
         for seq in walk:

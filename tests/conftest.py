@@ -16,6 +16,18 @@ from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
 F = Fraction
 
 
+def walk_tree(game):
+    """Every node of ``game`` in preorder as ``(node, parent, path)``: its
+    parent (None at the root) and the action labels from the root to it.
+    Nodes link only down, so a test reads a node's parent and path here."""
+    stack = [(game.root, None, ())]
+    while stack:
+        node, parent, path = stack.pop()
+        yield node, parent, path
+        if node.kind != "terminal":
+            stack.extend((m[-1], node, path + (m[0],)) for m in reversed(node.moves))
+
+
 @pytest.fixture(scope="session")
 def ebos():
     return fixtures.load_game("ebos")

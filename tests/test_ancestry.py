@@ -1,9 +1,9 @@
 """The ancestry index built by ``Game``: chains, subtrees and node links.
 
 Every check compares the index with a reference built only from walking a
-node's parent chain, on seeded random 2- and 3-player games with chance
-nodes. The ancestry order is read off the index alone: sequences and nodes
-by their own chains, infosets by their subtrees.
+node's parent chain, read off a walk from the root, on seeded random 2- and
+3-player games with chance nodes. The ancestry order is read off the index
+alone: sequences and nodes by their own chains, infosets by their subtrees.
 """
 
 import random
@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from conftest import walk_tree
 
 from gametree import Sequence, fixtures
 from gametree.bestresponse import best_response
@@ -50,9 +51,9 @@ def _ref_histories(game):
     infoset's nodes, from the parent chain; every node of the infoset has
     the same ones."""
     out = {}
-    for node in _nodes(game):
+    for node, _parent, _path in walk_tree(game):
         if node.kind == "decision":
-            pairs, _at = _ref_node_path(node, node.player)
+            pairs, _at = _ref_node_path(game, node, node.player)
             assert out.setdefault((node.player, node.infoset_id), pairs) == pairs
     return out
 
@@ -67,14 +68,23 @@ def _ref_history(game, x):
     return _ref_histories(game)[(x.player, x.infoset)] + ((x.infoset, x.action),)
 
 
-def _ref_node_path(node, player):
+@cache
+def _links(game):
+    """Per node id: the node's parent and its path from the root."""
+    return {id(node): (parent, path) for node, parent, path in walk_tree(game)}
+
+
+def _ref_node_path(game, node, player):
     """Own (infoset id, action) pairs strictly above ``node``, outermost
     first, and the own infoset id it sits at, from the parent chain."""
-    pairs, child, cur = [], node, node.parent
+    links = _links(game)
+    cur, path = links[id(node)]
+    pairs = []
     while cur is not None:
+        parent, above = links[id(cur)]
         if cur.kind == "decision" and cur.player == player:
-            pairs.append((cur.infoset_id, child.path[len(cur.path)]))
-        child, cur = cur, cur.parent
+            pairs.append((cur.infoset_id, path[len(above)]))
+        cur = parent
     at = node.infoset_id if node.kind == "decision" and node.player == player else None
     return tuple(reversed(pairs)), at
 
@@ -87,8 +97,8 @@ def _ref_precedes(game, a, b):
     return any(j == a.id for j, _ in _ref_history(game, b))
 
 
-def _ref_precedes_node(a, node):
-    pairs, at = _ref_node_path(node, a.player)
+def _ref_precedes_node(game, a, node):
+    pairs, at = _ref_node_path(game, node, a.player)
     if isinstance(a, Sequence):
         return a.is_empty or (a.infoset, a.action) in pairs
     return a.id == at or any(j == a.id for j, _ in pairs)
@@ -120,22 +130,14 @@ def _index_precedes(game, a, b):
     return a is at or any(j == a.index for j, _ in chain)
 
 
-def _nodes(game):
-    stack, out = [game.root], []
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if node.kind != "terminal":
-            stack.extend(m[-1] for m in node.moves)
-    return out
-
-
 def test_random_games_cover_two_and_three_players_with_chance():
     assert {g.n for g in GAMES} == {2, 3}
     assert all(g.num_chance_nodes for g in GAMES)
     isets = [iset for g in GAMES for per_player in g.infosets for iset in per_player]
     assert max(len(iset.chain) for iset in isets) >= 2  # chains below chains
-    assert any(len(iset.nodes) > 1 for iset in isets)   # merged infosets
+    decisions = [node for g in GAMES for node, _parent, _path in walk_tree(g)
+                 if node.kind == "decision"]
+    assert len({node.infoset for node in decisions}) < len(decisions)  # merged infosets
 
 
 def test_chains_and_node_links_match_the_id_histories():
@@ -144,10 +146,12 @@ def test_chains_and_node_links_match_the_id_histories():
             for iset in game.infosets[i]:
                 assert tuple((game.infosets[i][j].id, a) for j, a in iset.chain) \
                     == _ref_history(game, iset)
-                assert all(h.infoset is iset for h in iset.nodes)
-        for node in _nodes(game):
+        linked = set()
+        for node, _parent, _path in walk_tree(game):
             if node.kind == "decision":
                 assert node.infoset is game.infoset(node.player, node.infoset_id)
+                linked.add(node.infoset)
+        assert linked == {iset for isets in game.infosets for iset in isets}
 
 
 def test_terminals_below_are_the_terminals_after_the_subtree():
@@ -160,7 +164,7 @@ def test_terminals_below_are_the_terminals_after_the_subtree():
                          for z in terminals}
                 assert iset.terminals_below == sorted(after)
                 assert after == {z.index for z in game.terminals if any(
-                    j == iset.id for j, _ in _ref_node_path(z, i)[0])}
+                    j == iset.id for j, _ in _ref_node_path(game, z, i)[0])}
 
 
 def test_subtrees_are_the_weak_successors_in_discovery_order():
@@ -186,14 +190,14 @@ def test_precedes_from_points_to_nodes_matches_the_parent_chain():
     # terminals read their own pairs and the player's decision nodes their
     # infoset's chain; other nodes carry no own chain of that player
     for game in GAMES:
-        nodes = _nodes(game)
+        nodes = list(walk_tree(game))
         for i in range(game.n):
-            own = [node for node in nodes if node.kind == "terminal"
+            own = [(node, path) for node, _parent, path in nodes if node.kind == "terminal"
                    or (node.kind == "decision" and node.player == i)]
             for a in _points(game, i):
-                for node in own:
-                    assert _index_precedes(game, a, node) == _ref_precedes_node(a, node), \
-                        (a, node.path)
+                for node, path in own:
+                    assert _index_precedes(game, a, node) == _ref_precedes_node(game, a, node), \
+                        (a, path)
 
 
 def test_best_response_reaches_the_brute_force_maximum():

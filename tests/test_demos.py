@@ -1,5 +1,6 @@
-"""Each demo script, and the paper check under ``python -O``, runs to
-completion against the package sources."""
+"""Each demo script, in development mode with warnings as errors as the
+tests run in CI, and the paper check under ``python -O``, runs to completion
+against the package sources."""
 
 import os
 import subprocess
@@ -26,7 +27,7 @@ def _run(*argv, timeout=120):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
-    proc = _run(str(demo))
+    proc = _run("-X", "dev", "-W", "error", str(demo))
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

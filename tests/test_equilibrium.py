@@ -167,6 +167,18 @@ def test_profile_cap_refusal(ebos):
         compute_efce(ebos, profile_cap=5)
 
 
+def test_profile_cap_admits_a_game_at_the_cap(ebos):
+    # the cap bounds the pure profiles from above: a game with exactly that
+    # many solves, one more refuses
+    profiles = 1
+    for isets in ebos.infosets:
+        for iset in isets:
+            profiles *= len(iset.actions)
+    assert gap(ebos, compute_efce(ebos, profile_cap=profiles), "efce").overall == 0
+    with pytest.raises(ResourceGuardError, match=f"more than {profiles - 1} pure profiles"):
+        compute_efce(ebos, profile_cap=profiles - 1)
+
+
 def test_profile_cap_refuses_before_enumerating(plan_chain_text, strategy_guard):
     # one player alone exceeds the cap: the action counts refuse the game
     # before a single plan is built

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import walk_tree
 
 from gametree import (GameParseError, Sequence, parse_game, serialize_game)
 from gametree.randgen import random_game, random_pure_strategy
@@ -22,7 +23,9 @@ def test_parse_ebos_shape(ebos):
     assert ebos.players == ("P1", "P2")
     assert len(ebos.terminals) == 8
     assert [len(isets) for isets in ebos.infosets] == [3, 1]
-    assert len(ebos.infosets[1][0].nodes) == 4
+    iset = ebos.infosets[1][0]
+    assert sum(node.kind == "decision" and node.infoset is iset
+               for node, _parent, _path in walk_tree(ebos)) == 4
 
 
 def test_parse_smallest_legal_game():
@@ -494,13 +497,22 @@ def test_a_sequence_without_an_infoset_is_the_players_empty_one(ebos):
             assert seq.is_empty and seq.player == i
 
 
+def test_player_index_refuses_an_index_past_the_last_player(ebos):
+    assert ebos.player_index(ebos.n - 1) == ebos.n - 1
+    for index in (ebos.n, -1):
+        with pytest.raises(KeyError) as info:
+            ebos.player_index(index)
+        assert info.value.args == (f"no player with index {index}",)
+
+
 def test_node_at_follows_a_path_and_names_where_it_stops(ebos):
     z = ebos.terminals[0]
-    assert ebos.node_at(z.path) is z
+    path = next(path for node, _parent, path in walk_tree(ebos) if node is z)
+    assert ebos.node_at(path) is z
     assert ebos.node_at(()) is ebos.root
     with pytest.raises(KeyError) as info:
-        ebos.node_at(z.path + ("on",))
+        ebos.node_at(path + ("on",))
     assert info.value.args == (f"path descends past terminal {z.terminal_id!r}",)
     with pytest.raises(KeyError) as info:
-        ebos.node_at(z.path[:2] + ("nope",))
+        ebos.node_at(path[:2] + ("nope",))
     assert info.value.args == ("no action 'nope' at node NotU/X1",)

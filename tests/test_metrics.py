@@ -382,6 +382,58 @@ def test_gap_state_cap_refuses(ebos, ebos_pi, lrr, lrr_pi, surj, surj_pi):
                 gap(game, pi, notion, state_cap=states - 1)
 
 
+def test_a_zero_state_cap_admits_a_game_without_states(surj, surj_pi, monkeypatch):
+    # a cap of 0 is a cap, not a defect: a game whose players never act has
+    # no history state to spend it on, and elsewhere the first state refuses
+    game = parse_game(json.dumps({"players": ["A", "B"], "root": {
+        "kind": "chance", "actions": [
+            {"label": "l", "prob": "1/2", "child": {"kind": "terminal", "payoffs": ["1", "0"]}},
+            {"label": "r", "prob": "1/2", "child": {"kind": "terminal", "payoffs": ["0", "1"]}},
+        ]}}))
+    pi = MixtureOfProducts((MixtureComponent(F(1), tuple(
+        ((F(1), PureStrategy(i, ())),) for i in range(2))),))
+    monkeypatch.setenv("GT_STATE_CAP", "0")  # read where state_cap= is None
+    for notion in ("bce", "full-efce"):
+        for cap in (0, None):
+            assert gap(game, pi, notion, state_cap=cap).overall == 0
+            with pytest.raises(ResourceGuardError, match="exceeded the cap of 0"):
+                gap(surj, surj_pi, notion, state_cap=cap)
+
+
+def test_a_zero_beta_first_plan_leaves_the_history_gaps_alone():
+    # one player meets I or J by chance. The second component lists a beta-0
+    # plan first, which shifts the support ranks of its plans but adds no
+    # support element, so each report, witness order included, is the report
+    # without that plan; ranked from the shifted plan instead, the second
+    # component's states would be met before the first component's J:x
+    def choice(infoset, *payoffs):
+        return {"kind": "decision", "player": 0, "infoset": infoset, "actions": [
+            {"label": label, "child": {"kind": "terminal", "payoffs": [u]}}
+            for label, u in zip(("x", "y"), payoffs)]}
+
+    game = parse_game(json.dumps({"players": ["A"], "root": {"kind": "chance", "actions": [
+        {"label": "l", "prob": "1/2", "child": choice("I", "1", "2")},
+        {"label": "r", "prob": "1/2", "child": choice("J", "3", "1")}]}}))
+
+    def mixture(*mixes):
+        return MixtureOfProducts(tuple(
+            MixtureComponent(F(1, 2), (tuple((F(beta), PureStrategy(0, plan))
+                                             for beta, plan in mix),))
+            for mix in mixes))
+
+    first = [(1, ("x", "x"))]
+    second = [("1/2", ("y", "y")), ("1/2", ("x", "y"))]
+    padded = mixture(first, [(0, ("x", "x"))] + second)
+    for notion in ("bce", "full-efce"):
+        assert gap(game, padded, notion) == gap(game, mixture(first, second), notion)
+    # a walk through the support meets I:x and J:x in the first component,
+    # then I:y and J:y in the second
+    assert [(infoset, history) for infoset, history, _a in
+            gap(game, padded, "full-efce").witness.policy] == [
+        ("I", (("I", "x"),)), ("J", (("J", "x"),)),
+        ("I", (("I", "y"),)), ("J", (("J", "y"),))]
+
+
 def test_bce_zero_implies_efce_zero(ebos, lrr, surj):
     # observed refinement on every solved equilibrium, asserted empirically
     from gametree import compute_bce
@@ -525,9 +577,10 @@ def test_profile_reach_expected_utility_and_outcomes_match_support_expansion(gam
 def test_efce_to_bce_refuses_a_corrupted_mass_table(ebos, ebos_pi, monkeypatch):
     from gametree import metrics
 
-    def root_only(game, i, mix):
-        empty = Sequence.empty(i)
-        return {empty: sum((beta for beta, _ in mix), F(0))}
+    masses = metrics._sequence_masses
+
+    def root_only(walks):
+        return {seq: mass for seq, mass in masses(walks).items() if seq.is_empty}
 
     monkeypatch.setattr(metrics, "_sequence_masses", root_only)
     with pytest.raises(InternalCheckError, match="has mass below"):

@@ -117,3 +117,57 @@ def test_one_json_decoder():
                 found.append(f"{path.name}:{node.lineno}")
     assert [f.split(":")[0] for f in found] == ["game.py"], \
         f"JSON decoded in more than one place: {found}"
+
+
+# Attributes the package stores and never reads, each kept for a reason
+STATE_ALLOWLIST = {
+    "where": "the document path of a parse error, read by library callers",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    # each __slots__ entry, dataclass field and self.X store of a package
+    # class must be read somewhere in the package, so that no object holds
+    # state nothing uses; appending to or extending an attribute is not a
+    # read of it. oracles.py holds the reference implementations and is exempt
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "oracles.py" in trees
+    grown = {id(node.func.value) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("append", "extend")}
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and id(node) not in grown}
+    stored = []  # (file, line, class, attribute)
+    for fname, tree in trees.items():
+        if fname == "oracles.py":
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    names = [(stmt.lineno, name) for name in ast.literal_eval(stmt.value)]
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) \
+                        and _is_dataclass(cls):
+                    names = [(stmt.lineno, stmt.target.id)]
+                elif isinstance(stmt, ast.FunctionDef):
+                    names = [(node.lineno, node.attr) for node in ast.walk(stmt)
+                             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                             and isinstance(node.value, ast.Name) and node.value.id == "self"]
+                else:
+                    continue
+                stored += [(fname, line, cls.name, name) for line, name in names]
+    unread = sorted({f"{fname}:{line} {cls}.{name}" for fname, line, cls, name in stored
+                     if name not in reads and name not in STATE_ALLOWLIST})
+    assert not unread, f"attributes no package code reads: {unread}"
+    stale = [name for name in STATE_ALLOWLIST if name not in {s[3] for s in stored}]
+    assert not stale, f"allowlisted attributes the package no longer stores: {stale}"

@@ -127,6 +127,15 @@ def test_expansion_is_the_literal_product(lrr):
         (F(1, 10), ("R", "R'")), (F(9, 10), ("L", "R'"))]
 
 
+def test_expansion_lists_no_plan_of_probability_zero(lrr):
+    # an action listed at probability 0 is no action of a positive plan
+    b = BehaviorStrategy(0, {"R0": {"L": F(9, 10), "R": F(1, 10)},
+                             "B": {"L'": F(0), "R'": F(1)}})
+    parts = behavior_product_expansion(lrr, b)
+    assert all(w > 0 for w, _ps in parts)
+    assert parts == behavior_product_expansion(lrr, lrr_behavior(lrr))
+
+
 def test_expansion_and_decomposition_share_sequence_marginals(ebos):
     rng = random.Random(21)
     for i in range(ebos.n):
