@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import fixtures
 from .convert import efce_to_bce
 from .equilibrium import compute_bce, compute_efce, optimal_bce, optimal_efce
-from .metrics import (NOTIONS, ProfileReach, conditional_node_utility,
+from .metrics import (NOTIONS, ProfileReach, _trigger_weights, conditional_node_utility,
                       counterfactual_utility, counterfactually_outcome_equivalent,
                       expected_utility, gap, outcome_distribution, outcome_equivalent)
 from .oracles import brute_force_gap, enumerate_pure, oracle_player_gap
@@ -341,12 +341,10 @@ def check_10_factorized_reach() -> list[CheckResult]:
         return mass, tuple(reach)
 
     def factorized(shared, i, seq):
-        # the rows the trigger weights read: sum_t masses[t][seq] * others[t]
-        reach = [0] * len(shared.game.terminals)
-        for masses, others in zip(shared.masses[i], shared.others[i]):
-            m = masses.get(seq, 0)
-            for z, o in enumerate(others):
-                reach[z] += m * o
+        # the DPs' own trigger weights with the opponents' reach for units;
+        # None (no component puts mass on seq) reads as all zeros
+        n = len(shared.game.terminals)
+        reach = _trigger_weights(shared, shared.others[i], seq, range(n)) or [0] * n
         return (shared.event_mass(i, seq),
                 tuple(Fraction(r, shared.scale) for r in reach))
 

@@ -25,7 +25,7 @@ from .errors import (GameParseError, InternalCheckError, ProfileError,
                      ProfileParseError, ResourceGuardError)
 from .game import Game, Sequence, _decode_json, parse_game
 from .jsonout import dumps
-from .metrics import NOTIONS, ProfileReach, expected_utility, gap, outcome_distribution
+from .metrics import NOTIONS, ProfileReach, _gap, expected_utility, gap, outcome_distribution
 from .oracles import DEFAULT_TABLE_CAP, brute_force_gap
 from .rational import decimal_repr, format_rational, parse_rational
 from .strategy import _rat, _read_profile, parse_profile, serialize_profile
@@ -226,8 +226,8 @@ def cmd_gap(args) -> int:
 def cmd_convert(args) -> int:
     game = parse_game(_read(args.game))
     reach = ProfileReach(game, _read_profile(game, _read(args.profile), "decompose"))
-    report = gap(game, reach, "efce")
-    reach_out, gap_out = _checked_rewrite(reach, report)
+    report, responses = _gap(reach, "efce")
+    reach_out, gap_out = _checked_rewrite(reach, report, responses)
     _write(serialize_profile(game, reach_out.pi), args)
     print(f"efce gap in:  {format_rational(report.overall)}\n"
           f"bce gap out:  {format_rational(gap_out)}\n"

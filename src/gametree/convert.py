@@ -18,8 +18,8 @@ from typing import Optional, Union
 from .bestresponse import best_response
 from .errors import InternalCheckError
 from .game import Game, Infoset, Sequence
-from .metrics import (GapReport, ProfileReach, _payoff_units, _same_outcomes,
-                      _trigger_weights, gap)
+from .metrics import (GapReport, ProfileReach, _gap, _payoff_units, _same_outcomes,
+                      _trigger_weights)
 from .rational import format_rational
 from .strategy import MixtureComponent, MixtureOfProducts, PureStrategy, _check_plan
 
@@ -90,8 +90,8 @@ def efce_to_bce(game: Game, pi: Union[MixtureOfProducts, ProfileReach]
 
 def _rewrite(reach: ProfileReach, known: dict[Sequence, PureStrategy]
              ) -> MixtureOfProducts:
-    """:func:`efce_to_bce` of ``reach.pi``. ``known`` is empty or the
-    ``_responses`` of the efce :func:`gap` report on ``reach``, which hold
+    """:func:`efce_to_bce` of ``reach.pi``. ``known`` is empty or the efce
+    walk's responses on ``reach`` (:func:`gametree.metrics._gap`), which hold
     every positive-mass deviation point's response; the rest are computed."""
     game, pi = reach.game, reach.pi
     units: dict[int, list] = {}  # player -> its payoff rows, built on first use
@@ -141,20 +141,21 @@ def _rewrite(reach: ProfileReach, known: dict[Sequence, PureStrategy]
     return MixtureOfProducts(tuple(new_components))
 
 
-def _checked_rewrite(reach: ProfileReach, report: GapReport
+def _checked_rewrite(reach: ProfileReach, report: GapReport,
+                     responses: dict[Sequence, PureStrategy]
                      ) -> tuple[ProfileReach, Fraction]:
-    """:func:`_rewrite` of ``reach`` with the best responses of ``report``,
-    its efce :func:`gap` report on ``reach``. Returns the
-    output's reach (``reach`` if nothing changed, else a new one, which
-    validates the output) and bce gap; raises :class:`InternalCheckError`
-    unless the output keeps the outcomes and its bce gap is at most
-    ``report.overall``."""
+    """:func:`_rewrite` of ``reach`` with ``responses``, the best responses
+    :func:`gametree.metrics._gap` returns beside ``report``, the efce report
+    on ``reach``. Returns the output's reach (``reach`` if nothing changed,
+    else a new one, which validates the output) and bce gap; raises
+    :class:`InternalCheckError` unless the output keeps the outcomes and its
+    bce gap is at most ``report.overall``."""
     game, pi = reach.game, reach.pi
-    out = _rewrite(reach, report._responses)
+    out = _rewrite(reach, responses)
     reach_out = reach if out == pi else ProfileReach(game, out)
     if not _same_outcomes(reach, reach_out):
         raise InternalCheckError("the rewrite changed the outcome distribution")
-    bce_gap = gap(game, reach_out, "bce").overall
+    bce_gap = _gap(reach_out, "bce")[0].overall
     if bce_gap > report.overall:
         raise InternalCheckError(
             f"the rewrite's bce gap {format_rational(bce_gap)} exceeds the "

@@ -41,9 +41,9 @@ from typing import Optional
 
 from .convert import _checked_rewrite
 from .errors import InternalCheckError, ResourceGuardError
-from .game import Game, Node
+from .game import Game, Node, Sequence
 from .lp import EQ, LE, LinearProgram, lp_solve
-from .metrics import GapReport, ProfileReach, gap
+from .metrics import GapReport, ProfileReach, _gap
 from .rational import format_rational, over_common_denominator
 from .strategy import MixtureOfProducts, PureProfile, PureStrategy, pure_mixture
 from .witnesses import TriggerCommitWitness
@@ -118,11 +118,11 @@ def _payoff_table(game: Game, rows: list[list[int]]) -> list[list[int]]:
 def _solve_program(game: Game, epsilon: Fraction,
                    objective: Optional[dict[str, Fraction]],
                    profile_cap: int = DEFAULT_PROFILE_CAP
-                   ) -> tuple[ProfileReach, GapReport, Fraction]:
+                   ) -> tuple[ProfileReach, GapReport, dict[Sequence, PureStrategy], Fraction]:
     """Row generation against the efce gap program. Returns the solution's
-    :class:`ProfileReach`, whose ``pi`` is the profile, the efce :func:`gap`
-    report of the loop's exit test (``overall`` at most ``epsilon``) and the
-    program's optimal value, whose rows are ints over the module's scales."""
+    :class:`ProfileReach` (its ``pi`` is the profile), the efce ``_gap``
+    report and responses of the exit test (``overall`` <= ``epsilon``) and
+    the program's optimal value, whose rows are ints over the module's scales."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
     game.require_valid()
@@ -144,9 +144,9 @@ def _solve_program(game: Game, epsilon: Fraction,
         entries = [(w, _profile(strategies, j)) for j, w in enumerate(x) if w != 0]
         mixture = pure_mixture(game, entries)
         reach = ProfileReach(game, mixture)
-        report = gap(game, reach, "efce")
+        report, responses = _gap(reach, "efce")
         if report.overall <= epsilon:
-            return reach, report, Fraction(value, obj_scale)
+            return reach, report, responses, Fraction(value, obj_scale)
         i = report.witness.player
         scale = game.payoff_rows[i][0]
         row = _witness_row(game, report.witness, strategies, table)
@@ -240,10 +240,10 @@ def _solve(game: Game, notion: str, epsilon: Fraction,
     if notion == "bce" and epsilon != 0:
         raise ValueError("--epsilon applies to --notion efce only; "
                          "the bce programs are exact")
-    reach, report, value = _solve_program(game, epsilon, objective, profile_cap)
+    reach, report, responses, value = _solve_program(game, epsilon, objective, profile_cap)
     measured = report.overall
     if notion == "bce":
-        reach, measured = _checked_rewrite(reach, report)
+        reach, measured = _checked_rewrite(reach, report, responses)
     return reach, value, measured
 
 

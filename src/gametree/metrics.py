@@ -22,7 +22,7 @@ included.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Collection, Optional, Union
@@ -334,11 +334,6 @@ class GapReport:
     per_player: tuple[Fraction, ...]
     per_infoset: Optional[dict[tuple[int, str], Fraction]]
     witness: object
-    # efce only: the best response of every positive-mass trigger the walk
-    # weighed, keyed by its sequence; the counterfactual best responses
-    # gametree.convert._rewrite needs there. Not part of the output.
-    _responses: Optional[dict[Sequence, PureStrategy]] = field(
-        default=None, compare=False, repr=False)
 
     def to_json_dict(self, game: Game) -> dict:
         d = {"notion": self.notion,
@@ -369,16 +364,39 @@ def gap(game: Game, pi: Union[MixtureOfProducts, ProfileReach], notion: str,
     for these two notions only; a cap that is not a non-negative integer
     raises :class:`ValueError`.
     """
-    reach = ProfileReach.of(game, pi)  # validates a new reach's profile
+    # ProfileReach.of validates a new reach's profile before the notion is read
+    return _gap(ProfileReach.of(game, pi), notion, state_cap)[0]
+
+
+def _gap(reach: ProfileReach, notion: str, state_cap: Optional[int] = None
+         ) -> tuple[GapReport, dict[Sequence, PureStrategy]]:
+    """:func:`gap` of ``reach``, and the efce walk's best response of every
+    positive-mass trigger, keyed by its sequence (empty for the other
+    notions), which :func:`gametree.convert._rewrite` takes as known. Each
+    notion's helper returns one player's gap, over ``reach.value_scale(i)``,
+    and witness; the report names the largest gap's lowest-index player."""
     if notion not in NOTIONS:
         raise ValueError(f"unknown notion {notion!r}; choose from {NOTIONS}")
-    if notion == "efce":
-        return _gap_efce(reach)
-    if notion == "nfcce":
-        return _gap_nfcce(reach)
-    if notion == "bce":
-        return _gap_bce(reach, _state_cap(state_cap))
-    return _gap_full_efce(reach, _state_cap(state_cap))
+    game = reach.game
+    responses: dict[Sequence, PureStrategy] = {}
+    per_infoset = {} if notion == "bce" else None
+    if notion in ("bce", "full-efce"):
+        budget = _StateBudget(_state_cap(state_cap))
+        support = _support_steps(reach)
+    gaps, witnesses = [], []
+    for i in range(game.n):
+        if notion == "nfcce":
+            g, witness = _nfcce(reach, i)
+        elif notion == "efce":
+            g, witness = _efce(reach, i, responses)
+        elif notion == "bce":
+            g, witness = _bce(reach, i, support, budget, per_infoset)
+        else:
+            g, witness = _full_efce(reach, i, support, budget)
+        gaps.append(Fraction(g, reach.value_scale(i)))
+        witnesses.append(witness)
+    best = max(range(game.n), key=lambda i: (gaps[i], -i))
+    return GapReport(notion, gaps[best], tuple(gaps), per_infoset, witnesses[best]), responses
 
 
 def _state_cap(state_cap: Optional[int]) -> int:
@@ -426,22 +444,18 @@ def _trigger_weights(reach: ProfileReach, units: list[list[int]], seq: Sequence,
     return w
 
 
-def _gap_nfcce(reach: ProfileReach) -> GapReport:
+def _nfcce(reach: ProfileReach, i: int) -> tuple[int, ConstantWitness]:
     # the constant class does not contain the identity, so the best constant
     # can lose to obedience; the gap is clamped at 0 (no deviation gains)
     game = reach.game
-    gaps, witnesses = [], []
-    for i in range(game.n):
-        w = _trigger_weights(reach, _payoff_units(reach, i), Sequence.empty(i),
-                             range(len(game.terminals)))
-        value, strat = best_response(game, i, w)
-        gaps.append(Fraction(max(0, value - _expected(reach, i)), reach.value_scale(i)))
-        witnesses.append(ConstantWitness(i, strat))
-    best = max(range(game.n), key=lambda i: (gaps[i], -i))
-    return GapReport("nfcce", gaps[best], tuple(gaps), None, witnesses[best])
+    w = _trigger_weights(reach, _payoff_units(reach, i), Sequence.empty(i),
+                         range(len(game.terminals)))
+    value, strat = best_response(game, i, w)
+    return max(0, value - _expected(reach, i)), ConstantWitness(i, strat)
 
 
-def _gap_efce(reach: ProfileReach) -> GapReport:
+def _efce(reach: ProfileReach, i: int, responses: dict[Sequence, PureStrategy]
+          ) -> tuple[int, TriggerCommitWitness]:
     """Obedient-walk dynamic program.
 
     A deviation in this class learns nothing new after its first disobedient
@@ -455,43 +469,37 @@ def _gap_efce(reach: ProfileReach) -> GapReport:
     worth at most the sum of theirs, each at most ``walk(I:a)``; ties go to
     obedience.
 
-    Every positive-mass trigger's best response, commit or not, is kept in
-    the report's ``_responses``.
+    Every positive-mass trigger's best response, commit or not, is filed
+    in ``responses``.
     """
     game = reach.game
-    gaps, witnesses = [], []
-    responses: dict[Sequence, PureStrategy] = {}
-    for i in range(game.n):
-        units = _payoff_units(reach, i)
+    units = _payoff_units(reach, i)
 
-        def walk(seq: Sequence, at: Optional[Infoset], after: tuple) -> tuple[int, list]:
-            """The trigger ``seq`` at ``at``; ``after`` is its ``(terminals,
-            children)`` entry of :attr:`Infoset.after`."""
-            terminals, children = after
-            # the root only obeys, so it reads its own terminals alone
-            w = _trigger_weights(reach, units, seq,
-                                 terminals if at is None else at.terminals_below)
-            if w is None:
-                return 0, []
-            obey = sum(w[z] for z in terminals)
-            commits: list = []
-            for child in children:
-                for child_seq, child_after in zip(child.seqs, child.after):
-                    v, c = walk(child_seq, child, child_after)
-                    obey += v
-                    commits.extend(c)
-            if at is not None:  # the root obeys
-                t_val, t_strat = best_response(game, i, w, at)
-                responses[seq] = t_strat
-                if t_val > obey:
-                    return t_val, [(seq, t_strat)]
-            return obey, commits
+    def walk(seq: Sequence, at: Optional[Infoset], after: tuple) -> tuple[int, list]:
+        """The trigger ``seq`` at ``at``; ``after`` is its ``(terminals,
+        children)`` entry of :attr:`Infoset.after`."""
+        terminals, children = after
+        # the root only obeys, so it reads its own terminals alone
+        w = _trigger_weights(reach, units, seq,
+                             terminals if at is None else at.terminals_below)
+        if w is None:
+            return 0, []
+        obey = sum(w[z] for z in terminals)
+        commits: list = []
+        for child in children:
+            for child_seq, child_after in zip(child.seqs, child.after):
+                v, c = walk(child_seq, child, child_after)
+                obey += v
+                commits.extend(c)
+        if at is not None:  # the root obeys
+            t_val, t_strat = best_response(game, i, w, at)
+            responses[seq] = t_strat
+            if t_val > obey:
+                return t_val, [(seq, t_strat)]
+        return obey, commits
 
-        value, commits = walk(Sequence.empty(i), None, game.root_after[i])
-        gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
-        witnesses.append(TriggerCommitWitness(i, tuple(commits)))
-    best = max(range(game.n), key=lambda i: (gaps[i], -i))
-    return GapReport("efce", gaps[best], tuple(gaps), None, witnesses[best], responses)
+    value, commits = walk(Sequence.empty(i), None, game.root_after[i])
+    return value - _expected(reach, i), TriggerCommitWitness(i, tuple(commits))
 
 
 class _StateBudget:
@@ -691,51 +699,38 @@ def _policy(game: Game, i: int, table: dict, keys) -> list:
     return out
 
 
-def _gap_bce(reach: ProfileReach, state_cap: int) -> GapReport:
-    """Per (player, infoset): maximize counterfactual utility over deviations
-    that see the full local-recommendation history, then subtract the
-    profile's own counterfactual utility there. The deviation value at an
-    infoset is the sum of its states' values in the player's table."""
+def _bce(reach: ProfileReach, i: int, support: tuple, budget: _StateBudget,
+         per_infoset: dict) -> tuple[int, HistoryPolicyWitness]:
+    """Per infoset of player ``i``: maximize counterfactual utility over
+    deviations that see the full local-recommendation history, then
+    subtract the profile's own counterfactual utility there, filed in
+    ``per_infoset``. The deviation value at an infoset is the sum of its
+    states' values in the player's table."""
     game = reach.game
-    support = _support_steps(reach)
-    budget = _StateBudget(state_cap)
-    per_infoset: dict[tuple[int, str], Fraction] = {}
-    per_player, witnesses = [], []
-    for i in range(game.n):
-        _value, _roots, table = _history_table(reach, i, support, budget)
-        baseline = _cf_values(reach, i)
-        scale = reach.value_scale(i)
-        states: dict[int, list] = {}  # infoset index -> its states, by first
-        for key in sorted(table, key=lambda s: table[s][0]):
-            states.setdefault(key[0], []).append(key)
-        player_best = 0  # identity achieves 0 at every infoset
-        best_iset = None
-        for iset in game.infosets[i]:
-            g = sum(table[s][1] for s in states.get(iset.index, ())) - baseline[iset.index]
-            per_infoset[(i, iset.id)] = Fraction(g, scale)
-            if g > player_best:
-                player_best, best_iset = g, iset
-        per_player.append(Fraction(player_best, scale))
-        witness = HistoryPolicyWitness(i, ())
-        if best_iset is not None:  # the policy of the first infoset attaining the best
-            keys = states.get(best_iset.index, ())
-            witness = HistoryPolicyWitness(i, tuple(_policy(game, i, table, keys)), best_iset.id)
-        witnesses.append(witness)
-    best = max(range(game.n), key=lambda i: (per_player[i], -i))
-    return GapReport("bce", per_player[best], tuple(per_player), per_infoset,
-                     witnesses[best])
+    _value, _roots, table = _history_table(reach, i, support, budget)
+    baseline = _cf_values(reach, i)
+    scale = reach.value_scale(i)
+    states: dict[int, list] = {}  # infoset index -> its states, by first
+    for key in sorted(table, key=lambda s: table[s][0]):
+        states.setdefault(key[0], []).append(key)
+    player_best = 0  # identity achieves 0 at every infoset
+    best_iset = None
+    for iset in game.infosets[i]:
+        g = sum(table[s][1] for s in states.get(iset.index, ())) - baseline[iset.index]
+        per_infoset[(i, iset.id)] = Fraction(g, scale)
+        if g > player_best:
+            player_best, best_iset = g, iset
+    witness = HistoryPolicyWitness(i, ())
+    if best_iset is not None:  # the policy of the first infoset attaining the best
+        keys = states.get(best_iset.index, ())
+        witness = HistoryPolicyWitness(i, tuple(_policy(game, i, table, keys)), best_iset.id)
+    return player_best, witness
 
 
-def _gap_full_efce(reach: ProfileReach, state_cap: int) -> GapReport:
+def _full_efce(reach: ProfileReach, i: int, support: tuple, budget: _StateBudget
+               ) -> tuple[int, HistoryPolicyWitness]:
     """Ordinary regret against the history-seeing deviation class: the
     player's table read from the root instead of per infoset."""
-    game = reach.game
-    support = _support_steps(reach)
-    budget = _StateBudget(state_cap)
-    gaps, witnesses = [], []
-    for i in range(game.n):
-        value, roots, table = _history_table(reach, i, support, budget)
-        gaps.append(Fraction(value - _expected(reach, i), reach.value_scale(i)))
-        witnesses.append(HistoryPolicyWitness(i, tuple(_policy(game, i, table, roots))))
-    best = max(range(game.n), key=lambda i: (gaps[i], -i))
-    return GapReport("full-efce", gaps[best], tuple(gaps), None, witnesses[best])
+    value, roots, table = _history_table(reach, i, support, budget)
+    return value - _expected(reach, i), HistoryPolicyWitness(
+        i, tuple(_policy(reach.game, i, table, roots)))

@@ -193,7 +193,10 @@ def _check_plan(game: Game, i: int, ps: PureStrategy, t: int = 0):
 
 
 def pure_reaches_sequence(game: Game, ps: PureStrategy, seq: Sequence) -> bool:
-    """x_i(sigma): does the plan play every own action leading to ``seq``?"""
+    """x_i(sigma): does the plan play every own action leading to ``seq``?
+    A sequence of another player raises :class:`ValueError`."""
+    if seq.player != ps.player:
+        raise ValueError(f"sequence {seq.label()} is not player {game.players[ps.player]}'s")
     if seq.is_empty:
         return True
     iset = game.infoset(seq.player, seq.infoset)

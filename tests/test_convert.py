@@ -7,6 +7,7 @@ from gametree import (ProfileReach, Sequence, counterfactual_best_response,
                       deviation_point, efce_to_bce, gap, outcome_equivalent,
                       outcome_distribution, profile_support, pure_mixture,
                       pure_strategy)
+from gametree.metrics import _gap
 from gametree.randgen import random_game, random_mixture
 from gametree.strategy import PureProfile, pure_reaches_sequence, sequence_form
 from gametree.witnesses import HistoryPolicyWitness, TriggerCommitWitness
@@ -283,7 +284,7 @@ def test_efce_walk_responses_rewrite_exactly(ebos, ebos_pi, lrr, lrr_pi, lrr_sma
 
     for game, pi in cases:
         reach = ProfileReach(game, pi)
-        responses = gap(game, reach, "efce")._responses
+        responses = _gap(reach, "efce")[1]
         positive = {seq for i in range(game.n) for seq in game.sequences(i)
                     if not seq.is_empty and reach.mass(i, seq) > 0}
         assert set(responses) == positive

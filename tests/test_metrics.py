@@ -354,7 +354,7 @@ def test_gap_efce_bounded_by_full_efce(ebos, ebos_pi, lrr, lrr_pi):
 
 
 def test_efce_walk_never_commits_at_the_root():
-    # the root's commit is dominated (see metrics._gap_efce), so no efce
+    # the root's commit is dominated (see metrics._efce), so no efce
     # witness commits at the empty sequence, and the best plan against the
     # whole profile, the nfcce deviation, is worth no more than the walk
     rng = random.Random(12345)

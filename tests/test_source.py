@@ -171,3 +171,21 @@ def test_every_stored_attribute_is_read_in_the_package():
     assert not unread, f"attributes no package code reads: {unread}"
     stale = [name for name in STATE_ALLOWLIST if name not in {s[3] for s in stored}]
     assert not stale, f"allowlisted attributes the package no longer stores: {stale}"
+
+
+def test_no_hidden_fields_in_value_types():
+    # a dataclass is a value its readers see whole, so no field of a package
+    # dataclass is private: state a caller needs beside a value is returned
+    # beside it. oracles.py holds the reference implementations and is exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                found += [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+                          for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id.startswith("_")]
+    assert not found, f"private fields in package dataclasses: {found}"

@@ -11,7 +11,8 @@ from gametree import (ProfileError, ProfileParseError, Sequence, decompose,
                       serialize_game, serialize_profile)
 from gametree.randgen import random_behavior_strategy, random_game
 from gametree.strategy import (BehaviorStrategy, PureStrategy,
-                               behavior_product_expansion, expand_behavior_products)
+                               behavior_product_expansion, expand_behavior_products,
+                               pure_reaches_sequence)
 
 F = Fraction
 
@@ -61,6 +62,16 @@ def test_sequence_vs_local_indicator(lrr):
             local = 1 if ps.action_at(iset.index) == a else 0
             inflow = v[iset.parent_seq]
             assert v[lrr.sequence(0, iset.id, a)] == inflow * local
+
+
+def test_pure_reaches_sequence_refuses_another_players_sequence(ebos):
+    # P1's action at infoset index 0 is not compared with P2's label
+    plan = pure_strategy(ebos, 0, {"Root": "U", "AfterNotU": "X1", "AfterU": "X1"})
+    for seq in (ebos.sequence(1, "Event", "X2"), Sequence.empty(1)):
+        with pytest.raises(ValueError, match=f"^sequence {seq.label()} is not player P1's$"):
+            pure_reaches_sequence(ebos, plan, seq)
+    assert pure_reaches_sequence(ebos, plan, ebos.sequence(0, "AfterU", "X1"))
+    assert not pure_reaches_sequence(ebos, plan, ebos.sequence(0, "AfterNotU", "X1"))
 
 
 def test_decompose_lrr_example(lrr):
