@@ -8,7 +8,8 @@ where W already folds payoff, chance reach and (expected) opponent reach.
 Because W does not depend on x, the maximum decomposes over the player's
 sequence structure and one bottom-up pass suffices. Ties at an infoset go to
 the lexicographically (byte-order) first action; infosets outside the scope
-of the objective also get the lexicographically first action.
+of the objective also get the lexicographically first action, indexed once
+per game as :attr:`~gametree.game.Infoset.first`.
 """
 
 from __future__ import annotations
@@ -33,28 +34,31 @@ def best_response(game: Game, player: int, weights: Seq[Weight],
     With ``at_infoset`` None the indicator is x(z) from the root and the
     value includes terminals the player never acts on. Otherwise only
     terminals below the infoset count and the plan is optimized at infosets
-    weakly following it (everything else is set lexicographically first).
+    weakly following it. The plan starts from each infoset's
+    :attr:`~gametree.game.Infoset.first` action and only the scope's
+    choices are written over it, so infosets outside the scope keep their
+    lexicographically first action.
     """
-    scope = game.infosets[player] if at_infoset is None else at_infoset.subtree
-    f_value: dict[int, Weight] = {}
-    f_choice: dict[int, str] = {}
+    isets = game.infosets[player]
+    scope = isets if at_infoset is None else at_infoset.subtree
+    weight = weights.__getitem__
+    f_value: dict[Infoset, Weight] = {}  # the best value below each infoset in scope
+    below = f_value.__getitem__
+    actions = [iset.first for iset in isets]
     for iset in reversed(scope):  # children precede parents in reverse discovery order
         best_v = None
         best_a = None
         for a, (terminals, children) in zip(iset.actions, iset.after):
-            v = sum(weights[z] for z in terminals)
-            v += sum(f_value[j.index] for j in children)
+            v = sum(map(weight, terminals)) + sum(map(below, children))
             if best_v is None or v > best_v or (v == best_v and a < best_a):
                 best_v, best_a = v, a
         if best_v is None:  # zero-action infosets are rejected by validation
-            best_v, best_a = 0, ""
-        f_value[iset.index] = best_v
-        f_choice[iset.index] = best_a
-    actions = tuple(f_choice[iset.index] if iset.index in f_choice else min(iset.actions)
-                    for iset in game.infosets[player])
+            best_v = 0
+        else:
+            actions[iset.index] = best_a
+        f_value[iset] = best_v
+    strategy = PureStrategy(player, tuple(actions))
     if at_infoset is not None:
-        return f_value[at_infoset.index], PureStrategy(player, actions)
+        return f_value[at_infoset], strategy
     terminals, children = game.root_after[player]
-    value = sum(weights[z] for z in terminals)
-    value += sum(f_value[j.index] for j in children)
-    return value, PureStrategy(player, actions)
+    return sum(map(weight, terminals)) + sum(map(below, children)), strategy

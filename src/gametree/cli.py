@@ -34,8 +34,22 @@ EXIT_OK, EXIT_SEMANTIC, EXIT_RESOURCE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run the command ``argv`` (default ``sys.argv[1:]``) names.
+
+    A command's arguments go straight to its own parser, and the top-level
+    parser runs only when ``argv[0]`` names no command (``-h``,
+    ``--version``, an unknown command, no arguments). Arguments the
+    command's parser leaves over are refused through the top-level parser,
+    so every refusal reads as one parse of the whole line would."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.func(args)
     except (GameParseError, ProfileParseError) as e:
@@ -53,8 +67,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built once per process; parsing leaves it unchanged
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser, by name."""
     p = argparse.ArgumentParser(prog="gt", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"gt {__version__}")
     sub = p.add_subparsers(required=True, metavar="command")
@@ -99,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("paper-check",
                        help="run the bundled end-to-end verification suite")
     c.set_defaults(func=cmd_paper_check)
-    return p
+    return p, sub.choices
 
 
 def _read(path: str, hashes: Optional[dict] = None) -> str:

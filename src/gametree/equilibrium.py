@@ -124,7 +124,7 @@ def _solve_program(game: Game, epsilon: Fraction,
     report and responses of the exit test (``overall`` <= ``epsilon``) and
     the program's optimal value, whose rows are ints over the module's scales."""
     if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {format_rational(epsilon)}")
+        raise ValueError(f"epsilon must be >= 0, got {format_rational(Fraction(epsilon))}")
     game.require_valid()
     strategies = _strategies(game, profile_cap)
     rows = [row for _scale, row in game.payoff_rows]

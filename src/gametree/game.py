@@ -144,10 +144,14 @@ class Infoset:
     :attr:`Game.root_after` holds the same pair for each player's empty
     sequence. Kernels read these instead of building a sequence and looking
     it up.
+
+    ``first`` is the lexicographically (byte-order) first action, which a
+    best response plays where its objective does not reach; it is ``""``
+    for an infoset with no actions, which only an invalid game holds.
     """
 
     __slots__ = ("player", "id", "index", "actions", "parent_seq", "chain",
-                 "subtree", "terminals_below", "seqs", "after")
+                 "subtree", "terminals_below", "seqs", "after", "first")
 
     def __init__(self, player, id_, index, actions, parent_seq, chain):
         self.player = player
@@ -161,6 +165,7 @@ class Infoset:
         # tuple.__new__ skips the named tuple's Python-level __new__
         self.seqs = tuple([tuple.__new__(Sequence, (player, id_, a)) for a in actions])
         self.after = tuple([([], []) for _ in actions])
+        self.first = min(actions) if actions else ""
 
     def __repr__(self):  # pragma: no cover
         return f"Infoset(P{self.player}, {self.id!r}, actions={list(self.actions)})"

@@ -287,14 +287,6 @@ def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, int]]:
     return out
 
 
-def _cf_values(reach: ProfileReach, i: int) -> list[int]:
-    """Per infoset of player ``i``: the support sum of ``w *
-    counterfactual_utility`` there, factorized, over
-    ``reach.value_scale(i)``."""
-    pc = reach.game.payoff_rows[i][1]
-    return [sum(pc[z] * r for z, r in cf.items()) for cf in _cf_reach_profiles(reach, i)]
-
-
 def conditional_node_utility(game: Game, pi: MixtureOfProducts,
                              player: Union[int, str], path) -> Fraction:
     """Expected utility of restarting play at the node addressed by ``path``,
@@ -484,7 +476,7 @@ def _efce(reach: ProfileReach, i: int, responses: dict[Sequence, PureStrategy]
                              terminals if at is None else at.terminals_below)
         if w is None:
             return 0, []
-        obey = sum(w[z] for z in terminals)
+        obey = sum(map(w.__getitem__, terminals))
         commits: list = []
         for child in children:
             for child_seq, child_after in zip(child.seqs, child.after):
@@ -539,9 +531,9 @@ def _support_steps(reach: ProfileReach) -> tuple[list, list]:
         least = []  # per player: sequence -> lowest positive-beta plan index reaching it
         for j in range(game.n):
             low: dict[Sequence, int] = {}
-            for q, walk in enumerate(reach.walks[j][t]):  # empty for a zero beta
-                for seq in walk:
-                    low.setdefault(seq, q)
+            walks = reach.walks[j][t]  # empty for a zero beta
+            for q in range(len(walks) - 1, -1, -1):  # backwards: the lowest index writes last
+                low.update(dict.fromkeys(walks[q], q))
             least.append(low)
         top = base + sum(least[j][Sequence.empty(j)] * stride[j] for j in range(game.n))
         roots.append([{p: top + (p - least[i][Sequence.empty(i)]) * stride[i]
@@ -611,9 +603,11 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
     is solved.
 
     Returns the value from the root, the root states, and per state
-    ``(first, value, action, children)``: its least (support rank, node
-    preorder) pair as one int, its best value, the winning action (the
-    smallest on ties) and that action's child states. Root and child states
+    ``(first, value, action, children, obeyed)``: its least (support rank,
+    node preorder) pair as one int, its best value, the winning action (the
+    smallest on ties), that action's child states, and its obedient value,
+    that of every entry following its own recommendation (the last of the
+    state's key) here and at every child state below. Root and child states
     are listed by ``first``: the order in which a walk through the expanded
     support, element by element, would first meet them.
     """
@@ -648,18 +642,23 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
                 state[1].append((own, t, p, k + dk))
         return total
 
-    def settle(sink: dict, hist: tuple) -> tuple[int, tuple]:
+    def settle(sink: dict, hist: tuple) -> tuple[int, int, tuple]:
         """Solve the states in ``sink``, the children of a state whose
-        history is ``hist``; their value and full keys by ``first``."""
+        history is ``hist``; the sums of their values and of their obedient
+        values, and their full keys by ``first``."""
         keys = []
-        value = 0
+        value = obeyed = 0
         for j, rec in sorted(sink, key=lambda local: sink[local][0]):
             key = (j, hist + ((isets[j].id, rec),))
-            value += solve(key, *sink[(j, rec)])
+            v, o = solve(key, rec, *sink[(j, rec)])
+            value += v
+            obeyed += o
             keys.append(key)
-        return value, tuple(keys)
+        return value, obeyed, tuple(keys)
 
-    def solve(key, first: int, bundle: list) -> int:
+    def solve(key, rec: str, first: int, bundle: list) -> tuple[int, int]:
+        """The state ``key``, whose entries are all recommended ``rec``;
+        its best value and its obedient value."""
         budget.spend()
         best = None
         for m, a in enumerate(isets[key[0]].actions):
@@ -672,19 +671,22 @@ def _history_table(reach: ProfileReach, i: int, support: tuple, budget: _StateBu
                 else:
                     val += betas[t][p] * descend(child, t, p, k, sink)
             if sink:
-                below, children = settle(sink, key[1])
-                val += below
+                below, below_obeyed, children = settle(sink, key[1])
             else:
+                below = below_obeyed = 0
                 children = ()
+            if a == rec:
+                obeyed = val + below_obeyed
+            val += below
             if best is None or val > best[0] or (val == best[0] and a < best[1]):
                 best = (val, a, children)
-        table[key] = (first,) + best
-        return best[0]
+        table[key] = (first,) + best + (obeyed,)
+        return best[0], obeyed
 
     sink: dict = {}
     value = sum(betas[t][p] * descend(game.root, t, p, k, sink)
                 for t, per_plan in enumerate(roots) for p, k in per_plan[i].items())
-    below, keys = settle(sink, ())
+    below, _obeyed, keys = settle(sink, ())
     return value + below, keys, table
 
 
@@ -693,7 +695,7 @@ def _policy(game: Game, i: int, table: dict, keys) -> list:
     child states it leads to."""
     out = []
     for key in keys:
-        _first, _value, action, children = table[key]
+        _first, _value, action, children, _obeyed = table[key]
         out.extend(_policy(game, i, table, children))
         out.append((game.infosets[i][key[0]].id, key[1], action))
     return out
@@ -704,25 +706,27 @@ def _bce(reach: ProfileReach, i: int, support: tuple, budget: _StateBudget,
     """Per infoset of player ``i``: maximize counterfactual utility over
     deviations that see the full local-recommendation history, then
     subtract the profile's own counterfactual utility there, filed in
-    ``per_infoset``. The deviation value at an infoset is the sum of its
-    states' values in the player's table."""
+    ``per_infoset``. Both are read off the player's table: the deviation
+    value at an infoset is the sum of its states' values, and the baseline
+    the sum of their obedient values. Each positive-beta plan has one
+    history at the infoset and the table tries every action, so each (node,
+    component, plan) sits in exactly one of its states, where obeying is
+    the plan's own factor ``x_i(z | I)``."""
     game = reach.game
     _value, _roots, table = _history_table(reach, i, support, budget)
-    baseline = _cf_values(reach, i)
     scale = reach.value_scale(i)
-    states: dict[int, list] = {}  # infoset index -> its states, by first
-    for key in sorted(table, key=lambda s: table[s][0]):
-        states.setdefault(key[0], []).append(key)
+    gaps = [0] * len(game.infosets[i])
+    for (j, _hist), (_first, value, _action, _children, obeyed) in table.items():
+        gaps[j] += value - obeyed
     player_best = 0  # identity achieves 0 at every infoset
     best_iset = None
-    for iset in game.infosets[i]:
-        g = sum(table[s][1] for s in states.get(iset.index, ())) - baseline[iset.index]
+    for iset, g in zip(game.infosets[i], gaps):
         per_infoset[(i, iset.id)] = Fraction(g, scale)
         if g > player_best:
             player_best, best_iset = g, iset
     witness = HistoryPolicyWitness(i, ())
     if best_iset is not None:  # the policy of the first infoset attaining the best
-        keys = states.get(best_iset.index, ())
+        keys = sorted([s for s in table if s[0] == best_iset.index], key=lambda s: table[s][0])
         witness = HistoryPolicyWitness(i, tuple(_policy(game, i, table, keys)), best_iset.id)
     return player_best, witness
 

@@ -25,14 +25,16 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# without re.ASCII, \d would also match other scripts' decimal digits
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
 
 def parse_rational(value) -> Fraction:
     """Parse "p/q" or "p" (also bare ints) into a Fraction.
 
-    Rejects floats, decimal notation, and non-positive denominators: the
-    serialized form must be unambiguous and exact.
+    Rejects floats, decimal notation, digits other than ASCII ones, and
+    non-positive denominators: the serialized form must be unambiguous and
+    exact.
     """
     if type(value) is not str:  # documents hold strings: test for them first
         if isinstance(value, bool):
@@ -69,8 +71,9 @@ def rational_reader():
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical serialization: "p" when integral, else "p/q"."""
-    q = Fraction(q)
+    """Canonical serialization: "p" when integral, else "p/q". Reads the
+    numerator and denominator as they stand, so an int (in lowest terms
+    over 1) serializes as its ``Fraction`` would."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

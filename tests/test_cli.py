@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gametree import fixtures, gap, parse_profile, serialize_game, serialize_profile
+from gametree import (__version__, fixtures, gap, parse_profile, serialize_game,
+                      serialize_profile)
 from gametree.cli import main
 from gametree.metrics import NOTIONS
 from gametree.randgen import random_game, random_objective
@@ -61,6 +62,17 @@ def test_validate_parse_error_exit_code(paths, capsys):
     code, _out, err = run(capsys, "validate", str(broken))
     assert code == 3
     assert "error" in err
+
+
+def test_validate_refuses_a_payoff_in_non_ascii_digits(paths, capsys):
+    # "\u0663" is the Arabic-Indic digit three: a parse error at the payoff
+    game = {"players": ["A"], "root": {"kind": "decision", "player": 0, "infoset": "I",
+            "actions": [{"label": "x", "child": {"kind": "terminal", "payoffs": ["\u0663"]}}]}}
+    path = paths["tmp"] / "digits.game.json"
+    path.write_text(json.dumps(game))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (3, "")
+    assert "root/actions/0/child/payoffs" in err and "malformed rational" in err
 
 
 def test_info(paths, capsys):
@@ -932,3 +944,48 @@ def test_state_cap_is_read_by_the_history_notions_only(paths, capsys, monkeypatc
     for notion in ("bce", "full-efce"):
         assert run(capsys, "gap", game, profile, "--notion", notion) == (1, "", message)
     assert run(capsys, "convert", game, profile) == (1, "", message)
+
+
+_TOP_USAGE = "usage: gt [-h] [--version] command ...\n"
+_GAP_USAGE = ("usage: gt gap [-h] --notion {efce,bce,full-efce,nfcce} [--oracle]\n"
+              "              [--table-cap TABLE_CAP]\n"
+              "              game profile\n")
+_SOLVE_USAGE = ("usage: gt solve [-h] [-o OUTPUT] --notion {efce,bce} [--objective OBJECTIVE]\n"
+                "                [--epsilon EPSILON]\n"
+                "                game\n")
+
+
+def _choices(*names):
+    """The choice lists argparse prints: quoted up to 3.11, and also the
+    unquoted form later versions print."""
+    return {", ".join(f"'{n}'" for n in names), ", ".join(names)}
+
+
+@pytest.mark.parametrize("argv, code, out, errs", [
+    ([], 2, "", {_TOP_USAGE + "gt: error: the following arguments are required: command\n"}),
+    (["nope"], 2, "", {_TOP_USAGE + "gt: error: argument command: invalid choice: 'nope' "
+                       f"(choose from {names})\n" for names in _choices(
+                           "validate", "info", "outcome", "gap", "convert", "decompose",
+                           "cbr", "solve", "paper-check")}),
+    (["--version"], 0, f"gt {__version__}\n", {""}),
+    (["gap"], 2, "", {_GAP_USAGE + "gt gap: error: the following arguments are required: "
+                      "game, profile, --notion\n"}),
+    (["solve", "game.json"], 2, "",
+     {_SOLVE_USAGE + "gt solve: error: the following arguments are required: --notion\n"}),
+    (["gap", "game.json", "profile.json", "--notion", "x"], 2, "",
+     {_GAP_USAGE + f"gt gap: error: argument --notion: invalid choice: 'x' (choose from {names})\n"
+      for names in _choices("efce", "bce", "full-efce", "nfcce")}),
+    (["solve", "game.json", "--notion", "efce", "extra"], 2, "",
+     {_TOP_USAGE + "gt: error: unrecognized arguments: extra\n"}),
+    (["gap", "game.json", "profile.json", "--notion", "bce", "--foo"], 2, "",
+     {_TOP_USAGE + "gt: error: unrecognized arguments: --foo\n"}),
+])
+def test_argument_refusals_keep_their_text(capsys, monkeypatch, argv, code, out, errs):
+    # the exit code and both streams of each refusal argparse makes, at a
+    # fixed terminal width; the files named are never opened
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (e.value.code, captured.out) == (code, out)
+    assert captured.err in errs

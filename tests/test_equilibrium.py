@@ -93,6 +93,13 @@ def test_compute_efce_epsilon_relaxation(lrr):
     assert gap(lrr, pi, "efce").overall <= F(1, 5)
 
 
+@pytest.mark.parametrize("epsilon", [F(-1, 2), -1, -0.5])
+def test_a_negative_epsilon_is_refused_in_lowest_terms(lrr, epsilon):
+    # a caller's int or float epsilon is refused as a Fraction's would be
+    with pytest.raises(ValueError, match=f"^epsilon must be >= 0, got {F(epsilon)}$"):
+        compute_efce(lrr, epsilon=epsilon)
+
+
 def test_point_mass_ll_verifies_for_lrr(lrr):
     from gametree import pure_mixture, pure_strategy
     from gametree.strategy import PureProfile

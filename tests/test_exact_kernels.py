@@ -143,8 +143,18 @@ def test_each_walk_below_a_node_is_taken_once_per_table(monkeypatch, games_and_p
 
 def _expanded_history_table(game, i, support):
     """The reference table: one bundle entry per (node, support element),
-    descended element by element in support order, in Fractions."""
+    descended element by element in support order, in Fractions. A state's
+    obedient value is found by playing each entry's own profile on from its
+    node, not from the child states."""
     table = {}
+
+    def play(node, om, profile):
+        if node.kind == "terminal":
+            return om * node.payoffs[i]
+        if node.kind == "chance":
+            return sum((play(child, om * p, profile) for _label, p, child in node.moves), F(0))
+        want = profile.strategies[node.player].actions[node.infoset.index]
+        return play(next(c for label, c in node.moves if label == want), om, profile)
 
     def descend(node, om, k, profile, sink, consts):
         if node.kind == "terminal":
@@ -170,7 +180,8 @@ def _expanded_history_table(game, i, support):
             val = sum(consts, F(0)) + sum((solve(*s) for s in sink.items()), F(0))
             if best is None or val > best[0] or (val == best[0] and a < best[1]):
                 best = (val, a, tuple(sink))
-        table[key] = (bundle[0][2],) + best
+        obeyed = sum((play(node, om, support[k][1]) for node, om, k in bundle), F(0))
+        table[key] = (bundle[0][2],) + best + (obeyed,)
         return best[0]
 
     consts, sink = [], {}
@@ -219,9 +230,9 @@ def _assert_tables_match(game, pi):
         scale = reach.value_scale(i)
         assert F(value, scale) == want_value
         assert roots == want_roots
-        assert {key: (F(v, scale), a, children)
-                for key, (_, v, a, children) in table.items()} == \
-            {key: (v, a, children) for key, (_, v, a, children) in want.items()}
+        assert {key: (F(v, scale), a, children, F(o, scale))
+                for key, (_, v, a, children, o) in table.items()} == \
+            {key: (v, a, children, o) for key, (_, v, a, children, o) in want.items()}
         assert sorted(table, key=lambda s: (s[0], table[s][0])) == \
             sorted(want, key=lambda s: (s[0], want[s][0]))
 

@@ -10,8 +10,9 @@ from gametree import (InternalCheckError, ProfileError, ProfileReach, ResourceGu
                       expected_utility, gap, outcome_distribution,
                       outcome_equivalent, profile_support, pure_mixture,
                       pure_strategy)
-from gametree.metrics import (NOTIONS, _cf_reach_profiles, _cf_values, _payoff_units,
-                              _trigger_weights, conditional_node_utility, pure_utility)
+from gametree.metrics import (NOTIONS, _StateBudget, _cf_reach_profiles, _history_table,
+                              _payoff_units, _support_steps, _trigger_weights,
+                              conditional_node_utility, pure_utility)
 from gametree.randgen import random_game, random_mixture, random_pure_profile_mixture
 from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
                                PureStrategy, pure_reaches_sequence, pure_terminal_reach,
@@ -549,15 +550,19 @@ def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
 
 
 def test_bce_baseline_matches_support_expansion(games_and_profiles):
+    # the bce baseline at an infoset: the sum of the obedient values of its
+    # states in the player's history table
     for game, pi in games_and_profiles(33):
         reach = ProfileReach(game, pi)
         support = list(profile_support(pi))
         for i in range(game.n):
-            got = _cf_values(reach, i)
+            _value, _roots, table = _history_table(reach, i, _support_steps(reach),
+                                                   _StateBudget(10 ** 6))
             for iset in game.infosets[i]:
+                got = sum(entry[4] for (j, _hist), entry in table.items() if j == iset.index)
                 want = sum((w * counterfactual_utility(game, profile, i, iset.id)
                             for w, profile in support), F(0))
-                assert F(got[iset.index], reach.value_scale(i)) == want
+                assert F(got, reach.value_scale(i)) == want
 
 
 def test_profile_reach_expected_utility_and_outcomes_match_support_expansion(games_and_profiles):

@@ -38,6 +38,14 @@ def test_parse_rejection_messages(value, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("text", ["\u0663", "1/1\u0663", "\u0660/1", "1/\u0663", "-\u0663/2"])
+def test_parse_reads_ascii_digits_only(text):
+    # other Unicode decimal digits (here Arabic-Indic) are refused wherever
+    # they stand, not read as their values
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_rational(text)
+
+
 def test_parse_accepts_padding_str_subclasses_and_fractions():
     class Text(str):
         pass
