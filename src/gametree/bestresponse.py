@@ -37,7 +37,8 @@ def best_response(game: Game, player: int, weights: Seq[Weight],
     weakly following it. The plan starts from each infoset's
     :attr:`~gametree.game.Infoset.first` action and only the scope's
     choices are written over it, so infosets outside the scope keep their
-    lexicographically first action.
+    lexicographically first action. ``game`` is valid (its weights come from
+    a :class:`~gametree.metrics.ProfileReach`), so every infoset has an action.
     """
     isets = game.infosets[player]
     scope = isets if at_infoset is None else at_infoset.subtree
@@ -52,10 +53,7 @@ def best_response(game: Game, player: int, weights: Seq[Weight],
             v = sum(map(weight, terminals)) + sum(map(below, children))
             if best_v is None or v > best_v or (v == best_v and a < best_a):
                 best_v, best_a = v, a
-        if best_v is None:  # zero-action infosets are rejected by validation
-            best_v = 0
-        else:
-            actions[iset.index] = best_a
+        actions[iset.index] = best_a
         f_value[iset] = best_v
     strategy = PureStrategy(player, tuple(actions))
     if at_infoset is not None:

@@ -27,7 +27,7 @@ from .game import Game, Sequence, _decode_json, parse_game
 from .jsonout import dumps
 from .metrics import NOTIONS, ProfileReach, _gap, expected_utility, gap, outcome_distribution
 from .oracles import DEFAULT_TABLE_CAP, brute_force_gap
-from .rational import decimal_repr, format_rational, parse_rational
+from .rational import decimal_repr, format_rational, parse_count, parse_rational
 from .strategy import _rat, _read_profile, parse_profile, serialize_profile
 
 EXIT_OK, EXIT_SEMANTIC, EXIT_RESOURCE, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -93,7 +93,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     c.add_argument("--notion", choices=NOTIONS, required=True)
     c.add_argument("--oracle", action="store_true",
                    help="use the brute-force table oracle instead of the DP")
-    c.add_argument("--table-cap", type=int, default=DEFAULT_TABLE_CAP,
+    c.add_argument("--table-cap", type=_count_arg, default=DEFAULT_TABLE_CAP,
                    help="oracle refusal threshold on |X|^|X|")
     c = cmd("convert", cmd_convert, "rewrite off-path recommendations to "
             "counterfactual best responses", profile=True, out=True)
@@ -162,15 +162,29 @@ def _write(text: str, args=None):
         sys.stdout.write(text)
 
 
+def _count_arg(value: str) -> int:
+    """The ``--table-cap`` count, in ASCII digits; anything else is refused
+    with argparse's text for a bad int."""
+    try:
+        return parse_count(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+
+
 def _player_arg(game: Game, value: str) -> int:
-    """The player ``value`` names, else the player at index ``value``; a
-    value that names one player and is the index of another is refused."""
+    """The player ``value`` names, else the player at the index ``value``
+    writes in ASCII digits; a value that names one player and is the index
+    of another is refused."""
+    try:
+        index = parse_count(value)
+    except ValueError:
+        index = None
     if value not in game.players:
-        return game.player_index(int(value) if value.isdecimal() else value)
+        return game.player_index(value if index is None else index)
     named = game.players.index(value)
-    if value.isdecimal() and int(value) < game.n and int(value) != named:
+    if index is not None and index < game.n and index != named:
         raise ValueError(f"player {value!r} is ambiguous: it names the player at index "
-                         f"{named} and is the index of player {game.players[int(value)]!r}")
+                         f"{named} and is the index of player {game.players[index]!r}")
     return named
 
 

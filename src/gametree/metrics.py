@@ -30,7 +30,7 @@ from typing import Collection, Optional, Union
 from .bestresponse import best_response
 from .errors import InternalCheckError, ResourceGuardError
 from .game import Game, Infoset, Node, Sequence
-from .rational import format_rational, over_common_denominator
+from .rational import format_rational, over_common_denominator, parse_count
 from .strategy import (MixtureOfProducts, PureProfile, PureStrategy, _check_profile,
                        profile_support, pure_terminal_reach)
 from .witnesses import ConstantWitness, HistoryPolicyWitness, TriggerCommitWitness
@@ -250,41 +250,21 @@ def counterfactually_outcome_equivalent(game: Game,
     terminal below it - a strictly stronger notion than outcome equivalence
     (chance is a common factor and is left out)."""
     reach_a, reach_b = ProfileReach.of(game, a), ProfileReach.of(game, b)
-    return all(r * reach_b.scale == cf_b[z] * reach_a.scale
-               for i in range(game.n)
-               for cf_a, cf_b in zip(_cf_reach_profiles(reach_a, i),
-                                     _cf_reach_profiles(reach_b, i))
-               for z, r in cf_a.items())
+    return all(_cf_reach(reach_a, iset, z) * reach_b.scale
+               == _cf_reach(reach_b, iset, z) * reach_a.scale
+               for isets in game.infosets for iset in isets
+               for z in iset.terminals_below)
 
 
-def _cf_reach_profiles(reach: ProfileReach, i: int) -> list[dict[int, int]]:
-    """Per infoset of player ``i`` (by index) and terminal below it:
-    E[x_i(z | I) x_{-i}(z)] over ``reach.scale``, the own factor restarted at
-    the infoset.
-
-    A plan reaches z from the infoset at ``offset`` on z's own pairs exactly
-    when the deepest pair it leaves lies above ``offset``, so one backward
-    scan per (plan, terminal) serves every infoset on z's path: the own
-    factor there is a prefix sum of the betas binned by that depth."""
-    game = reach.game
-    out = [dict.fromkeys(iset.terminals_below, 0) for iset in game.infosets[i]]
-    for plans, other in zip(reach.plans[i], reach.others[i]):
-        for z in game.terminals:
-            o, pairs = other[z.index], z.own_pairs[i]
-            if not o or not pairs:
-                continue
-            by_depth = [0] * (len(pairs) + 1)  # [k]: plans leaving pair k-1 last
-            for beta, ps in plans:
-                k = len(pairs)
-                while k and ps.actions[pairs[k - 1][0]] == pairs[k - 1][1]:
-                    k -= 1
-                by_depth[k] += beta
-            own = 0
-            for offset, (idx, _a) in enumerate(pairs):
-                own += by_depth[offset]
-                if own:
-                    out[idx][z.index] += own * o
-    return out
+def _cf_reach(reach: ProfileReach, iset: Infoset, z: int) -> int:
+    """E[x_i(z | I) x_{-i}(z)] over ``reach.scale`` for the terminal ``z``
+    below ``I``: per component, ``others[i][t][z]`` times the beta of the
+    plans that reach z from ``I`` on."""
+    game, i = reach.game, iset.player
+    terminal, offset = game.terminals[z], len(iset.chain)
+    return sum(other[z] * sum(beta for beta, ps in plans
+                              if pure_terminal_reach(game, ps, terminal, offset))
+               for plans, other in zip(reach.plans[i], reach.others[i]))
 
 
 def conditional_node_utility(game: Game, pi: MixtureOfProducts,
@@ -392,14 +372,15 @@ def _gap(reach: ProfileReach, notion: str, state_cap: Optional[int] = None
 
 
 def _state_cap(state_cap: Optional[int]) -> int:
-    """``state_cap``, or when None the GT_STATE_CAP environment variable,
-    else :data:`DEFAULT_STATE_CAP`; raises :class:`ValueError` unless the
-    cap is a non-negative integer."""
+    """``state_cap``, or when None the GT_STATE_CAP environment variable
+    (ASCII digits, :func:`~gametree.rational.parse_count`), else
+    :data:`DEFAULT_STATE_CAP`; raises :class:`ValueError` unless the cap
+    is a non-negative integer."""
     value = state_cap
     if state_cap is None:
-        value = os.environ.get(STATE_CAP_ENV, DEFAULT_STATE_CAP)
+        value = os.environ.get(STATE_CAP_ENV, str(DEFAULT_STATE_CAP))
         try:
-            state_cap = int(value)
+            state_cap = parse_count(value)
         except ValueError:
             state_cap = -1
     if state_cap < 0:

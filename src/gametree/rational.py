@@ -52,6 +52,15 @@ def parse_rational(value) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def parse_count(value: str) -> int:
+    """The non-negative integer ``value`` writes in ASCII digits only, the
+    digits :func:`parse_rational` reads: no sign, space, ``_`` or other
+    script's digit. Raises :class:`ValueError` otherwise."""
+    if not (value.isascii() and value.isdecimal()):
+        raise ValueError(f"malformed count {value!r} (expected ASCII digits)")
+    return int(value)
+
+
 def rational_reader():
     """:func:`parse_rational` that parses each distinct string once: one
     reader per document, where the same few rationals recur. Other values

@@ -23,15 +23,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence as Seq, Union
+from typing import Iterator, Sequence as Seq, Union
 
-from .errors import InternalCheckError, ProfileError, ProfileParseError
+from .errors import InternalCheckError, ProfileError, ProfileParseError, ResourceGuardError
 from .game import Game, Sequence, TerminalNode, _decode_json
 from .jsonout import dumps
 from .rational import format_rational, over_common_denominator, rational_reader
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+EXPANSION_CAP = 100_000  # pure plans one behavior strategy may expand to
 
 
 @dataclass(frozen=True)
@@ -200,14 +201,7 @@ def pure_reaches_sequence(game: Game, ps: PureStrategy, seq: Sequence) -> bool:
     if seq.is_empty:
         return True
     iset = game.infoset(seq.player, seq.infoset)
-    return ps.actions[iset.index] == seq.action and _plays_chain(ps, iset.chain)
-
-
-def _plays_chain(ps: PureStrategy, chain) -> bool:
-    for j, a in chain:
-        if ps.actions[j] != a:
-            return False
-    return True
+    return ps.actions[iset.index] == seq.action and all(ps.actions[j] == a for j, a in iset.chain)
 
 
 def pure_terminal_reach(game: Game, ps: PureStrategy, z: TerminalNode,
@@ -242,8 +236,7 @@ def sequence_form(game: Game,
     return SequenceFormVector(i, reach)
 
 
-def decompose(game: Game, v: SequenceFormVector,
-              _trace: Optional[list] = None) -> list[tuple[Fraction, PureStrategy]]:
+def decompose(game: Game, v: SequenceFormVector) -> list[tuple[Fraction, PureStrategy]]:
     """Write ``v`` exactly as sum_k beta_k * sequence_form(x_k).
 
     Greedy flow extraction: trace a pure plan through the lexicographically
@@ -254,20 +247,19 @@ def decompose(game: Game, v: SequenceFormVector,
 
     The residuals are ints over the lcm of ``v``'s denominators, one per
     position in ``game.sequences(v.player)``; each beta is built once, as
-    ``Fraction(beta, lcm)``.
-
-    ``_trace``, when a list, collects the residual nonzero-coordinate count
-    after each round (used by tests as a termination certificate).
+    ``Fraction(beta, lcm)``. Taking each ``beta_k * sequence_form(x_k)`` off
+    ``v`` in turn leaves strictly fewer nonzero coordinates, and none at the
+    end: the output is its own termination certificate.
     """
     game.require_valid()
     v.validate(game)
     den, residual = over_common_denominator(
         [v.reach.get(seq, ZERO) for seq in game.sequences(v.player)])
-    return _decompose(game, v.player, den, list(residual), _trace)
+    return _decompose(game, v.player, den, list(residual))
 
 
-def _decompose(game: Game, i: int, den: int, residual: list[int],
-               _trace: Optional[list] = None) -> list[tuple[Fraction, PureStrategy]]:
+def _decompose(game: Game, i: int, den: int, residual: list[int]
+               ) -> list[tuple[Fraction, PureStrategy]]:
     """:func:`decompose` of the valid sequence-form vector ``residual[k] /
     den`` over ``game.sequences(i)``, which it uses up. The greedy choices
     compare and subtract residuals only, so any common ``den`` gives the
@@ -303,20 +295,17 @@ def _decompose(game: Game, i: int, den: int, residual: list[int],
         for k in chosen:
             residual[k] -= beta
         out.append((Fraction(beta, den), PureStrategy(i, tuple(actions))))
-        if _trace is not None:
-            _trace.append(sum(1 for q in residual if q != 0))
     if any(q != 0 for q in residual):
         raise InternalCheckError("greedy decomposition left residual mass off the root")
     return out
 
 
-def behavior_product_expansion(game: Game, b: BehaviorStrategy,
-                               cap: int = 100_000) -> list[tuple[Fraction, PureStrategy]]:
+def behavior_product_expansion(game: Game, b: BehaviorStrategy
+                               ) -> list[tuple[Fraction, PureStrategy]]:
     """The mixed strategy a behavior strategy literally denotes: every pure
     plan with positive product probability. Can be exponentially large in the
-    number of infosets, hence the cap; :func:`decompose` is the compact,
-    outcome-equivalent alternative."""
-    from .errors import ResourceGuardError
+    number of infosets, hence the refusal above :data:`EXPANSION_CAP` plans;
+    :func:`decompose` is the compact, outcome-equivalent alternative."""
     b.validate(game)
     i = b.player
     choices = []
@@ -325,10 +314,10 @@ def behavior_product_expansion(game: Game, b: BehaviorStrategy,
         local = [(a, p) for a, p in b.local(iset.id).items() if p > 0]
         local.sort()
         count *= len(local)
-        if count > cap:
+        if count > EXPANSION_CAP:
             raise ResourceGuardError(
                 f"behavior strategy for {game.players[i]} expands to more than "
-                f"{cap} pure plans; decompose it instead")
+                f"{EXPANSION_CAP} pure plans; decompose it instead")
         choices.append(local)
     out = []
     for combo in itertools.product(*choices):

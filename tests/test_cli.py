@@ -135,6 +135,20 @@ def test_gap_oracle_table_cap(paths, capsys):
     assert code == 0 and json.loads(out)["gap"] == "1/5"
 
 
+def test_gap_oracle_table_cap_is_read_in_ascii_digits_only(paths, capsys, monkeypatch):
+    # --table-cap takes the digits parse_rational reads, and refuses another
+    # script's digit, a "_" separator or a sign as argparse refuses a non-int
+    monkeypatch.setenv("COLUMNS", "80")
+    for value in ("\u0663", "1_000", "-5"):
+        with pytest.raises(SystemExit) as e:
+            main(["gap", paths["lrr"], paths["lrr.behavior"], "--notion", "efce",
+                  "--oracle", "--table-cap", value])
+        captured = capsys.readouterr()
+        assert (e.value.code, captured.out) == (2, "")
+        assert captured.err == (_GAP_USAGE + "gt gap: error: argument --table-cap: "
+                                f"invalid int value: {value!r}\n")
+
+
 def test_gap_oracle_bce_lrr(paths, capsys):
     code, out, _err = run(capsys, "gap", paths["lrr"], paths["lrr.behavior"],
                           "--notion", "bce", "--oracle")
@@ -328,6 +342,17 @@ def test_cbr_player_refuses_a_name_that_is_another_players_index(paths, capsys):
     # a digit that is not a decimal digit is no index
     assert run(capsys, "cbr", str(game), paths["ebos.profile"], "--player", "²",
                "--sequence", "empty") == (1, "", "error: unknown player '²'\n")
+
+
+def test_cbr_player_index_is_read_in_ascii_digits_only(paths, capsys):
+    # an index is written in the digits parse_rational reads, so another
+    # script's zero, a sign or a space is a name, here of no player
+    for value in ("\u0660", "+0", " 0"):
+        assert run(capsys, "cbr", paths["ebos"], paths["ebos.profile"], "--player", value,
+                   "--sequence", "empty") == (1, "", f"error: unknown player {value!r}\n")
+    code, out, _err = run(capsys, "cbr", paths["ebos"], paths["ebos.profile"],
+                          "--player", "0", "--sequence", "empty")
+    assert code == 0 and json.loads(out)["player"] == "P1"
 
 
 def test_cbr_sequence_needs_a_colon(paths, capsys):
@@ -610,7 +635,10 @@ def test_stdout_is_byte_identical_across_hash_seeds(paths):
 
 def test_paper_check_wiring(capsys, monkeypatch):
     # stub criteria: the command must print one line per sub-check and exit
-    # nonzero exactly when one fails
+    # nonzero exactly when one fails; stdout holds those lines only and is
+    # the same in every run, and each criterion's timing goes to stderr
+    from types import SimpleNamespace
+
     from gametree import checks
 
     def fake_pass():
@@ -619,12 +647,18 @@ def test_paper_check_wiring(capsys, monkeypatch):
     def fake_fail():
         return [checks.CheckResult("x2", "stub fail", False, "want 1, got 2")]
 
+    ticks = iter(range(100))  # a clock whose every interval is longer
+    monkeypatch.setattr(checks, "time", SimpleNamespace(time=lambda: next(ticks) ** 2))
     monkeypatch.setattr(checks, "CRITERIA",
                         (("x1", "stub", fake_pass), ("x2", "stub", fake_fail)))
-    code, out, _ = run(capsys, "paper-check")
-    assert code == 1
-    assert "PASS criterion-x1" in out
-    assert "FAIL criterion-x2: stub fail (want 1, got 2)" in out
+    runs = [run(capsys, "paper-check") for _ in range(2)]
+    assert [code for code, _out, _err in runs] == [1, 1]
+    assert [out for _code, out, _err in runs] == 2 * [
+        "PASS criterion-x1: stub pass\n"
+        "FAIL criterion-x2: stub fail (want 1, got 2)\n"]
+    assert [err for _code, _out, err in runs] == [
+        "     criterion x1 (stub): 1.0s\n     criterion x2 (stub): 5.0s\n",
+        "     criterion x1 (stub): 9.0s\n     criterion x2 (stub): 13.0s\n"]
 
     monkeypatch.setattr(checks, "CRITERIA", (("x1", "stub", fake_pass),))
     code, out, _ = run(capsys, "paper-check")

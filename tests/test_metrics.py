@@ -10,7 +10,7 @@ from gametree import (InternalCheckError, ProfileError, ProfileReach, ResourceGu
                       expected_utility, gap, outcome_distribution,
                       outcome_equivalent, profile_support, pure_mixture,
                       pure_strategy)
-from gametree.metrics import (NOTIONS, _StateBudget, _cf_reach_profiles, _history_table,
+from gametree.metrics import (NOTIONS, _StateBudget, _cf_reach, _history_table,
                               _payoff_units, _support_steps, _trigger_weights,
                               conditional_node_utility, pure_utility)
 from gametree.randgen import random_game, random_mixture, random_pure_profile_mixture
@@ -501,6 +501,19 @@ def test_gap_state_cap_must_be_a_nonnegative_integer(surj, surj_pi, monkeypatch)
         assert gap(surj, surj_pi, notion, state_cap=-1).notion == notion
 
 
+def test_gt_state_cap_reads_ascii_digits_only(surj, surj_pi, monkeypatch):
+    # GT_STATE_CAP is written in the digits parse_rational reads: another
+    # script's digit, a "_" separator, a sign or a space is refused by name
+    for cap in ("\u0663", "1_000", "+100000", " 100000"):
+        monkeypatch.setenv("GT_STATE_CAP", cap)
+        with pytest.raises(ValueError) as info:
+            gap(surj, surj_pi, "bce")
+        assert str(info.value) == ("the state cap (GT_STATE_CAP or state_cap=) must be a "
+                                   f"non-negative integer, got {cap!r}")
+    monkeypatch.setenv("GT_STATE_CAP", "100000")
+    assert gap(surj, surj_pi, "bce").overall == 0
+
+
 # -- the factorized profile reach against support expansion --------------------
 
 
@@ -535,7 +548,6 @@ def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
         reach = ProfileReach(game, pi)
         support = list(profile_support(pi))
         for i in range(game.n):
-            got = _cf_reach_profiles(reach, i)
             for iset in game.infosets[i]:
                 want = {z_idx: F(0) for z_idx in iset.terminals_below}
                 for w, profile in support:
@@ -546,7 +558,8 @@ def test_cf_reach_profile_matches_support_expansion(games_and_profiles):
                                 and all(pure_terminal_reach(game, profile.strategies[j], z)
                                         for j in range(game.n) if j != i)):
                             want[z_idx] += w
-                assert {z: F(r, reach.scale) for z, r in got[iset.index].items()} == want
+                assert {z: F(_cf_reach(reach, iset, z), reach.scale)
+                        for z in iset.terminals_below} == want
 
 
 def test_bce_baseline_matches_support_expansion(games_and_profiles):

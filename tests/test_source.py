@@ -33,6 +33,28 @@ def test_no_raise_assertion_error_in_the_package():
     assert not found, f"raise AssertionError in the package: {found}"
 
 
+def test_every_import_is_named_again():
+    # each name a package module imports must be named elsewhere in that
+    # module, so that no import outlives the code that read it; __init__.py
+    # imports to re-export, and a __future__ import is a directive
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = []  # (line, the name the import binds)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                             for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for line, name in imported
+                  if name not in named]
+    assert not found, f"imports the package never names again: {found}"
+
+
 # Definitions the package itself never names, each kept for a reason
 CALLER_ALLOWLIST = {
     "serialize_game": "the documented round trip of parse_game",

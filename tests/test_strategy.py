@@ -104,18 +104,20 @@ def test_decompose_round_trip_random(ebos, lrr, surj):
         for i in range(game.n):
             for _ in range(40):
                 v = sequence_form(game, random_behavior_strategy(rng, game, i))
-                trace = []
-                parts = decompose(game, v, _trace=trace)
+                parts = decompose(game, v)
                 assert sum(w for w, _ in parts) == 1
                 assert all(w > 0 for w, _ in parts)
                 assert len(parts) <= len(game.sequences(i))
-                recon = {}
+                # taking each part off v strictly shrinks the nonzero
+                # residual support, down to nothing
+                residual = dict(v.reach)
+                trace = [sum(1 for q in residual.values() if q != 0)]
                 for w, ps in parts:
                     for seq, r in sequence_form(game, ps).reach.items():
-                        recon[seq] = recon.get(seq, F(0)) + w * r
-                assert recon == v.reach
-                # each round strictly shrinks the nonzero residual support
+                        residual[seq] -= w * r
+                    trace.append(sum(1 for q in residual.values() if q != 0))
                 assert all(b < a for a, b in zip(trace, trace[1:]))
+                assert trace[-1] == 0
 
 
 def test_decompose_requires_valid_vector(lrr):
@@ -284,7 +286,7 @@ def test_decomposition_preserves_causal_and_commit_blind_gaps():
         assert gap(g, literal, "nfcce").overall == gap(g, small, "nfcce").overall
 
 
-def _fraction_decompose(game, v, trace):
+def _fraction_decompose(game, v):
     """The greedy loop on Fraction residuals keyed by sequence that the int
     residuals replaced, kept as the reference they must match."""
     i = v.player
@@ -305,7 +307,6 @@ def _fraction_decompose(game, v, trace):
         for s in chosen:
             residual[s] -= beta
         out.append((beta, PureStrategy(i, tuple(actions))))
-        trace.append(sum(1 for q in residual.values() if q != 0))
     assert not any(residual.values())
     return out
 
@@ -330,7 +331,7 @@ def _relabeled(game):
 
 
 def test_int_decompose_matches_the_fraction_loop(ebos, lrr, surj):
-    # identical (beta, plan) lists and traces, on behavior strategies with
+    # identical (beta, plan) lists, on behavior strategies with
     # zero-probability actions, own chains three actions deep, and action
     # labels out of position order
     rng = random.Random(17)
@@ -344,9 +345,7 @@ def test_int_decompose_matches_the_fraction_loop(ebos, lrr, surj):
             depth = max([depth] + [len(iset.chain) + 1 for iset in isets])
             for _ in range(6):
                 v = sequence_form(game, random_behavior_strategy(rng, game, i))
-                trace, want = [], []
-                assert decompose(game, v, _trace=trace) == _fraction_decompose(game, v, want)
-                assert trace == want
+                assert decompose(game, v) == _fraction_decompose(game, v)
                 zeros += any(v.reach[iset.parent_seq] > 0 and v.reach[s] == 0
                              for iset in isets for s in iset.seqs)
     assert depth >= 3 and zeros > 0
@@ -553,11 +552,13 @@ def test_behavior_component_messages(ebos):
             assert str(info.value) == message
 
 
-def test_behavior_expansion_refuses_above_its_cap(lrr):
-    from gametree import ResourceGuardError
+def test_behavior_expansion_refuses_above_its_cap(lrr, monkeypatch):
+    from gametree import ResourceGuardError, strategy
     b = lrr_behavior(lrr)  # R0 mixes two actions, B plays one: two plans
-    assert len(behavior_product_expansion(lrr, b, cap=2)) == 2
+    monkeypatch.setattr(strategy, "EXPANSION_CAP", 2)
+    assert len(behavior_product_expansion(lrr, b)) == 2
+    monkeypatch.setattr(strategy, "EXPANSION_CAP", 1)
     with pytest.raises(ResourceGuardError) as info:
-        behavior_product_expansion(lrr, b, cap=1)
+        behavior_product_expansion(lrr, b)
     assert str(info.value) == ("behavior strategy for P1 expands to more than 1 pure "
                                "plans; decompose it instead")
