@@ -15,17 +15,20 @@ exit test is the re-verification of the returned profile. This is the
 exact separation scheme of Huang and von Stengel (2008) in the exact form
 of Jiang and Leyton-Brown (2015), over the enumerated pure profiles.
 
-The program is built on ints. Each pure profile is walked once, every
-chance move followed, to the terminals it reaches; player ``i``'s utility
-there is the sum of ``game.payoff_rows[i][1]`` over them, an int over the
-row's scale ``game.payoff_rows[i][0]``, and the objective is the sum of
-``c(z) * chance(z)`` over one common scale. So a witness row of player
-``i`` holds ints over that player's scale, with right-hand side
-``epsilon`` times it, and the program's value is divided by the
-objective's scale once. A witness row is a ``<=`` row with a right-hand
-side of at least 0, so it carries no phase-1 artificial, and scaling it,
-or the objective, by a positive constant changes no pivot (see
-:mod:`gametree.lp`): the program solves exactly as its Fractions would.
+The program is built on ints. Its columns, one per pure profile, come
+from :func:`_columns`, which enumerates each player's plans once and states
+the column order that the support and the witness rows read. Each column
+is walked once, every chance move followed, to the terminals it reaches;
+player ``i``'s utility there is the sum of ``game.payoff_rows[i][1]`` over
+them, an int over the row's scale ``game.payoff_rows[i][0]``, and the
+objective is the sum of ``c(z) * chance(z)`` over one common scale (all
+zero without an objective). So a witness row of player ``i`` holds ints
+over that player's scale, with right-hand side ``epsilon`` times it, and
+the program's value is divided by the objective's scale once. A witness
+row is a ``<=`` row with a right-hand side of at least 0, so it carries no
+phase-1 artificial, and scaling it, or the objective, by a positive
+constant changes no pivot (see :mod:`gametree.lp`): the program solves
+exactly as its Fractions would.
 
 The history-seeing (bce) solvers go through the off-path rewrite of
 :func:`gametree.convert.efce_to_bce`, which preserves the outcome
@@ -52,22 +55,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_PROFILE_CAP = 50_000
-
-
-def _strategies(game: Game, cap: int) -> list[list[PureStrategy]]:
-    """Each player's pure strategies in ``itertools.product`` order over the
-    player's infosets; more than ``cap`` pure profiles in all refuses before
-    any strategy is built."""
-    total = 1
-    for iset in itertools.chain.from_iterable(game.infosets):
-        total *= len(iset.actions)
-        if total > cap:
-            raise ResourceGuardError(
-                f"game has more than {cap} pure profiles; "
-                f"raise the cap to solve it anyway")
-    return [[PureStrategy(i, combo) for combo in
-             itertools.product(*(iset.actions for iset in isets))]
-            for i, isets in enumerate(game.infosets)]
 
 
 def _reached(root: Node, choice: tuple) -> list[int]:
@@ -98,21 +85,42 @@ def _objective_row(game: Game, objective: dict[str, Fraction]) -> tuple[int, lis
     return den * chance_den, [c * h for c, h in zip(costs, chances)]
 
 
-def _payoff_table(game: Game, rows: list[list[int]]) -> list[list[int]]:
-    """Per pure profile, in the order of :func:`_profile`: the sum of each
-    terminal row in ``rows`` over the terminals the profile reaches.
+def _columns(game: Game, cap: int, rows: list[list[int]]
+             ) -> tuple[list[list[PureStrategy]], list[tuple[PureStrategy, ...]], list[list[int]]]:
+    """The solver's columns, one per pure profile, as ``(plans, columns,
+    table)``: each player's plans, each column's plans (one per player),
+    and per column the sum of each terminal row in ``rows`` over the
+    terminals its plans reach. More than ``cap`` pure profiles refuses
+    before any plan is built.
 
-    Strategy ``k`` of a player plays the ``k``-th combination of action
-    positions, as :func:`_strategies` lists it, and a valid game's nodes
-    list their infoset's actions in order, so those positions index the
-    nodes' moves."""
+    The one enumeration of the solver's plans, so the one statement of
+    their order: a player's plans run in ``itertools.product`` order over
+    the player's infosets, and the columns in ``itertools.product`` order
+    over the players' plans. So column ``j`` is ``j`` in mixed radix over
+    the players' plan counts, the last player running fastest. The plans'
+    action positions are enumerated beside them in the same order, and a
+    valid game's nodes list their infoset's actions in order, so the
+    positions index the nodes' moves."""
+    total = 1
+    for iset in itertools.chain.from_iterable(game.infosets):
+        if total > cap:
+            break
+        total *= len(iset.actions)
+    if total > cap:
+        raise ResourceGuardError(
+            f"game has more than {cap} pure profiles; "
+            f"raise the cap via profile_cap= of the library solvers")
     moves = [itertools.product(*(range(len(iset.actions)) for iset in isets))
              for isets in game.infosets]
-    table = []
-    for choice in itertools.product(*moves):
+    plans = [[PureStrategy(i, combo) for combo in
+              itertools.product(*(iset.actions for iset in isets))]
+             for i, isets in enumerate(game.infosets)]
+    columns, table = [], []
+    for choice, column in zip(itertools.product(*moves), itertools.product(*plans)):
         reached = _reached(game.root, choice)
+        columns.append(column)
         table.append([sum([row[z] for z in reached]) for row in rows])
-    return table
+    return plans, columns, table
 
 
 def _solve_program(game: Game, epsilon: Fraction,
@@ -126,22 +134,17 @@ def _solve_program(game: Game, epsilon: Fraction,
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {format_rational(Fraction(epsilon))}")
     game.require_valid()
-    strategies = _strategies(game, profile_cap)
-    rows = [row for _scale, row in game.payoff_rows]
-    obj_scale = 1
-    if objective is not None:
-        obj_scale, obj_row = _objective_row(game, objective)
-        rows.append(obj_row)
-    table = _payoff_table(game, rows)
+    obj_scale, obj_row = (_objective_row(game, objective) if objective is not None
+                          else (1, [0] * len(game.terminals)))
+    rows = [row for _scale, row in game.payoff_rows] + [obj_row]
+    plans, columns, table = _columns(game, profile_cap, rows)
+    costs = [v[-1] for v in table]
     lp = LinearProgram(num_vars=len(table))
     lp.add({j: 1 for j in range(len(table))}, EQ, ONE)
-    costs = [0] * len(table)
-    if objective is not None:
-        costs = [v[-1] for v in table]
-        lp.objective = {j: c for j, c in enumerate(costs) if c != 0}
+    lp.objective = {j: c for j, c in enumerate(costs) if c != 0}
     x, value = _first_vertex(costs)
     while True:
-        entries = [(w, _profile(strategies, j)) for j, w in enumerate(x) if w != 0]
+        entries = [(w, PureProfile(columns[j])) for j, w in enumerate(x) if w != 0]
         mixture = pure_mixture(game, entries)
         reach = ProfileReach(game, mixture)
         report, responses = _gap(reach, "efce")
@@ -149,7 +152,7 @@ def _solve_program(game: Game, epsilon: Fraction,
             return reach, report, responses, Fraction(value, obj_scale)
         i = report.witness.player
         scale = game.payoff_rows[i][0]
-        row = _witness_row(game, report.witness, strategies, table)
+        row = _witness_row(game, report.witness, plans, table)
         swing = sum((x[j] * c for j, c in row.items() if x[j]), ZERO)
         if swing <= epsilon * scale:
             raise InternalCheckError(
@@ -179,27 +182,18 @@ def _first_vertex(costs: list[int]) -> tuple[list[Fraction], int]:
     return x, value
 
 
-def _profile(strategies: list[list[PureStrategy]], j: int) -> PureProfile:
-    """The ``j``-th pure profile: profiles run in ``itertools.product``
-    order over the players' ``strategies``."""
-    picked = []
-    for own in reversed(strategies):
-        j, k = divmod(j, len(own))
-        picked.append(own[k])
-    return PureProfile(tuple(reversed(picked)))
-
-
 def _witness_row(game: Game, witness: TriggerCommitWitness,
-                 strategies: list[list[PureStrategy]],
+                 plans: list[list[PureStrategy]],
                  table: list[list[int]]) -> dict[int, int]:
-    """The deviator's utility swing at each profile when ``witness``
-    rewrites its own plan (zero entries omitted), in ``table``'s ints.
+    """The deviator's utility swing at each column when ``witness``
+    rewrites its own plan (zero entries omitted), in ``table``'s ints;
+    ``plans`` and ``table`` are those of :func:`_columns`.
 
-    Profiles run in mixed radix over the players' strategy counts, so
-    moving player ``i`` from strategy ``k`` to ``k'`` moves a profile's
-    index by ``(k' - k)`` times ``i``'s stride."""
+    Columns run in the mixed radix :func:`_columns` states, so moving
+    player ``i`` from plan ``k`` to ``k'`` moves a column by ``(k' - k)``
+    times ``i``'s stride."""
     i = witness.player
-    own = strategies[i]
+    own = plans[i]
     position = {s: k for k, s in enumerate(own)}
     moved = []
     for k, s in enumerate(own):
@@ -209,7 +203,7 @@ def _witness_row(game: Game, witness: TriggerCommitWitness,
                 f"the witness plays a strategy of player {game.players[i]} "
                 f"outside the enumeration")
         moved.append(to - k)
-    stride = prod(len(other) for other in strategies[i + 1:])
+    stride = prod(len(other) for other in plans[i + 1:])
     size = len(own)
     row = {}
     for j, u in enumerate(table):

@@ -43,15 +43,18 @@ class DeviationTable:
 def enumerate_pure(game: Game, player: Union[int, str],
                    cap: int = DEFAULT_PURE_CAP) -> list[PureStrategy]:
     """All pure strategies of a player in lexicographic order (infosets in
-    discovery order, actions in document order)."""
+    discovery order, actions in document order). More than ``cap`` of them
+    refuses before any is built; a player without infosets has one."""
     game.require_valid()
     i = game.player_index(player)
     count = 1
     for iset in game.infosets[i]:
-        count *= len(iset.actions)
         if count > cap:
-            raise ResourceGuardError(
-                f"player {game.players[i]} has more than {cap} pure strategies")
+            break
+        count *= len(iset.actions)
+    if count > cap:
+        raise ResourceGuardError(
+            f"player {game.players[i]} has more than {cap} pure strategies")
     return [PureStrategy(i, combo) for combo in
             itertools.product(*(iset.actions for iset in game.infosets[i]))]
 

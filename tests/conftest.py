@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from gametree import Sequence, fixtures
 from gametree.bestresponse import best_response
@@ -14,6 +15,12 @@ from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
                                pure_reaches_sequence, pure_terminal_reach)
 
 F = Fraction
+
+# Properties that set no example count of their own run on few examples in
+# Tier-1 and on many under ``pytest --hypothesis-profile long``.
+settings.register_profile("tier1", max_examples=100)
+settings.register_profile("long", max_examples=10_000)
+settings.load_profile("tier1")
 
 
 def walk_tree(game):

@@ -434,7 +434,8 @@ def test_solve_refuses_a_player_above_the_profile_cap(paths, capsys, plan_chain_
     chain.write_text(plan_chain_text)
     code, out, err = run(capsys, "solve", str(chain), "--notion", "efce")
     assert (code, out, err) == (2, "", "refused: game has more than 50000 pure profiles; "
-                                       "raise the cap to solve it anyway\n")
+                                       "raise the cap via profile_cap= of the library "
+                                       "solvers\n")
     assert strategy_guard == [0]
 
 

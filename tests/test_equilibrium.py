@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -195,6 +196,22 @@ def test_profile_cap_refuses_before_enumerating(plan_chain_text, strategy_guard)
     assert strategy_guard == [0]
 
 
+def test_profile_cap_counts_the_one_profile_of_a_game_without_decisions(strategy_guard):
+    # no decision node leaves one pure profile, the empty plans: a cap below
+    # 1 refuses it before a plan is built, and a cap of 1 solves it
+    game = parse_game(json.dumps({"players": ["A", "B"], "root": {
+        "kind": "chance", "actions": [
+            {"label": c, "prob": "1/2", "child": {"kind": "terminal", "payoffs": [u, "1"]}}
+            for c, u in (("h", "2"), ("t", "-1"))]}}))
+    for cap in (0, -5):
+        for solver in (compute_efce, compute_bce):
+            with pytest.raises(ResourceGuardError, match=f"more than {cap} pure profiles"):
+                solver(game, profile_cap=cap)
+    assert strategy_guard == [0]
+    _pi, value = optimal_efce(game, u_objective(game, 0), profile_cap=1)
+    assert value == F(1, 2)
+
+
 def test_random_games_solve_and_verify():
     rng = random.Random(50)
     for _ in range(10):
@@ -217,6 +234,12 @@ def test_optimal_bce_lrr_player_objective(lrr):
     assert value == 2
 
 
+def _columns(game, rows):
+    """``(plans, columns, table)`` of the solver's columns under the
+    default profile cap."""
+    return equilibrium._columns(game, equilibrium.DEFAULT_PROFILE_CAP, rows)
+
+
 def _table_games():
     rng = random.Random(1515)
     games = [fixtures.load_game(name) for name in fixtures.GAMES]
@@ -233,12 +256,12 @@ def test_payoff_table_matches_the_oracle():
         objective = random_objective(rng, game)
         obj_scale, obj_row = equilibrium._objective_row(game, objective)
         rows = [row for _scale, row in game.payoff_rows] + [obj_row]
-        table = equilibrium._payoff_table(game, rows)
+        plans, columns, table = _columns(game, rows)
         profiles = _profiles(game)
-        strategies = equilibrium._strategies(game, equilibrium.DEFAULT_PROFILE_CAP)
+        assert plans == [enumerate_pure(game, i) for i in range(game.n)]
+        assert [PureProfile(column) for column in columns] == profiles
         assert len(table) == len(profiles)
-        for j, (entry, profile) in enumerate(zip(table, profiles)):
-            assert equilibrium._profile(strategies, j) == profile
+        for entry, profile in zip(table, profiles):
             for i in range(game.n):
                 assert F(entry[i], game.payoff_rows[i][0]) == pure_utility(game, profile, i)
             assert F(entry[-1], obj_scale) == _play_from(
@@ -252,12 +275,11 @@ def test_witness_rows_match_the_swapped_profiles():
     rows = 0
     for game in games:
         profiles = _profiles(game)
-        strategies = equilibrium._strategies(game, equilibrium.DEFAULT_PROFILE_CAP)
-        table = equilibrium._payoff_table(game, [row for _s, row in game.payoff_rows])
+        plans, _, table = _columns(game, [row for _s, row in game.payoff_rows])
         for _ in range(3):
             witness = gap(game, random_mixture(rng, game), "efce").witness
             i = witness.player
-            got = equilibrium._witness_row(game, witness, strategies, table)
+            got = equilibrium._witness_row(game, witness, plans, table)
             want = {}
             for j, profile in enumerate(profiles):
                 moved = list(profile.strategies)
@@ -278,10 +300,9 @@ def test_a_witness_outside_the_enumeration_is_an_internal_error(lrr):
         def apply(self, game, ps):
             return PureStrategy(0, ("nowhere",) * len(ps.actions))
 
-    strategies = equilibrium._strategies(lrr, equilibrium.DEFAULT_PROFILE_CAP)
-    table = equilibrium._payoff_table(lrr, [row for _s, row in lrr.payoff_rows])
+    plans, _, table = _columns(lrr, [row for _s, row in lrr.payoff_rows])
     with pytest.raises(InternalCheckError, match="outside the enumeration"):
-        equilibrium._witness_row(lrr, Stray(), strategies, table)
+        equilibrium._witness_row(lrr, Stray(), plans, table)
 
 
 @pytest.mark.parametrize("solver", [optimal_efce, optimal_bce])
@@ -344,11 +365,8 @@ def test_the_first_candidate_is_the_vertex_lp_solve_returns():
                       {z.terminal_id: F(-1 - z.index, 1 + z.index % 3)
                        for z in game.terminals}]
         for objective in [None] + [c for c in objectives if c is not None]:
-            if objective is None:
-                costs = [0] * len(equilibrium._payoff_table(game, []))
-            else:
-                _scale, row = equilibrium._objective_row(game, objective)
-                costs = [v[0] for v in equilibrium._payoff_table(game, [row])]
+            _scale, row = equilibrium._objective_row(game, objective or {})
+            costs = [v[0] for v in _columns(game, [row])[2]]
             x, value = equilibrium._first_vertex(costs)
             assert (tuple(x), value) == _first_round(costs)
             kinds.add("tied" if costs.count(value) > 1 else "unique")

@@ -44,6 +44,23 @@ def test_enumerate_pure_cap(ebos):
         enumerate_pure(ebos, 0, cap=7)
 
 
+def test_enumerate_pure_cap_counts_a_player_without_infosets():
+    # B decides nowhere and so has one plan, the empty one: a cap below 1
+    # refuses it, as a cap below 2 refuses A's two
+    import json
+    from gametree import parse_game
+    g = parse_game(json.dumps({"players": ["A", "B"], "root": {
+        "kind": "decision", "player": 0, "infoset": "i", "actions": [
+            {"label": a, "child": {"kind": "terminal", "payoffs": ["0", "0"]}}
+            for a in ("x", "y")]}}))
+    assert [x.actions for x in enumerate_pure(g, "B", cap=1)] == [()]
+    for cap in (0, -5):
+        with pytest.raises(ResourceGuardError, match=f"B has more than {cap} pure"):
+            enumerate_pure(g, "B", cap=cap)
+    with pytest.raises(ResourceGuardError, match="A has more than 1 pure"):
+        enumerate_pure(g, "A", cap=1)
+
+
 def test_constant_maps_are_causal(lrr):
     xs = enumerate_pure(lrr, 0)
     const = table_from(lrr, 0, lambda x: xs[0])
