@@ -16,11 +16,9 @@ from gametree.strategy import (MixtureComponent, MixtureOfProducts, PureProfile,
 
 F = Fraction
 
-# Properties that set no example count of their own run on few examples in
-# Tier-1 and on many under ``pytest --hypothesis-profile long``.
-settings.register_profile("tier1", max_examples=100)
+# Properties that set no example count of their own run on hypothesis's
+# default count and on many under ``pytest --hypothesis-profile long``.
 settings.register_profile("long", max_examples=10_000)
-settings.load_profile("tier1")
 
 
 def walk_tree(game):

@@ -170,9 +170,23 @@ def test_optimal_value_dominates_sampled_equilibria(lrr, ebos):
         assert hits > 0  # the sample must actually exercise the bound
 
 
-def test_profile_cap_refusal(ebos):
+# no decision node: one pure profile, the empty plans
+NO_DECISIONS = json.dumps({"players": ["A", "B"], "root": {
+    "kind": "chance", "actions": [
+        {"label": c, "prob": "1/2", "child": {"kind": "terminal", "payoffs": [u, "1"]}}
+        for c, u in (("h", "2"), ("t", "-1"))]}})
+
+
+def test_profile_cap_refusal(ebos, strategy_guard):
     with pytest.raises(ResourceGuardError):
         compute_efce(ebos, profile_cap=5)
+    # a cap below 1 refuses a game without decisions before a plan is built
+    game = parse_game(NO_DECISIONS)
+    for cap in (0, -5):
+        for solver in (compute_efce, compute_bce):
+            with pytest.raises(ResourceGuardError, match=f"more than {cap} pure profiles"):
+                solver(game, profile_cap=cap)
+    assert strategy_guard == [0]
 
 
 def test_profile_cap_admits_a_game_at_the_cap(ebos):
@@ -185,6 +199,10 @@ def test_profile_cap_admits_a_game_at_the_cap(ebos):
     assert gap(ebos, compute_efce(ebos, profile_cap=profiles), "efce").overall == 0
     with pytest.raises(ResourceGuardError, match=f"more than {profiles - 1} pure profiles"):
         compute_efce(ebos, profile_cap=profiles - 1)
+    # a game without decisions has one pure profile and solves at a cap of 1
+    game = parse_game(NO_DECISIONS)
+    _pi, value = optimal_efce(game, u_objective(game, 0), profile_cap=1)
+    assert value == F(1, 2)
 
 
 def test_profile_cap_refuses_before_enumerating(plan_chain_text, strategy_guard):
@@ -194,22 +212,6 @@ def test_profile_cap_refuses_before_enumerating(plan_chain_text, strategy_guard)
     with pytest.raises(ResourceGuardError, match="more than 50000 pure profiles"):
         compute_efce(game)
     assert strategy_guard == [0]
-
-
-def test_profile_cap_counts_the_one_profile_of_a_game_without_decisions(strategy_guard):
-    # no decision node leaves one pure profile, the empty plans: a cap below
-    # 1 refuses it before a plan is built, and a cap of 1 solves it
-    game = parse_game(json.dumps({"players": ["A", "B"], "root": {
-        "kind": "chance", "actions": [
-            {"label": c, "prob": "1/2", "child": {"kind": "terminal", "payoffs": [u, "1"]}}
-            for c, u in (("h", "2"), ("t", "-1"))]}}))
-    for cap in (0, -5):
-        for solver in (compute_efce, compute_bce):
-            with pytest.raises(ResourceGuardError, match=f"more than {cap} pure profiles"):
-                solver(game, profile_cap=cap)
-    assert strategy_guard == [0]
-    _pi, value = optimal_efce(game, u_objective(game, 0), profile_cap=1)
-    assert value == F(1, 2)
 
 
 def test_random_games_solve_and_verify():

@@ -42,9 +42,6 @@ def test_enumerate_pure_single_action_player():
 def test_enumerate_pure_cap(ebos):
     with pytest.raises(ResourceGuardError):
         enumerate_pure(ebos, 0, cap=7)
-
-
-def test_enumerate_pure_cap_counts_a_player_without_infosets():
     # B decides nowhere and so has one plan, the empty one: a cap below 1
     # refuses it, as a cap below 2 refuses A's two
     import json
